@@ -9,9 +9,7 @@ order
 
     (own level l, child indices in ascending child order, own edge index)
 
-where the trailing own-edge axis is absent at the root.  The same data is also
-kept split into a nonnegative per-level weight and a normalized branch tensor;
-only their product enters any computation downstream.
+where the trailing own-edge axis is absent at the root.
 """
 
 from __future__ import annotations
@@ -34,25 +32,18 @@ _LETTERS = string.ascii_lowercase + string.ascii_uppercase
 class TreeDecomposition:
     """Per-vertex coefficient tensors and per-edge Schmidt bases.
 
-    tensors[v] is the combined coefficient tensor of nonleaf vertex v;
-    site_coeffs[v] / branch_coeffs[v] are its weight/branch split with
-    tensors[v] = site * branch elementwise after broadcasting.  edge_bases[c]
-    holds, for each non-root vertex c, the orthonormal basis of the subtree
-    factor at the edge above c (columns, subtree parties ascending); ranks and
-    schmidt_coeffs are keyed by edge label.
+    tensors[v] is the combined coefficient tensor of nonleaf vertex v.
+    edge_bases[c] holds, for each non-root vertex c, the orthonormal basis
+    of the subtree factor at the edge above c (columns, subtree parties
+    ascending); ranks and schmidt_coeffs are keyed by edge label.
     """
 
     tree: RootedTree
     dims: tuple[int, ...]
     tensors: dict[int, np.ndarray]
-    site_coeffs: dict[int, np.ndarray]
-    branch_coeffs: dict[int, np.ndarray]
     edge_bases: dict[int, np.ndarray]
     ranks: dict[int, int]
     schmidt_coeffs: dict[int, np.ndarray]
-
-    def rank_of_edge(self, label: int) -> int:
-        return self.ranks[label]
 
     def subtree_dim(self, v: int) -> int:
         return prod(self.dims[u - 1] for u in self.tree.subtree(v))
@@ -94,22 +85,6 @@ def _expand_in_child_bases(
     return np.einsum(",".join(subs_in) + "->" + subs_out, *operands)
 
 
-def _split_site_branch(g: np.ndarray, has_own_axis: bool):
-    """Weight/branch split of a combined tensor; branch is zero where the
-    weight vanishes."""
-    if has_own_axis:
-        child_axes = tuple(range(1, g.ndim - 1))
-    else:
-        child_axes = tuple(range(1, g.ndim))
-    site = np.sqrt(np.sum(np.abs(g) ** 2, axis=child_axes))
-    shape = list(g.shape)
-    for ax in child_axes:
-        shape[ax] = 1
-    site_b = site.reshape(shape)
-    branch = np.divide(g, site_b, out=np.zeros_like(g), where=site_b > 0)
-    return site, branch
-
-
 def decompose(
     s: PureState, t: RootedTree, rank_tol: float | None = None
 ) -> TreeDecomposition:
@@ -124,8 +99,6 @@ def decompose(
     coeffs = {t.edge_above(c).label: sd.coefficients for c, sd in schmidt.items()}
 
     tensors: dict[int, np.ndarray] = {}
-    site: dict[int, np.ndarray] = {}
-    branch: dict[int, np.ndarray] = {}
     for v in t.vertices:
         if v != t.root and t.is_leaf(v):
             continue
@@ -134,19 +107,11 @@ def decompose(
         else:
             columns = edge_bases[v]
         g = _expand_in_child_bases(t, t.dims, v, columns, edge_bases)
-        if v == t.root:
-            g = g[..., 0]
-            tensors[v] = g
-            site[v], branch[v] = _split_site_branch(g, has_own_axis=False)
-        else:
-            tensors[v] = g
-            site[v], branch[v] = _split_site_branch(g, has_own_axis=True)
+        tensors[v] = g[..., 0] if v == t.root else g
     return TreeDecomposition(
         tree=t,
         dims=t.dims,
         tensors=tensors,
-        site_coeffs=site,
-        branch_coeffs=branch,
         edge_bases=edge_bases,
         ranks=ranks,
         schmidt_coeffs=coeffs,
@@ -360,16 +325,10 @@ def decomposition_from_mps(m: CanonicalMPS) -> TreeDecomposition:
                 "input is not in canonical form"
             )
 
-    site: dict[int, np.ndarray] = {}
-    branch: dict[int, np.ndarray] = {}
-    for v, g in tensors.items():
-        site[v], branch[v] = _split_site_branch(g, has_own_axis=(v != 1))
     return TreeDecomposition(
         tree=t,
         dims=m.dims,
         tensors=tensors,
-        site_coeffs=site,
-        branch_coeffs=branch,
         edge_bases=edge_bases,
         ranks={k: bonds[k - 1] for k in range(1, n)},
         schmidt_coeffs={k: m.lambdas[k - 1] for k in range(1, n)},

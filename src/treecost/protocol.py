@@ -3,13 +3,20 @@ entanglement.
 
 Every edge starts with a maximally entangled pair of registers held by the
 two endpoint parties.  Pairs supplied above the needed rank are first
-compressed deterministically, then each nonleaf vertex measures its share of
-the surrounding registers with a complete family of operators built from its
-coefficient tensor, broadcasts the outcome to its children, and the children
-undo the resulting displacement before their own step.  Leaves finish with an
-isometry into their output space.  Every branch ends in the same target
-state; branches differ only in probability bookkeeping and the recorded
-outcome labels.
+compressed deterministically.  The parties then act one at a time in vertex
+label order: each non-root party undoes the displacement its parent
+announced, a nonleaf vertex measures its share of the surrounding registers
+with a complete family of operators built from its coefficient tensor and
+broadcasts the outcome to its children, and a leaf finishes with an
+isometry into its output space.  A child edge's pair joins the simulated
+register only when the parent is about to measure, so the register holds
+the parties that have acted plus the pairs whose child has not.
+
+Sampling, a forced branch and full enumeration are one depth-first walk
+that differs only in which outcomes it follows, so a branch records the
+same events in the same order in every mode.  Every branch ends in the same
+target state; branches differ only in probability bookkeeping and the
+recorded outcome labels.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 from . import config
 from .decomposition import TreeDecomposition, _require_line
 from .errors import (
+    DimensionCapExceeded,
     InsufficientResource,
     MalformedProgram,
     OutOfRangeIndex,
@@ -237,11 +245,8 @@ class _Engine:
         self.tensor = np.ones((), dtype=complex) if tensor is None else tensor
         self.labels: list = [] if labels is None else labels
 
-    def copy(self) -> "_Engine":
-        return _Engine(self.tensor, list(self.labels))
-
     def attach(self, tensor: np.ndarray, labels: list) -> None:
-        self.tensor = np.tensordot(self.tensor, tensor, axes=0)
+        self.tensor = np.multiply.outer(self.tensor, tensor)
         self.labels = self.labels + labels
 
     def _front(self, in_labels: list):
@@ -268,13 +273,6 @@ class _Engine:
         probs = np.sum(np.abs(res) ** 2, axis=tuple(range(1, res.ndim)))
         return res, probs, rem
 
-    def select(self, res: np.ndarray, j: int, rem: list, out_label) -> None:
-        self.tensor = res[j]
-        self.labels = [out_label] + rem
-
-    def scale(self, factor: float) -> None:
-        self.tensor = self.tensor * factor
-
     def split_axis(self, label, new_labels: list, new_dims: list) -> None:
         i = self.labels.index(label)
         shape = list(self.tensor.shape)
@@ -300,105 +298,6 @@ class _Engine:
         return t.reshape(-1)
 
 
-def _initial_engine(program: MeasurementProgram, record_events: bool):
-    """Shared pairs on every edge, compressed down to the true ranks."""
-    eng = _Engine()
-    events: list[Event] = []
-    for e in program.tree.edges:
-        m = program.resources[e.label]
-        r = program.ranks[e.label]
-        pair = np.eye(m, dtype=complex) / np.sqrt(m)
-        eng.attach(pair, [("r", e.label, "p"), ("r", e.label, "c")])
-        if m > r:
-            trunc = np.eye(r, m, dtype=complex)
-            eng.apply(trunc, [("r", e.label, "p")], ("r", e.label, "p"))
-            eng.apply(trunc, [("r", e.label, "c")], ("r", e.label, "c"))
-            eng.scale(np.sqrt(m / r))
-            if record_events:
-                events.append(
-                    Event(
-                        kind="compress",
-                        edge=e.label,
-                        info=f"rank {m} pair compressed to rank {r}",
-                    )
-                )
-    return eng, events
-
-
-def _in_labels(program: MeasurementProgram, v: int) -> list:
-    t = program.tree
-    labels = []
-    if v != t.root:
-        labels.append(("r", t.edge_above(v).label, "c"))
-    for c in t.children(v):
-        labels.append(("r", t.edge_above(c).label, "p"))
-    return labels
-
-
-def _apply_pending_correction(
-    program, eng, v, pending, events, record_events, disable_corrections
-):
-    t = program.tree
-    if v == t.root:
-        return
-    lab = t.edge_above(v).label
-    pair = pending.get(lab)
-    if pair is None or pair == (0, 0):
-        return
-    if lab in disable_corrections:
-        return
-    eng.apply(
-        program.correction_for(lab, pair),
-        [("r", lab, "c")],
-        ("r", lab, "c"),
-    )
-    if record_events:
-        x, z = pair
-        events.append(
-            Event(
-                kind="correction",
-                vertex=v,
-                edge=lab,
-                outcome=pair,
-                info=f"shift -{x} phase -{z} on rank {program.ranks[lab]}",
-            )
-        )
-
-
-def _post_measure_events(program, v, j, p, events, pending, record_events):
-    t = program.tree
-    pairs = program.outcomes[v][j]
-    if record_events:
-        events.append(
-            Event(kind="measure", vertex=v, index=j, probability=float(p))
-        )
-    for c, pair in zip(t.children(v), pairs):
-        lab = t.edge_above(c).label
-        pending[lab] = pair
-        if record_events:
-            events.append(
-                Event(
-                    kind="message",
-                    vertex=v,
-                    edge=lab,
-                    outcome=pair,
-                    info=f"to vertex {c}",
-                )
-            )
-
-
-def _finish_leaf(program, eng, v, pending, events, record_events,
-                 disable_corrections):
-    t = program.tree
-    _apply_pending_correction(
-        program, eng, v, pending, events, record_events, disable_corrections
-    )
-    lab = t.edge_above(v).label
-    eng.apply(program.leaf_isometries[v], [("r", lab, "c")], ("t", v))
-    if record_events:
-        events.append(Event(kind="isometry", vertex=v, edge=lab))
-
-
 def _finalize(program, eng, events, outcomes, probability) -> Transcript:
     amps = eng.amplitudes()
     norm = np.linalg.norm(amps)
@@ -411,6 +310,115 @@ def _finalize(program, eng, events, outcomes, probability) -> Transcript:
         final_state=state,
         fidelity=float(fid),
     )
+
+
+def _walk(program, choose, record_events, disable_corrections):
+    """Depth-first walk of the protocol over the vertices in label order.
+
+    choose(v, cond) returns the outcome indices to follow at measuring
+    vertex v given the conditional outcome probabilities cond; the walk
+    returns one transcript per followed branch, in the order visited.
+    Each child edge's pair, already at its true rank, is attached just
+    before the parent measures.
+    """
+    t = program.tree
+    order = t.vertices
+    cap = config.dim_cap()
+    shared = {}
+    events: list[Event] = []
+    for e in t.edges:
+        m = program.resources[e.label]
+        r = program.ranks[e.label]
+        shared[e.label] = np.eye(r, dtype=complex) / np.sqrt(r)
+        if record_events and m > r:
+            events.append(
+                Event(
+                    kind="compress",
+                    edge=e.label,
+                    info=f"rank {m} pair compressed to rank {r}",
+                )
+            )
+    pending: dict[int, tuple[int, int]] = {}
+    chosen: dict[int, int] = {}
+    results: list[Transcript] = []
+
+    def step(pos: int, eng: _Engine, probability: float) -> None:
+        if pos == len(order):
+            results.append(_finalize(program, eng, events, chosen, probability))
+            return
+        v = order[pos]
+        if v != t.root:
+            lab = t.edge_above(v).label
+            pair = pending[lab]
+            if pair != (0, 0) and lab not in disable_corrections:
+                eng.apply(
+                    program.correction_for(lab, pair),
+                    [("r", lab, "c")],
+                    ("r", lab, "c"),
+                )
+                if record_events:
+                    x, z = pair
+                    events.append(
+                        Event(
+                            kind="correction",
+                            vertex=v,
+                            edge=lab,
+                            outcome=pair,
+                            info=f"shift -{x} phase -{z} on rank "
+                            f"{program.ranks[lab]}",
+                        )
+                    )
+        if v in program.leaf_isometries:
+            eng.apply(program.leaf_isometries[v], [("r", lab, "c")], ("t", v))
+            if record_events:
+                events.append(Event(kind="isometry", vertex=v, edge=lab))
+            step(pos + 1, eng, probability)
+            return
+        children = t.children(v)
+        in_labels = [] if v == t.root else [("r", lab, "c")]
+        for c in children:
+            c_lab = t.edge_above(c).label
+            eng.attach(shared[c_lab], [("r", c_lab, "p"), ("r", c_lab, "c")])
+            in_labels.append(("r", c_lab, "p"))
+        ops = program.vertex_ops[v]
+        k, d_v, in_dim = ops.shape
+        scan_size = k * d_v * (eng.tensor.size // in_dim)
+        if scan_size > cap:
+            raise DimensionCapExceeded(
+                f"measurement at vertex {v} spans {scan_size} amplitudes, "
+                f"cap {cap}"
+            )
+        res, probs, rem = eng.scan(ops, in_labels)
+        cond = probs / probs.sum()
+        mark = len(events)
+        for j in choose(v, cond):
+            p = float(cond[j])
+            chosen[v] = j
+            if record_events:
+                events.append(
+                    Event(kind="measure", vertex=v, index=j, probability=p)
+                )
+            for c, pair in zip(children, program.outcomes[v][j]):
+                c_lab = t.edge_above(c).label
+                pending[c_lab] = pair
+                if record_events:
+                    events.append(
+                        Event(
+                            kind="message",
+                            vertex=v,
+                            edge=c_lab,
+                            outcome=pair,
+                            info=f"to vertex {c}",
+                        )
+                    )
+            branch = _Engine(
+                res[j] * (1.0 / np.sqrt(probs[j])), [("t", v)] + rem
+            )
+            step(pos + 1, branch, probability * p)
+            del events[mark:]
+
+    step(0, _Engine(), 1.0)
+    return results
 
 
 def simulate(
@@ -435,55 +443,35 @@ def simulate(
             record_events=record_events,
             disable_corrections=disable_corrections,
         )
-    if mode not in ("sample", "branch"):
-        raise MalformedProgram(f"unknown mode {mode!r}")
-    nonleaf = sorted(program.vertex_ops)
-    if mode == "branch":
+    if mode == "sample":
+        rng = np.random.default_rng(seed)
+
+        def choose(v, cond):
+            return (int(rng.choice(len(cond), p=cond)),)
+
+    elif mode == "branch":
         if outcomes is None:
             raise MalformedProgram("branch mode needs forced outcomes")
-        if sorted(outcomes) != nonleaf:
+        if sorted(outcomes) != sorted(program.vertex_ops):
             raise MalformedProgram(
                 "forced outcomes must cover exactly the measuring vertices"
             )
         for v, j in outcomes.items():
             if not 0 <= j < program.vertex_ops[v].shape[0]:
                 raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
-    rng = np.random.default_rng(seed)
-    eng, events = _initial_engine(program, record_events)
-    pending: dict[int, tuple[int, int]] = {}
-    chosen: dict[int, int] = {}
-    probability = 1.0
-    for v in program.tree.vertices:
-        if program.tree.is_leaf(v) and v != program.tree.root:
-            _finish_leaf(
-                program, eng, v, pending, events, record_events,
-                disable_corrections,
-            )
-            continue
-        _apply_pending_correction(
-            program, eng, v, pending, events, record_events,
-            disable_corrections,
-        )
-        res, probs, rem = eng.scan(program.vertex_ops[v], _in_labels(program, v))
-        total = probs.sum()
-        cond = probs / total
-        if mode == "sample":
-            j = int(rng.choice(len(cond), p=cond))
-        else:
+
+        def choose(v, cond):
             j = outcomes[v]
             if cond[j] < config.BRANCH_PRUNE_TOL:
                 raise ZeroProbabilityBranch(
                     f"outcome {j} at vertex {v} has probability {cond[j]:.3e}"
                 )
-        p = float(cond[j])
-        eng.select(res, j, rem, ("t", v))
-        eng.scale(1.0 / np.sqrt(probs[j]))
-        probability *= p
-        chosen[v] = j
-        _post_measure_events(
-            program, v, j, p, events, pending, record_events
-        )
-    return _finalize(program, eng, events, chosen, probability)
+            return (j,)
+
+    else:
+        raise MalformedProgram(f"unknown mode {mode!r}")
+    (transcript,) = _walk(program, choose, record_events, disable_corrections)
+    return transcript
 
 
 def enumerate_branches(
@@ -493,53 +481,12 @@ def enumerate_branches(
 ) -> list[Transcript]:
     """Walk every measurement branch depth first, pruning branches whose
     conditional probability at some step falls below the zero threshold."""
-    order = [
-        v
-        for v in program.tree.vertices
-        if not (program.tree.is_leaf(v) and v != program.tree.root)
-    ]
-    results: list[Transcript] = []
 
-    def rec(pos, eng, events, pending, chosen, probability):
-        if pos < len(order):
-            v = order[pos]
-            _apply_pending_correction(
-                program, eng, v, pending, events, record_events,
-                disable_corrections,
-            )
-            res, probs, rem = eng.scan(
-                program.vertex_ops[v], _in_labels(program, v)
-            )
-            total = probs.sum()
-            for j in range(len(probs)):
-                p = float(probs[j] / total)
-                if p < config.BRANCH_PRUNE_TOL:
-                    continue
-                child = eng.copy()
-                child.select(res, j, rem, ("t", v))
-                child.scale(1.0 / np.sqrt(probs[j]))
-                ev = list(events)
-                pend = dict(pending)
-                ch = dict(chosen)
-                ch[v] = j
-                _post_measure_events(
-                    program, v, j, p, ev, pend, record_events
-                )
-                rec(pos + 1, child, ev, pend, ch, probability * p)
-            return
-        eng2 = eng
-        ev = list(events)
-        for leaf in program.tree.vertices:
-            if program.tree.is_leaf(leaf) and leaf != program.tree.root:
-                _finish_leaf(
-                    program, eng2, leaf, pending, ev, record_events,
-                    disable_corrections,
-                )
-        results.append(_finalize(program, eng2, ev, chosen, probability))
+    def choose(v, cond):
+        tol = config.BRANCH_PRUNE_TOL
+        return [j for j in range(len(cond)) if cond[j] >= tol]
 
-    eng, events = _initial_engine(program, record_events)
-    rec(0, eng, events, {}, {}, 1.0)
-    return results
+    return _walk(program, choose, record_events, disable_corrections)
 
 
 def check_completeness(program: MeasurementProgram) -> CompletenessReport:

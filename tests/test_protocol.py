@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treecost import (
+    DimensionCapExceeded,
     InsufficientResource,
     MalformedProgram,
     NotALine,
@@ -22,8 +24,10 @@ from treecost import (
     generalized_pauli_z,
     make_named_state,
     naive_distribution_cost,
+    root_and_relabel,
     simulate,
 )
+from treecost.config import FIDELITY_TOL
 
 from helpers import (
     all_transcript_outcomes,
@@ -210,14 +214,29 @@ def test_sampling_is_seed_deterministic():
 
 
 def test_forced_branch_matches_enumeration():
-    prog = w4_program()
-    branches = enumerate_branches(prog)
-    for tr in branches[:5] + branches[-3:]:
-        forced = simulate(prog, mode="branch", outcomes=tr.outcomes)
-        assert forced.outcomes == tr.outcomes
-        assert abs(forced.probability - tr.probability) < 1e-12
-        ov = forced.final_state.overlap(tr.final_state)
-        assert abs(abs(ov) - 1.0) < 1e-10
+    # one walker serves both modes, so a forced branch repeats the
+    # enumerated one bit for bit; the mixed tree labels leaf 2 before the
+    # nonleaf 3, which catches a walk that defers leaves to the end
+    rng = np.random.default_rng(227)
+    mixed = root_and_relabel(
+        [(1, 2), (1, 3), (3, 4)], {1: 2, 2: 3, 3: 2, 4: 2}, 1
+    )
+    programs = [
+        w4_program(),
+        w4_program(root=2),
+        _program(random_pure_state(rng, mixed.dims), mixed),
+    ]
+    for prog in programs:
+        branches = enumerate_branches(prog)
+        assert len(branches) == prog.branch_count
+        for tr in branches:
+            forced = simulate(prog, mode="branch", outcomes=tr.outcomes)
+            assert forced.outcomes == tr.outcomes
+            assert forced.events == tr.events
+            assert forced.probability == tr.probability
+            assert np.array_equal(
+                forced.final_state.amplitudes, tr.final_state.amplitudes
+            )
 
 
 def test_branch_mode_validates_the_outcome_map():
@@ -265,6 +284,35 @@ def test_single_party_program_is_trivial():
     assert len(branches) == 1
     assert branches[0].probability == pytest.approx(1.0)
     assert branches[0].fidelity >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_large_lines_sample_within_memory(family):
+    # pairs join the register only when their parent measures, so a
+    # 16-party line never holds more than the target plus one open pair
+    prog = _program(make_named_state(family, 16), line_tree(16))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        tr = simulate(prog, mode="sample", seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.fidelity >= 1 - FIDELITY_TOL
+    assert peak < 64 * 2**20
+
+
+def test_protocol_scans_respect_the_dimension_cap(monkeypatch):
+    # on a W6 line the last measurement scans 4 outcomes x 2 levels x 32
+    # register amplitudes = 256; every earlier scan is smaller
+    prog = _program(make_named_state("w", 6), line_tree(6))
+    monkeypatch.setenv("TREECOST_DIM_CAP", "128")
+    with pytest.raises(DimensionCapExceeded):
+        simulate(prog, mode="sample", seed=0)
+    with pytest.raises(DimensionCapExceeded):
+        enumerate_branches(prog, record_events=False)
+    monkeypatch.setenv("TREECOST_DIM_CAP", "256")
+    assert simulate(prog, mode="sample", seed=0).fidelity >= 1 - FIDELITY_TOL
 
 
 # --------------------------------------------------------------- resources
