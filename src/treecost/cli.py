@@ -70,12 +70,15 @@ def _label_map(tree) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write doc as indented JSON, streamed rather than built as one
+    string, so a large transcript document is not held twice."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
 
 
 def _parse_resources(entries):

@@ -12,18 +12,26 @@ isometry into its output space.  A child edge's pair joins the simulated
 register only when the parent is about to measure, so the register holds
 the parties that have acted plus the pairs whose child has not.
 
-Sampling, a forced branch and full enumeration are one depth-first walk
-that differs only in which outcomes it follows, so a branch records the
-same events in the same order in every mode.  Every branch ends in the same
-target state; branches differ only in probability bookkeeping and the
-recorded outcome labels.
+Sampling, a forced branch and full enumeration are one walk that differs
+only in which outcomes it follows, so a branch records the same events in
+the same order in every mode.  The walk carries the live branches along a
+leading batch axis of the register: a measuring vertex applies its whole
+operator stack to every live branch in one batched product, and the
+followed (branch, outcome) pairs, in depth-first order, form the next
+batch.  A child's correction is a gather of its own edge's levels plus a
+phase, read from per-rank tables, not a matrix product.  A batch whose
+next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes is
+split depth first into contiguous chunks, which bounds the working memory
+of enumeration without changing the branch order.  Every branch ends in
+the same target state; branches differ only in probability bookkeeping and
+the recorded outcome labels.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import log2, prod
 
 import numpy as np
@@ -189,6 +197,7 @@ def build_program(
         if m < dec.ranks[e.label]:
             raise InsufficientResource(e.label, dec.ranks[e.label], m)
 
+    cap = config.dim_cap()
     vertex_ops: dict[int, np.ndarray] = {}
     outcome_table: dict[int, tuple] = {}
     for v in t.vertices:
@@ -202,6 +211,12 @@ def build_program(
         gm = np.moveaxis(g, -1, 1)
         d_v = gm.shape[0]
         in_dim = prod(gm.shape[1:])
+        size = prod(r * r for r in child_ranks) * d_v * in_dim
+        if size > cap:
+            raise DimensionCapExceeded(
+                f"operator stack at vertex {v} spans {size} amplitudes, "
+                f"cap {cap}"
+            )
         base = gm.reshape(d_v, in_dim) / np.sqrt(prod(child_ranks))
         per_child = [
             [(x, z) for x in range(r) for z in range(r)] for r in child_ranks
@@ -249,29 +264,13 @@ class _Engine:
         self.tensor = np.multiply.outer(self.tensor, tensor)
         self.labels = self.labels + labels
 
-    def _front(self, in_labels: list):
-        idx = [self.labels.index(lab) for lab in in_labels]
-        k = len(idx)
-        t = np.moveaxis(self.tensor, idx, list(range(k)))
-        rest_shape = t.shape[k:]
-        flat = t.reshape(prod(t.shape[:k], start=1), -1)
-        rem = [lab for lab in self.labels if lab not in in_labels]
-        return flat, rest_shape, rem
-
     def apply(self, op: np.ndarray, in_labels: list, out_label) -> None:
-        flat, rest_shape, rem = self._front(in_labels)
-        res = op @ flat
+        flat, rest_shape, rem = _front(
+            self.tensor[None], self.labels, in_labels
+        )
+        res = op @ flat[0]
         self.tensor = res.reshape((op.shape[0],) + rest_shape)
         self.labels = [out_label] + rem
-
-    def scan(self, stacked: np.ndarray, in_labels: list):
-        """Apply all K operators at once; returns (branch tensors of shape
-        (K, d_out, rest...), probabilities, remaining labels)."""
-        flat, rest_shape, rem = self._front(in_labels)
-        res = stacked @ flat
-        res = res.reshape((stacked.shape[0], stacked.shape[1]) + rest_shape)
-        probs = np.sum(np.abs(res) ** 2, axis=tuple(range(1, res.ndim)))
-        return res, probs, rem
 
     def split_axis(self, label, new_labels: list, new_dims: list) -> None:
         i = self.labels.index(label)
@@ -298,127 +297,293 @@ class _Engine:
         return t.reshape(-1)
 
 
-def _finalize(program, eng, events, outcomes, probability) -> Transcript:
-    amps = eng.amplitudes()
-    norm = np.linalg.norm(amps)
-    state = PureState(amps / norm, program.dims)
-    fid = abs(state.overlap(program.target)) ** 2
-    return Transcript(
-        events=tuple(events),
-        outcomes=dict(outcomes),
-        probability=float(probability),
-        final_state=state,
-        fidelity=float(fid),
-    )
+# Largest array, in amplitudes, that one batched step of the walk builds;
+# a batch whose step would build more is split depth first into
+# contiguous chunks of branches.
+_BATCH_AMPLITUDES = 2**13
+
+# Row index of the single branch that sampling and a forced branch follow.
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+@lru_cache(maxsize=None)
+def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and phase tables of correction_unitary(r, x, z): level l of
+    the corrected register is phases[z, l] times level sources[x, l] of
+    the uncorrected one."""
+    levels = np.arange(r)
+    sources = (levels[None, :] - levels[:, None]) % r
+    phases = np.exp(2j * np.pi * ((r - levels[:, None]) % r) * levels / r)
+    sources.flags.writeable = False
+    phases.flags.writeable = False
+    return sources, phases
+
+
+def _front(tensor: np.ndarray, labels: list, in_labels: list):
+    """Flatten a batch of registers to (branches, in_dim, rest), the middle
+    index running over the in_labels axes in order; returns it with the
+    shape and labels of the rest."""
+    idx = [labels.index(lab) for lab in in_labels]
+    others = [i for i in range(len(labels)) if i not in idx]
+    t = tensor.transpose([0] + [1 + i for i in idx + others])
+    rest_shape = tuple(tensor.shape[1 + i] for i in others)
+    flat = t.reshape(len(t), prod(t.shape[1 : len(idx) + 1]), -1)
+    return flat, rest_shape, [labels[i] for i in others]
 
 
 def _walk(program, choose, record_events, disable_corrections):
-    """Depth-first walk of the protocol over the vertices in label order.
+    """Walk the protocol over the vertices in label order, carrying the
+    live branches along a leading batch axis of the register.
 
-    choose(v, cond) returns the outcome indices to follow at measuring
-    vertex v given the conditional outcome probabilities cond; the walk
-    returns one transcript per followed branch, in the order visited.
-    Each child edge's pair, already at its true rank, is attached just
-    before the parent measures.
+    choose(v, cond) gets the conditional outcome probabilities of the live
+    branches at measuring vertex v, shape (branches, K_v), and returns the
+    (branch rows, outcome columns) to follow in row-major order, so the
+    walk returns one transcript per followed branch in depth-first outcome
+    order.  Each child edge's pair, already at its true rank, is attached
+    just before the parent measures.  Besides its register a branch
+    carries its probability and, per measuring vertex, its outcome index
+    and that outcome's conditional probability; a child reads the
+    displacement it corrects from its parent's outcome.
     """
     t = program.tree
-    order = t.vertices
     cap = config.dim_cap()
-    shared = {}
-    events: list[Event] = []
-    for e in t.edges:
-        m = program.resources[e.label]
-        r = program.ranks[e.label]
-        shared[e.label] = np.eye(r, dtype=complex) / np.sqrt(r)
-        if record_events and m > r:
-            events.append(
-                Event(
-                    kind="compress",
-                    edge=e.label,
-                    info=f"rank {m} pair compressed to rank {r}",
-                )
-            )
-    pending: dict[int, tuple[int, int]] = {}
-    chosen: dict[int, int] = {}
+    measuring = [v for v in t.vertices if v in program.vertex_ops]
+    column = {v: i for i, v in enumerate(measuring)}
+    # per vertex: (vertex, own edge label, parent's outcome column, position
+    # among the parent's children); the root has no edge above it
+    plan = [(t.root, None, None, None)]
+    for v in t.vertices[1:]:
+        u = t.parent(v)
+        place = t.children(u).index(v)
+        plan.append((v, t.edge_above(v).label, column[u], place))
+    announced: dict[int, np.ndarray] = {}
+    events = None
+    if record_events:
+        events = _EventLog(program, plan, column, disable_corrections)
     results: list[Transcript] = []
 
-    def step(pos: int, eng: _Engine, probability: float) -> None:
-        if pos == len(order):
-            results.append(_finalize(program, eng, events, chosen, probability))
-            return
-        v = order[pos]
-        if v != t.root:
-            lab = t.edge_above(v).label
-            pair = pending[lab]
-            if pair != (0, 0) and lab not in disable_corrections:
-                eng.apply(
-                    program.correction_for(lab, pair),
-                    [("r", lab, "c")],
-                    ("r", lab, "c"),
-                )
-                if record_events:
-                    x, z = pair
-                    events.append(
-                        Event(
-                            kind="correction",
-                            vertex=v,
-                            edge=lab,
-                            outcome=pair,
-                            info=f"shift -{x} phase -{z} on rank "
-                            f"{program.ranks[lab]}",
-                        )
-                    )
+    def widest(pos, size):
+        """Amplitudes per branch of the largest array the step at pos
+        builds from registers of the given size."""
+        if pos == len(plan):
+            return size
+        v = plan[pos][0]
         if v in program.leaf_isometries:
-            eng.apply(program.leaf_isometries[v], [("r", lab, "c")], ("t", v))
-            if record_events:
-                events.append(Event(kind="isometry", vertex=v, edge=lab))
-            step(pos + 1, eng, probability)
-            return
-        children = t.children(v)
-        in_labels = [] if v == t.root else [("r", lab, "c")]
-        for c in children:
-            c_lab = t.edge_above(c).label
-            eng.attach(shared[c_lab], [("r", c_lab, "p"), ("r", c_lab, "c")])
-            in_labels.append(("r", c_lab, "p"))
-        ops = program.vertex_ops[v]
-        k, d_v, in_dim = ops.shape
-        scan_size = k * d_v * (eng.tensor.size // in_dim)
-        if scan_size > cap:
+            d, r = program.leaf_isometries[v].shape
+            return d * size // r
+        k, d_v, in_dim = program.vertex_ops[v].shape
+        for c in t.children(v):
+            size *= program.ranks[t.edge_above(c).label] ** 2
+        scan = k * d_v * (size // in_dim)
+        if scan > cap:
             raise DimensionCapExceeded(
-                f"measurement at vertex {v} spans {scan_size} amplitudes, "
+                f"measurement at vertex {v} spans {scan} amplitudes, "
                 f"cap {cap}"
             )
-        res, probs, rem = eng.scan(ops, in_labels)
-        cond = probs / probs.sum()
-        mark = len(events)
-        for j in choose(v, cond):
-            p = float(cond[j])
-            chosen[v] = j
-            if record_events:
-                events.append(
-                    Event(kind="measure", vertex=v, index=j, probability=p)
-                )
-            for c, pair in zip(children, program.outcomes[v][j]):
-                c_lab = t.edge_above(c).label
-                pending[c_lab] = pair
-                if record_events:
-                    events.append(
-                        Event(
-                            kind="message",
-                            vertex=v,
-                            edge=c_lab,
-                            outcome=pair,
-                            info=f"to vertex {c}",
-                        )
-                    )
-            branch = _Engine(
-                res[j] * (1.0 / np.sqrt(probs[j])), [("t", v)] + rem
-            )
-            step(pos + 1, branch, probability * p)
-            del events[mark:]
+        return scan
 
-    step(0, _Engine(), 1.0)
+    def correct(v, lab, place, pcol, tensor, labels, picks):
+        """Undo on every branch the displacement (x, z) that v's parent
+        announced: Z^-z X^x on v's own edge axis as one gather and one
+        phase, with one (x, z) for a single branch."""
+        parent_outs = program.outcomes[t.parent(v)]
+        if len(picks) == 1:
+            x, z = parent_outs[picks[0, pcol]][place]
+            if not (x or z):
+                return tensor, labels
+        else:
+            if v not in announced:
+                announced[v] = np.array([o[place] for o in parent_outs])
+            xz = announced[v][picks[:, pcol]]
+            if not xz.any():
+                return tensor, labels
+            x, z = xz[:, 0], xz[:, 1]
+        sources, phases = _correction_tables(program.ranks[lab])
+        flat, rest_shape, rem = _front(tensor, labels, [("r", lab, "c")])
+        if np.ndim(x):
+            rows = np.arange(len(flat))[:, None]
+            out = flat[rows, sources[x]] * phases[z][:, :, None]
+        else:
+            out = flat[:, sources[x]] * phases[z][:, None]
+        return (
+            out.reshape(out.shape[:2] + rest_shape),
+            [("r", lab, "c")] + rem,
+        )
+
+    def step(pos, tensor, labels, prob, picks, conds):
+        b = len(prob)
+        need = widest(pos, tensor.size // b)
+        if b > 1 and b * need > _BATCH_AMPLITUDES:
+            n = max(1, _BATCH_AMPLITUDES // need)
+            for s in range(0, b, n):
+                part = slice(s, s + n)
+                step(pos, tensor[part], labels, prob[part], picks[part],
+                     conds[part])
+            return
+        if pos == len(plan):
+            results.extend(_transcripts(program, measuring, tensor, labels,
+                                        prob, picks, conds, events))
+            return
+        v, lab, pcol, place = plan[pos]
+        in_labels = []
+        if lab is not None:
+            in_labels.append(("r", lab, "c"))
+            if lab not in disable_corrections:
+                tensor, labels = correct(
+                    v, lab, place, pcol, tensor, labels, picks
+                )
+        if v in program.leaf_isometries:
+            flat, rest_shape, rem = _front(tensor, labels, in_labels)
+            out = program.leaf_isometries[v] @ flat
+            step(pos + 1, out.reshape(out.shape[:2] + rest_shape),
+                 [("t", v)] + rem, prob, picks, conds)
+            return
+        for c in t.children(v):
+            c_lab = t.edge_above(c).label
+            r = program.ranks[c_lab]
+            tensor = np.multiply.outer(tensor, np.eye(r) / np.sqrt(r))
+            labels = labels + [("r", c_lab, "p"), ("r", c_lab, "c")]
+            in_labels.append(("r", c_lab, "p"))
+        flat, rest_shape, rem = _front(tensor, labels, in_labels)
+        res = program.vertex_ops[v][None] @ flat[:, None]
+        probs = np.sum(np.abs(res) ** 2, axis=(2, 3))
+        cond = probs / probs.sum(axis=1, keepdims=True)
+        rows, cols = choose(v, cond)
+        if not len(rows):
+            return
+        out = res[rows, cols]
+        del res, flat, tensor
+        out *= (1.0 / np.sqrt(probs[rows, cols]))[:, None, None]
+        col = column[v]
+        picks = picks[rows]
+        picks[:, col] = cols
+        conds = conds[rows]
+        conds[:, col] = cond[rows, cols]
+        step(pos + 1, out.reshape(out.shape[:2] + rest_shape),
+             [("t", v)] + rem, prob[rows] * conds[:, col], picks, conds)
+
+    m = len(measuring)
+    step(0, np.ones(1, dtype=complex), [], np.ones(1),
+         np.zeros((1, m), dtype=np.intp), np.zeros((1, m)))
     return results
+
+
+def _transcripts(program, measuring, tensor, labels, prob, picks, conds,
+                 events):
+    """Finish a batch of branches: register axes into party order, then one
+    norm and one overlap with the target for the whole batch."""
+    b = len(prob)
+    perm = sorted(range(len(labels)), key=labels.__getitem__)
+    amps = tensor.transpose([0] + [1 + i for i in perm]).reshape(b, -1)
+    amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    fids = np.abs(amps @ program.target.amplitudes.conj()) ** 2
+    return [
+        Transcript(
+            events=() if events is None else events.branch(row, cond),
+            outcomes=dict(zip(measuring, row)),
+            probability=p,
+            final_state=state,
+            fidelity=fid,
+        )
+        for p, fid, row, cond, state in zip(
+            prob.tolist(),
+            fids.tolist(),
+            picks.tolist(),
+            conds.tolist(),
+            PureState._from_rows(amps, program.dims),
+        )
+    ]
+
+
+class _EventLog:
+    """Event sequences of walked branches, rebuilt from their outcome
+    columns.  A correction, isometry or message event is one object shared
+    by every branch with the same outcome at its vertex; a measurement
+    event is shared by the branches that also agree on its probability."""
+
+    def __init__(self, program, plan, column, disable_corrections):
+        self.program = program
+        # per vertex: (vertex, own edge label, parent's outcome column,
+        # position among the parent's children, own outcome column, its
+        # correction events by parent outcome or None when nothing is
+        # corrected, and its own step's events: the isometry event of a
+        # leaf, or a measuring vertex's events by (outcome, probability))
+        self.steps = []
+        for v, lab, pcol, place in plan:
+            corrects = lab is not None and lab not in disable_corrections
+            col = column.get(v)
+            own = {}
+            if col is None:
+                own = (Event(kind="isometry", vertex=v, edge=lab),)
+            self.steps.append(
+                (v, lab, pcol, place, col, {} if corrects else None, own)
+            )
+        compress = []
+        for e in program.tree.edges:
+            m = program.resources[e.label]
+            r = program.ranks[e.label]
+            if m > r:
+                compress.append(
+                    Event(
+                        kind="compress",
+                        edge=e.label,
+                        info=f"rank {m} pair compressed to rank {r}",
+                    )
+                )
+        self.prefix = tuple(compress)
+        self.messages: dict[tuple[int, int], tuple[Event, ...]] = {}
+
+    def branch(self, row: list[int], cond: list[float]) -> tuple[Event, ...]:
+        out = list(self.prefix)
+        for v, lab, pcol, place, col, corrections, own in self.steps:
+            if corrections is not None:
+                jp = row[pcol]
+                seg = corrections.get(jp)
+                if seg is None:
+                    seg = corrections[jp] = self._correction(v, lab, place, jp)
+                out += seg
+            if col is None:
+                out += own
+            else:
+                key = (row[col], cond[col])
+                seg = own.get(key)
+                if seg is None:
+                    seg = own[key] = self._measure(v, *key)
+                out += seg
+        return tuple(out)
+
+    def _correction(self, v, lab, place, j_parent):
+        program = self.program
+        pair = program.outcomes[program.tree.parent(v)][j_parent][place]
+        if pair == (0, 0):
+            return ()
+        x, z = pair
+        return (
+            Event(
+                kind="correction",
+                vertex=v,
+                edge=lab,
+                outcome=pair,
+                info=f"shift -{x} phase -{z} on rank {program.ranks[lab]}",
+            ),
+        )
+
+    def _measure(self, v, j, p):
+        messages = self.messages.get((v, j))
+        if messages is None:
+            t = self.program.tree
+            messages = self.messages[v, j] = tuple(
+                Event(
+                    kind="message",
+                    vertex=v,
+                    edge=t.edge_above(c).label,
+                    outcome=pair,
+                    info=f"to vertex {c}",
+                )
+                for c, pair in zip(t.children(v), self.program.outcomes[v][j])
+            )
+        measure = Event(kind="measure", vertex=v, index=j, probability=p)
+        return (measure,) + messages
 
 
 def simulate(
@@ -447,7 +612,7 @@ def simulate(
         rng = np.random.default_rng(seed)
 
         def choose(v, cond):
-            return (int(rng.choice(len(cond), p=cond)),)
+            return _ONE_ROW, np.array([rng.choice(cond.shape[1], p=cond[0])])
 
     elif mode == "branch":
         if outcomes is None:
@@ -462,11 +627,12 @@ def simulate(
 
         def choose(v, cond):
             j = outcomes[v]
-            if cond[j] < config.BRANCH_PRUNE_TOL:
+            if cond[0, j] < config.BRANCH_PRUNE_TOL:
                 raise ZeroProbabilityBranch(
-                    f"outcome {j} at vertex {v} has probability {cond[j]:.3e}"
+                    f"outcome {j} at vertex {v} has probability "
+                    f"{cond[0, j]:.3e}"
                 )
-            return (j,)
+            return _ONE_ROW, np.array([j])
 
     else:
         raise MalformedProgram(f"unknown mode {mode!r}")
@@ -483,8 +649,7 @@ def enumerate_branches(
     conditional probability at some step falls below the zero threshold."""
 
     def choose(v, cond):
-        tol = config.BRANCH_PRUNE_TOL
-        return [j for j in range(len(cond)) if cond[j] >= tol]
+        return np.nonzero(cond >= config.BRANCH_PRUNE_TOL)
 
     return _walk(program, choose, record_events, disable_corrections)
 
@@ -494,11 +659,9 @@ def check_completeness(program: MeasurementProgram) -> CompletenessReport:
     leaf map is an isometry, at the true ranks."""
     vertex_defects: dict[int, float] = {}
     for v, ops in program.vertex_ops.items():
-        in_dim = ops.shape[2]
-        s = np.zeros((in_dim, in_dim), dtype=complex)
-        for j in range(ops.shape[0]):
-            s += ops[j].conj().T @ ops[j]
-        eigs = np.linalg.eigvalsh(s)
+        # sum_j ops_j^H ops_j as one Gram product over the stacked rows
+        a = ops.reshape(-1, ops.shape[2])
+        eigs = np.linalg.eigvalsh(a.conj().T @ a)
         vertex_defects[v] = float(np.abs(eigs - 1.0).max())
     iso_defects: dict[int, float] = {}
     for leaf, u in program.leaf_isometries.items():

@@ -48,6 +48,31 @@ class PureState:
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
 
+    @classmethod
+    def _from_rows(
+        cls, rows: np.ndarray, dims: tuple[int, ...]
+    ) -> list["PureState"]:
+        """One state per row of a complex (B, prod(dims)) array, with the
+        checks of the constructor made once for the whole batch."""
+        dims = tuple(int(d) for d in dims)
+        if any(d < 1 for d in dims):
+            raise DimensionMismatch("party dimensions must be >= 1")
+        if rows.shape[1] != prod(dims):
+            raise DimensionMismatch(
+                f"{rows.shape[1]} amplitudes do not fill dimensions {dims}"
+            )
+        norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > config.NORM_TOL)
+        if len(bad):
+            raise ValueError(f"state norm {norms[bad[0]]} is not 1")
+        states = []
+        for amps in rows:
+            state = object.__new__(cls)
+            object.__setattr__(state, "amplitudes", amps)
+            object.__setattr__(state, "dims", dims)
+            states.append(state)
+        return states
+
     @property
     def n_parties(self) -> int:
         return len(self.dims)

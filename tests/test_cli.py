@@ -151,6 +151,37 @@ def test_simulate_sampled_and_seeded(w4_tree_path, capsys):
     assert doc["fidelity"] >= 1 - 1e-9
 
 
+def test_streamed_documents_match_the_one_string_encoding(
+    w4_tree_path, tmp_path, capsys
+):
+    # _emit streams the document; the bytes must be those of json.dumps
+    from treecost import (
+        build_program,
+        decompose,
+        load_tree_json,
+        make_named_state,
+        simulate,
+    )
+    from treecost.cli import _emit, _transcript_doc
+
+    tree = load_tree_json(w4_tree_path)
+    program = build_program(decompose(make_named_state("w", 4), tree))
+    doc = {
+        "schema": "treecost-transcripts/1",
+        "branches": [
+            _transcript_doc(b, tree)
+            for b in simulate(program, mode="enumerate")
+        ],
+    }
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "branches.json"
+    _emit(doc, str(path))
+    assert path.read_bytes() == want.encode("utf-8")
+    capsys.readouterr()
+    _emit(doc, None)
+    assert capsys.readouterr().out == want
+
+
 def test_simulate_forced_branch(w4_tree_path, capsys):
     code, out, _ = run_cli(
         ["simulate", "--tree", w4_tree_path, "--state", "w4",

@@ -96,6 +96,19 @@ def test_correction_inverts_the_transposed_displacement():
                 assert np.allclose(corr @ disp.T, np.eye(d), atol=1e-12)
 
 
+def test_correction_tables_reproduce_the_correction_unitaries():
+    # the walker applies corrections as a gather plus a phase
+    from treecost.protocol import _correction_tables
+
+    for d in (2, 3, 4, 5):
+        sources, phases = _correction_tables(d)
+        for x in range(d):
+            for z in range(d):
+                m = np.zeros((d, d), dtype=complex)
+                m[np.arange(d), sources[x]] = phases[z]
+                assert np.allclose(m, correction_unitary(d, x, z), atol=1e-15)
+
+
 # ------------------------------------------------------------- compilation
 
 
@@ -141,6 +154,17 @@ def test_resource_config_helpers():
     assert ResourceConfig.uniform(t, 5).supplies == {1: 5, 2: 5}
     prog = build_program(dec, ResourceConfig.uniform(t, 3))
     assert prog.resources == {1: 3, 2: 3}
+
+
+def test_operator_stacks_respect_the_dimension_cap(monkeypatch):
+    # on a W4 line vertices 2 and 3 stack 4 outcomes x 2 levels x 4 inputs
+    # = 32 amplitudes; the root's stack is smaller
+    dec = decompose(make_named_state("w", 4), line_tree(4))
+    monkeypatch.setenv("TREECOST_DIM_CAP", "31")
+    with pytest.raises(DimensionCapExceeded):
+        build_program(dec)
+    monkeypatch.setenv("TREECOST_DIM_CAP", "32")
+    assert build_program(dec).branch_count == 64
 
 
 # ------------------------------------------------------------ completeness
@@ -213,19 +237,19 @@ def test_sampling_is_seed_deterministic():
     )
 
 
+def _mixed_program(seed):
+    rng = np.random.default_rng(seed)
+    mixed = root_and_relabel(
+        [(1, 2), (1, 3), (3, 4)], {1: 2, 2: 3, 3: 2, 4: 2}, 1
+    )
+    return _program(random_pure_state(rng, mixed.dims), mixed)
+
+
 def test_forced_branch_matches_enumeration():
     # one walker serves both modes, so a forced branch repeats the
     # enumerated one bit for bit; the mixed tree labels leaf 2 before the
     # nonleaf 3, which catches a walk that defers leaves to the end
-    rng = np.random.default_rng(227)
-    mixed = root_and_relabel(
-        [(1, 2), (1, 3), (3, 4)], {1: 2, 2: 3, 3: 2, 4: 2}, 1
-    )
-    programs = [
-        w4_program(),
-        w4_program(root=2),
-        _program(random_pure_state(rng, mixed.dims), mixed),
-    ]
+    programs = [w4_program(), w4_program(root=2), _mixed_program(227)]
     for prog in programs:
         branches = enumerate_branches(prog)
         assert len(branches) == prog.branch_count
@@ -237,6 +261,49 @@ def test_forced_branch_matches_enumeration():
             assert np.array_equal(
                 forced.final_state.amplitudes, tr.final_state.amplitudes
             )
+
+
+def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
+    # a batch bound of one amplitude splits every batch into single
+    # branches; the walk must give the same transcripts bit for bit
+    import treecost.protocol as protocol_mod
+
+    programs = [w4_program(), w4_program(root=2), _mixed_program(229)]
+    batched = [enumerate_branches(prog) for prog in programs]
+    monkeypatch.setattr(protocol_mod, "_BATCH_AMPLITUDES", 1)
+    for prog, want in zip(programs, batched):
+        got = enumerate_branches(prog)
+        assert len(got) == len(want) == prog.branch_count
+        for a, b in zip(got, want):
+            assert a.outcomes == b.outcomes
+            assert a.events == b.events
+            assert a.probability == b.probability
+            assert np.array_equal(
+                a.final_state.amplitudes, b.final_state.amplitudes
+            )
+
+
+def test_enumeration_transient_memory_stays_small():
+    # 4096 branches of a 256-amplitude block state: everything the walk
+    # holds beyond the transcripts it returns is a few batches of at most
+    # _BATCH_AMPLITUDES amplitudes
+    from treecost import approx_state
+
+    t = line_tree(4)
+    ap = approx_state(make_named_state("w", 4), t, 2, {})
+    big = dataclasses.replace(t, dims=ap.state.dims)
+    prog = build_program(decompose(ap.state, big))
+    assert prog.branch_count == 4096
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        branches = enumerate_branches(prog)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == 4096
+    assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
+    assert peak - retained < 2 * 2**20
 
 
 def test_branch_mode_validates_the_outcome_map():
