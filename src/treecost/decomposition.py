@@ -10,11 +10,34 @@ order
     (own level l, child indices in ascending child order, own edge index)
 
 where the trailing own-edge axis is absent at the root.
+
+decompose computes all of it in one leaves-to-root sweep, the hierarchical
+SVD (on a line, the tensor-train SVD).  A working tensor W starts as the
+state tensor, one axis per party, and the vertices are visited in descending
+label order, so every child comes before its parent.  At a non-root vertex v
+one SVD of W, with v's party axis and its children's bond axes (ascending)
+flattened into the rows, gives U s Vh: U, shaped (d_v, child ranks..., r_v),
+is v's tensor, and those axes of W are replaced by one bond axis of v holding
+diag(s) Vh (kept as W's last axis, so a line needs no transposition).  W
+shrinks as the sweep climbs, and what is left at the root is the root's
+tensor.  The children's edge bases have orthonormal columns, so s
+is the Schmidt spectrum of the state at v's edge, and U expanded in the
+children's dense bases is the dense Schmidt basis of the subtree.
+
+Canonicalization acts on that dense basis: the phase and order rules of
+states._canonical_frame (the same rules schmidt_wrt_edge applies) are
+computed from it, and the same column phases and order are applied to U and
+to the rows of the new bond axis.  Edge bases and tensors therefore agree
+with per-cut Schmidt decompositions wherever the spectrum is nondegenerate.
+
+Truncation: W is compressed at the tighter of rank_tol and config.RANK_TOL,
+so every cut sees the spectrum of the state itself, while ranks,
+coefficients, bases and tensors are stored at rank_tol; a stored tensor keeps
+only the rows of its children's stored columns.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from math import prod
 
@@ -22,10 +45,8 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, MalformedTensors, NotALine
-from .states import PureState, SchmidtData, schmidt_wrt_edge
+from .states import PureState, _canonical_frame
 from .tree import RootedTree
-
-_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 @dataclass(frozen=True)
@@ -49,65 +70,73 @@ class TreeDecomposition:
         return prod(self.dims[u - 1] for u in self.tree.subtree(v))
 
 
-def _expand_in_child_bases(
-    tree: RootedTree,
-    dims: tuple[int, ...],
-    v: int,
-    columns: np.ndarray,
-    edge_bases: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Coefficients of subtree vectors in |l> x (child edge bases).
-
-    columns has shape (subtree dimension of v, n_columns); the result has
-    shape (d_v, child ranks..., n_columns).  Exact because each column's
-    reduced support lies inside the child bases' span.
-    """
-    sub = tree.subtree(v)
-    children = tree.children(v)
-    pos = {p: i for i, p in enumerate(sub)}
-    block_parties = [v] + [p for c in children for p in tree.subtree(c)]
-    perm = [pos[p] for p in block_parties]
-    n_cols = columns.shape[1]
-    shaped = columns.reshape([dims[p - 1] for p in sub] + [n_cols])
-    shaped = shaped.transpose(perm + [len(sub)])
-    child_dims = [prod(dims[p - 1] for p in tree.subtree(c)) for c in children]
-    shaped = shaped.reshape([dims[v - 1]] + child_dims + [n_cols])
-
-    own, col = _LETTERS[0], _LETTERS[1]
-    flat = [_LETTERS[2 + 2 * i] for i in range(len(children))]
-    rank = [_LETTERS[3 + 2 * i] for i in range(len(children))]
-    subs_in = [own + "".join(flat) + col]
-    operands = [shaped]
-    for i, c in enumerate(children):
-        subs_in.append(flat[i] + rank[i])
-        operands.append(edge_bases[c].conj())
-    subs_out = own + "".join(rank) + col
-    return np.einsum(",".join(subs_in) + "->" + subs_out, *operands)
-
-
 def decompose(
     s: PureState, t: RootedTree, rank_tol: float | None = None
 ) -> TreeDecomposition:
     """Expand a state into per-vertex coefficient tensors over the tree."""
     if s.dims != t.dims:
         raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    schmidt: dict[int, SchmidtData] = {
-        e.child: schmidt_wrt_edge(s, t, e, rank_tol) for e in t.edges
-    }
-    edge_bases = {c: sd.left_basis for c, sd in schmidt.items()}
-    ranks = {t.edge_above(c).label: sd.rank for c, sd in schmidt.items()}
-    coeffs = {t.edge_above(c).label: sd.coefficients for c, sd in schmidt.items()}
-
+    if rank_tol is None:
+        rank_tol = config.RANK_TOL
+    compress_tol = min(rank_tol, config.RANK_TOL)
+    # axes of the working tensor: party v is v, the bond above vertex c is -c
+    w = s.tensor
+    axes = list(t.vertices)
+    # dense edge bases at the compressed ranks, which later vertices expand in
+    bases: dict[int, np.ndarray] = {}
     tensors: dict[int, np.ndarray] = {}
-    for v in t.vertices:
-        if v != t.root and t.is_leaf(v):
-            continue
-        if v == t.root:
-            columns = s.amplitudes.reshape(-1, 1)
+    edge_bases: dict[int, np.ndarray] = {}
+    ranks: dict[int, int] = {}
+    coeffs: dict[int, np.ndarray] = {}
+
+    def kept_rows(children):
+        return tuple(slice(ranks[t.edge_above(c).label]) for c in children)
+
+    for v in reversed(t.vertices[1:]):
+        children = t.children(v)
+        front = [axes.index(a) for a in [v] + [-c for c in children]]
+        rest = [i for i in range(len(axes)) if i not in front]
+        w = w.transpose(rest + front)
+        rest_shape, rows = w.shape[: len(rest)], w.shape[len(rest) :]
+        # the cut matrix M is (rows, rest); w holds M^T = V s U^T, and
+        # LAPACK's SVD runs faster on the tall one of M and M^T
+        mat = w.reshape(-1, prod(rows))
+        del w
+        if mat.shape[0] >= mat.shape[1]:
+            vt, sing, ut = np.linalg.svd(mat, full_matrices=False)
+            u = ut.T
         else:
-            columns = edge_bases[v]
-        g = _expand_in_child_bases(t, t.dims, v, columns, edge_bases)
-        tensors[v] = g[..., 0] if v == t.root else g
+            u, sing, vh = np.linalg.svd(mat.T, full_matrices=False)
+            vt = vh.T
+        del mat
+        kept = int(np.count_nonzero(sing > compress_tol * sing[0]))
+        rank = int(np.count_nonzero(sing[:kept] > rank_tol * sing[0]))
+        u, sing, vt = u[:, :kept], sing[:kept], vt[:, :kept]
+        basis = _contract_vertex(t, t.dims, v, u.reshape(rows + (kept,)), bases)
+        # canonical frame of the stored columns; the rest only feed W
+        phases, order = _canonical_frame(basis[:, :rank], sing[:rank])
+        order += range(rank, kept)
+        phases = np.concatenate([phases, np.ones(kept - rank)])
+        if order != sorted(order):
+            u, basis, vt = u[:, order], basis[:, order], vt[:, order]
+            sing, phases = sing[order], phases[order]
+        g = (u * np.conj(phases)).reshape(rows + (kept,))
+        basis *= np.conj(phases)
+        vt *= phases * sing
+        w = vt.reshape(rest_shape + (kept,))
+        axes = [axes[i] for i in rest] + [-v]
+
+        bases[v] = basis
+        lab = t.edge_above(v).label
+        ranks[lab] = rank
+        coeffs[lab] = sing[:rank]
+        edge_bases[v] = basis[:, :rank]
+        if children:
+            tensors[v] = g[(slice(None),) + kept_rows(children) + (slice(rank),)]
+
+    children = t.children(t.root)
+    g = w.transpose([axes.index(a) for a in [t.root] + [-c for c in children]])
+    tensors[t.root] = g[(slice(None),) + kept_rows(children)].copy()
     return TreeDecomposition(
         tree=t,
         dims=t.dims,
@@ -146,38 +175,34 @@ def _check_shapes(d: TreeDecomposition) -> None:
 
 
 def _contract_vertex(
-    d: TreeDecomposition, v: int, child_vecs: dict[int, np.ndarray]
+    t: RootedTree,
+    dims: tuple[int, ...],
+    v: int,
+    g: np.ndarray,
+    child_vecs: dict[int, np.ndarray],
 ) -> np.ndarray:
     """Subtree vectors of vertex v from its tensor and its children's vectors.
 
-    Returns (subtree dimension, n_columns); at the root the single column is
-    the full state.
+    g has shape (d_v, child ranks..., n_columns); each child's vectors
+    (subtree dimension, rank) replace its rank axis by one matrix product.
+    Returns (subtree dimension, n_columns), subtree parties ascending; at the
+    root the single column is the full state.
     """
-    t = d.tree
     children = t.children(v)
-    g = d.tensors[v]
-    if v == t.root:
-        g = g[..., None]
-    own, col = _LETTERS[0], _LETTERS[1]
-    flat = [_LETTERS[2 + 2 * i] for i in range(len(children))]
-    rank = [_LETTERS[3 + 2 * i] for i in range(len(children))]
-    subs_in = [own + "".join(rank) + col]
-    operands = [g]
-    for i, c in enumerate(children):
-        subs_in.append(flat[i] + rank[i])
-        operands.append(child_vecs[c])
-    out = np.einsum(
-        ",".join(subs_in) + "->" + own + "".join(flat) + col, *operands
-    )
-    block_parties = [v] + [p for c in children for p in t.subtree(c)]
-    n_cols = out.shape[-1]
-    full = [d.dims[p - 1] for c in children for p in t.subtree(c)]
-    shaped = out.reshape([d.dims[v - 1]] + full + [n_cols])
-    sub = t.subtree(v)
-    block_pos = {p: i for i, p in enumerate(block_parties)}
-    perm = [block_pos[p] for p in sub]
-    shaped = shaped.transpose(perm + [len(block_parties)])
-    return shaped.reshape(-1, n_cols)
+    n_cols = g.shape[-1]
+    out = g
+    expanded = dims[v - 1]
+    for c in children:
+        vec = child_vecs[c]
+        out = vec @ out.reshape(expanded, vec.shape[1], -1)
+        expanded *= vec.shape[0]
+    block = [v] + [p for c in children for p in t.subtree(c)]
+    sub = sorted(block)
+    if block != sub:
+        pos = {p: i for i, p in enumerate(block)}
+        out = out.reshape([dims[p - 1] for p in block] + [n_cols])
+        out = out.transpose([pos[p] for p in sub] + [len(block)])
+    return out.reshape(-1, n_cols)
 
 
 def recompose(d: TreeDecomposition) -> PureState:
@@ -191,8 +216,9 @@ def recompose(d: TreeDecomposition) -> PureState:
         if t.is_leaf(v):
             vecs[v] = d.edge_bases[v]
         else:
-            vecs[v] = _contract_vertex(d, v, vecs)
-    amps = _contract_vertex(d, t.root, vecs)[:, 0]
+            vecs[v] = _contract_vertex(t, d.dims, v, d.tensors[v], vecs)
+    root = d.tensors[t.root][..., None]
+    amps = _contract_vertex(t, d.dims, t.root, root, vecs)[:, 0]
     return PureState(amps, d.dims)
 
 
@@ -242,30 +268,25 @@ def _require_line(t: RootedTree) -> None:
 def mps_canonical_form(
     s: PureState, line_tree: RootedTree, rank_tol: float | None = None
 ) -> CanonicalMPS:
-    """Sequential Schmidt decompositions along a line tree."""
+    """Vidal's canonical form of a state on a line tree, read off decompose:
+    lambdas[k-1] are the Schmidt coefficients of cut k and each site tensor
+    is the vertex tensor divided by the weights of the bond to its right."""
     _require_line(line_tree)
     if s.dims != line_tree.dims:
         raise DimensionMismatch(
             f"state dims {s.dims} vs tree dims {line_tree.dims}"
         )
+    d = decompose(s, line_tree, rank_tol)
     n = line_tree.n
-    dims = s.dims
-    cuts = [schmidt_wrt_edge(s, line_tree, e, rank_tol) for e in line_tree.edges]
-    lambdas = [sd.coefficients for sd in cuts]
-    gammas: list[np.ndarray] = [cuts[0].right_basis]
+    lambdas = [d.schmidt_coeffs[k] for k in range(1, n)]
+    gammas = [d.tensors[1] / lambdas[0]]
     for k in range(2, n):
-        w_prev = cuts[k - 2].left_basis
-        w_next = cuts[k - 1].left_basis
-        d_next = w_next.shape[0]
-        shaped = w_prev.reshape(dims[k - 1], d_next, w_prev.shape[1])
-        g = np.einsum("iJa,Jb->aib", shaped, w_next.conj())
-        g = g / lambdas[k - 1][None, None, :]
-        gammas.append(g)
-    gammas.append(cuts[n - 2].left_basis.T)
+        gammas.append(np.transpose(d.tensors[k], (2, 0, 1)) / lambdas[k - 1])
+    gammas.append(d.edge_bases[n].T)
     return CanonicalMPS(
         gammas=tuple(gammas),
         lambdas=tuple(lambdas),
-        dims=dims,
+        dims=s.dims,
         tree=line_tree,
     )
 

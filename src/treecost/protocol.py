@@ -217,22 +217,14 @@ def build_program(
                 f"operator stack at vertex {v} spans {size} amplitudes, "
                 f"cap {cap}"
             )
-        base = gm.reshape(d_v, in_dim) / np.sqrt(prod(child_ranks))
+        base = gm / np.sqrt(prod(child_ranks))
         per_child = [
             [(x, z) for x in range(r) for z in range(r)] for r in child_ranks
         ]
-        outs = tuple(itertools.product(*per_child))
-        r_own = gm.shape[1]
-        ops = np.empty((len(outs), d_v, in_dim), dtype=complex)
-        for j, pairs in enumerate(outs):
-            factors = [np.eye(r_own, dtype=complex)]
-            for (x, z), r in zip(pairs, child_ranks):
-                factors.append(
-                    generalized_pauli_z(r, z) @ generalized_pauli_x(r, x)
-                )
-            ops[j] = base @ reduce(np.kron, factors)
-        vertex_ops[v] = ops
-        outcome_table[v] = outs
+        outcome_table[v] = tuple(itertools.product(*per_child))
+        vertex_ops[v] = _operator_stack(base, child_ranks).reshape(
+            -1, d_v, in_dim
+        )
 
     leaf_isos = {
         v: dec.edge_bases[v]
@@ -251,6 +243,33 @@ def build_program(
         leaf_isometries=leaf_isos,
         target=recompose(dec),
     )
+
+
+def _operator_stack(base: np.ndarray, child_ranks: list[int]) -> np.ndarray:
+    """Every outcome's operator base (I x Z^z_1 X^x_1 x ...) in one gather
+    and one phase, without a matrix product per outcome.
+
+    base has shape (d_v, r_own, r_1, ..., r_k).  Column (a, k_1, ...) of
+    outcome ((x_1, z_1), ...) is base column (a, (k_1 + x_1) mod r_1, ...)
+    times the product over children of exp(2 pi i z_c (k_c + x_c) / r_c).
+    Returns shape (x_1, z_1, ..., x_k, z_k, d_v, r_own, r_1, ..., r_k), the
+    outcome axes in the order of the outcome table.
+    """
+    k = len(child_ranks)
+    ndim = 3 * k + 2
+
+    def along(axis, n):
+        shape = [1] * ndim
+        shape[axis] = n
+        return np.arange(n).reshape(shape)
+
+    index = [along(2 * k, base.shape[0]), along(2 * k + 1, base.shape[1])]
+    phase = 1
+    for i, r in enumerate(child_ranks):
+        source = (along(2 * k + 2 + i, r) + along(2 * i, r)) % r
+        index.append(source)
+        phase = phase * np.exp(2j * np.pi * along(2 * i + 1, r) * source / r)
+    return base[tuple(index)] * phase
 
 
 class _Engine:

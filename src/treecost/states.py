@@ -232,26 +232,24 @@ def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator(rho, dims)
 
 
-def _canonicalize_vectors(u: np.ndarray, vh: np.ndarray, sing: np.ndarray):
-    """Fix singular-vector phases and order inside degenerate groups.
+def _canonical_frame(u: np.ndarray, sing: np.ndarray):
+    """Phases and order that put singular vectors in canonical form.
 
-    Each left singular vector is rotated so its largest-magnitude entry is
-    real positive (the right vector absorbs the opposite phase); vectors with
-    equal singular values are then ordered by that anchor entry's position.
+    Left singular vector i (column i of u) has the unit phase phases[i] at
+    its largest-magnitude entry; dividing the vector by it makes that entry
+    real positive (the right vector absorbs the phase).  Vectors with equal
+    singular values are then ordered by that anchor entry's position, so
+    column k of the canonical basis is column order[k] of u.
     """
     r = sing.size
-    anchors = np.empty(r, dtype=int)
-    for i in range(r):
-        j = int(np.argmax(np.abs(u[:, i])))
-        anchors[i] = j
-        pivot = u[j, i]
+    anchors = np.argmax(np.abs(u), axis=0)
+    phases = np.ones(r, dtype=complex)
+    for i, pivot in enumerate(u[anchors, np.arange(r)]):
         if abs(pivot) > 0:
-            phase = pivot / abs(pivot)
-            u[:, i] *= np.conj(phase)
-            vh[i, :] *= phase
+            phases[i] = pivot / abs(pivot)
+    order = list(range(r))
     if r > 1:
         tol = config.SPECTRUM_MERGE_RTOL * max(sing[0], 1e-300)
-        order = list(range(r))
         start = 0
         while start < r:
             stop = start + 1
@@ -259,9 +257,18 @@ def _canonicalize_vectors(u: np.ndarray, vh: np.ndarray, sing: np.ndarray):
                 stop += 1
             order[start:stop] = sorted(order[start:stop], key=lambda i: anchors[i])
             start = stop
-        u[:, :] = u[:, order]
-        vh[:, :] = vh[order, :]
-        sing[:] = sing[order]
+    return phases, order
+
+
+def _canonicalize_vectors(u: np.ndarray, vh: np.ndarray, sing: np.ndarray):
+    """Fix singular-vector phases and order inside degenerate groups, in
+    place, by the rules of _canonical_frame."""
+    phases, order = _canonical_frame(u, sing)
+    u *= np.conj(phases)
+    vh *= phases[:, None]
+    u[:, :] = u[:, order]
+    vh[:, :] = vh[order, :]
+    sing[:] = sing[order]
     return u, vh, sing
 
 

@@ -6,11 +6,12 @@ expansions) so tests compare two independent derivations.
 """
 
 import itertools
+import string
 from math import erf, exp, log2, pi, sqrt
 
 import numpy as np
 
-from treecost import PureState, RootedTree, root_and_relabel
+from treecost import PureState, RootedTree, config, root_and_relabel
 
 
 def line_edges(n):
@@ -111,6 +112,84 @@ def cut_rank(amps, dims, front_parties, tol=1e-9):
     if sing[0] == 0.0:
         return 0
     return int(np.sum(sing > tol * sing[0]))
+
+
+def canonical_columns(u, sing):
+    """Schmidt basis columns in the library's canonical frame, by a column
+    loop: each column's largest-magnitude entry made real positive, then
+    columns with equal singular values ordered by that entry's position."""
+    u = u.copy()
+    r = len(sing)
+    anchors = []
+    for i in range(r):
+        j = int(np.argmax(np.abs(u[:, i])))
+        anchors.append(j)
+        if abs(u[j, i]) > 0:
+            u[:, i] *= np.conj(u[j, i] / abs(u[j, i]))
+    tol = config.SPECTRUM_MERGE_RTOL * max(sing[0], 1e-300) if r else 0.0
+    order = []
+    start = 0
+    while start < r:
+        stop = start + 1
+        while stop < r and sing[start] - sing[stop] <= tol:
+            stop += 1
+        order += sorted(range(start, stop), key=lambda i: anchors[i])
+        start = stop
+    return u[:, order], sing[order]
+
+
+def expand_in_child_bases(tree, v, columns, bases):
+    """Coefficients of subtree vectors of v in |level> x (child bases), by
+    one multi-operand einsum: shape (d_v, child ranks..., n_columns)."""
+    dims = tree.dims
+    sub = tree.subtree(v)
+    children = tree.children(v)
+    pos = {p: i for i, p in enumerate(sub)}
+    block_parties = [v] + [p for c in children for p in tree.subtree(c)]
+    n_cols = columns.shape[1]
+    shaped = columns.reshape([dims[p - 1] for p in sub] + [n_cols])
+    shaped = shaped.transpose([pos[p] for p in block_parties] + [len(sub)])
+    child_dims = [int(np.prod([dims[p - 1] for p in tree.subtree(c)]))
+                  for c in children]
+    shaped = shaped.reshape([dims[v - 1]] + child_dims + [n_cols])
+
+    letters = string.ascii_lowercase + string.ascii_uppercase
+    own, col = letters[0], letters[1]
+    flat = [letters[2 + 2 * i] for i in range(len(children))]
+    rank = [letters[3 + 2 * i] for i in range(len(children))]
+    subs_in = [own + "".join(flat) + col]
+    operands = [shaped]
+    for i, c in enumerate(children):
+        subs_in.append(flat[i] + rank[i])
+        operands.append(bases[c].conj())
+    subs_out = own + "".join(rank) + col
+    return np.einsum(",".join(subs_in) + "->" + subs_out, *operands)
+
+
+def dense_tree_decomposition(amps, tree, rank_tol=1e-9):
+    """Tree decomposition by the per-edge dense route: one SVD of the
+    explicit cut matrix for every edge, and each nonleaf vertex's tensor as
+    the projection of its own basis (at the root, the state) onto its
+    levels times its children's bases.
+
+    Returns (ranks, coefficients, bases, tensors), keyed like the fields of
+    TreeDecomposition.
+    """
+    ranks, coeffs, bases = {}, {}, {}
+    for e in tree.edges:
+        mat = cut_matrix(amps, tree.dims, tree.subtree(e.child))
+        u, sing, _ = np.linalg.svd(mat, full_matrices=False)
+        rank = int(np.count_nonzero(sing > rank_tol * sing[0]))
+        u, sing = canonical_columns(u[:, :rank], sing[:rank])
+        ranks[e.label], coeffs[e.label], bases[e.child] = rank, sing, u
+    tensors = {}
+    for v in tree.vertices:
+        if v == tree.root:
+            g = expand_in_child_bases(tree, v, np.reshape(amps, (-1, 1)), bases)
+            tensors[v] = g[..., 0]
+        elif tree.children(v):
+            tensors[v] = expand_in_child_bases(tree, v, bases[v], bases)
+    return ranks, coeffs, bases, tensors
 
 
 def partial_trace_walk(amps, dims, keep):

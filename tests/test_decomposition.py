@@ -1,9 +1,12 @@
 """Tree tensor decomposition, canonical line form, and reconstruction."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecost import (
     CanonicalMPS,
@@ -14,15 +17,20 @@ from treecost import (
     contract_mps,
     decompose,
     decomposition_from_mps,
+    config,
+    fidelity_pure,
     make_named_state,
     mps_canonical_form,
+    normalized_state,
     recompose,
+    root_and_relabel,
     schmidt_wrt_edge,
     vertex_gram_defect,
 )
 
 from helpers import (
     cut_rank,
+    dense_tree_decomposition,
     line_tree,
     random_pure_state,
     random_tree,
@@ -123,6 +131,83 @@ def test_edge_bases_are_orthonormal_columns():
         assert basis.shape == (dec.subtree_dim(v), dec.ranks[lab])
         gram = basis.conj().T @ basis
         assert np.allclose(gram, np.eye(dec.ranks[lab]), atol=1e-10)
+
+
+@st.composite
+def _tree_states(draw):
+    """A random tree of 2..6 parties with a random root, and a random,
+    random product, nearly product, GHZ, W or Dicke state on it (the last
+    three on qubits).  A nearly product state has Schmidt coefficients near
+    1e-5, which rank_tol=1e-4 truncates and 1e-9 keeps."""
+    kind = draw(st.sampled_from(
+        ["random", "product", "nearly product", "ghz", "w", "dicke"]
+    ))
+    n = draw(st.integers(2, 6))
+    if kind in ("ghz", "w", "dicke"):
+        dims = [2] * n
+    else:
+        dims = draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    root = draw(st.integers(1, n))
+    tree = root_and_relabel(edges, dict(enumerate(dims, start=1)), root)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        state = random_pure_state(rng, tree.dims)
+    elif kind in ("product", "nearly product"):
+        amps = np.ones(1)
+        for d in tree.dims:
+            amps = np.kron(amps, random_pure_state(rng, (d,)).amplitudes)
+        if kind == "nearly product":
+            amps = amps + 1e-5 * random_pure_state(rng, tree.dims).amplitudes
+        state = normalized_state(amps, tree.dims)
+    else:
+        k = draw(st.integers(1, n - 1)) if kind == "dicke" else None
+        state = make_named_state(kind, n, k=k)
+    return state, tree
+
+
+def _nondegenerate(coeffs):
+    return bool(np.all(-np.diff(coeffs) > 1e-6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tree_states(), st.sampled_from([1e-9, 1e-4]))
+def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
+    state, t = case
+    dec = decompose(state, t, rank_tol)
+    ranks, coeffs, bases, tensors = dense_tree_decomposition(
+        state.amplitudes, t, rank_tol
+    )
+    assert dec.ranks == ranks
+    for lab, want in coeffs.items():
+        assert np.abs(dec.schmidt_coeffs[lab] - want).max() <= 1e-12
+    for c, want in bases.items():
+        got = dec.edge_bases[c]
+        proj = got @ got.conj().T - want @ want.conj().T
+        assert np.abs(proj).max() <= 1e-10
+    for v, want in tensors.items():
+        around = [t.edge_above(c).label for c in t.children(v)]
+        if v != t.root:
+            around.append(t.edge_above(v).label)
+        if all(_nondegenerate(coeffs[lab]) for lab in around):
+            assert np.abs(dec.tensors[v] - want).max() <= 1e-9
+    if rank_tol == config.RANK_TOL:
+        assert fidelity_pure(recompose(dec), state) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
+def test_decompose_memory_stays_near_the_state_size(name, k):
+    # the dense edge bases it returns take about r times the state's bytes
+    # on a line; the sweep's working tensor shrinks from the state's size
+    s = make_named_state(name, 16, k=k)
+    t = line_tree(16)
+    tracemalloc.start()
+    try:
+        decompose(s, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * s.amplitudes.nbytes
 
 
 def test_decompose_rejects_mismatched_dims():

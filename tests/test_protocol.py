@@ -1,6 +1,7 @@
 """Measurement program compilation and branch-exact protocol simulation."""
 
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -167,6 +168,32 @@ def test_operator_stacks_respect_the_dimension_cap(monkeypatch):
     assert build_program(dec).branch_count == 64
 
 
+def test_operator_stacks_match_the_kron_construction():
+    # a stack is built by one gather and one phase; operator j must equal
+    # the base operator times I x Z^z X^x x ... over the children's (x, z)
+    w4 = make_named_state("w", 4)
+    instances = [
+        (w4, line_tree(4)), (w4, line_tree(4, root=2)), _mixed_instance(227)
+    ]
+    for state, t in instances:
+        dec = decompose(state, t)
+        prog = build_program(dec)
+        for v, ops in prog.vertex_ops.items():
+            ranks = [dec.ranks[t.edge_above(c).label] for c in t.children(v)]
+            g = dec.tensors[v][..., None] if v == t.root else dec.tensors[v]
+            gm = np.moveaxis(g, -1, 1)
+            base = gm.reshape(gm.shape[0], -1) / np.sqrt(np.prod(ranks))
+            assert len(ops) == len(prog.outcomes[v]) == np.prod(ranks) ** 2
+            for op, pairs in zip(ops, prog.outcomes[v]):
+                factors = [np.eye(gm.shape[1], dtype=complex)]
+                for (x, z), r in zip(pairs, ranks):
+                    factors.append(
+                        generalized_pauli_z(r, z) @ generalized_pauli_x(r, x)
+                    )
+                want = base @ functools.reduce(np.kron, factors)
+                assert np.abs(op - want).max() <= 1e-15
+
+
 # ------------------------------------------------------------ completeness
 
 
@@ -237,12 +264,16 @@ def test_sampling_is_seed_deterministic():
     )
 
 
-def _mixed_program(seed):
+def _mixed_instance(seed):
     rng = np.random.default_rng(seed)
     mixed = root_and_relabel(
         [(1, 2), (1, 3), (3, 4)], {1: 2, 2: 3, 3: 2, 4: 2}, 1
     )
-    return _program(random_pure_state(rng, mixed.dims), mixed)
+    return random_pure_state(rng, mixed.dims), mixed
+
+
+def _mixed_program(seed):
+    return _program(*_mixed_instance(seed))
 
 
 def test_forced_branch_matches_enumeration():
