@@ -39,10 +39,12 @@ _LN2 = log(2.0)
 class EdgeProjection:
     """Spectral projection of one cut of the n-copy state.
 
-    basis holds the single-copy cut eigenvectors as columns; keep_mask flags
-    the kept product levels over n copies, shape (rank,) * n.  gamma is the
-    budgeted exponent in bits for the whole block (infinite when the share is
-    zero and the projection is onto the exact support).
+    basis holds the single-copy cut eigenvectors as columns and weights
+    their eigenvalues, the squared Schmidt coefficients; dropped_weight is
+    the cut's weight below the rank cutoff, outside the basis.  keep_mask
+    flags the kept product levels over n copies, shape (rank,) * n.  gamma
+    is the budgeted exponent in bits for the whole block (infinite when the
+    share is zero and the projection is onto the exact support).
     """
 
     edge: int
@@ -50,6 +52,8 @@ class EdgeProjection:
     threshold: float
     gamma: float
     basis: np.ndarray
+    weights: np.ndarray
+    dropped_weight: float
     keep_mask: np.ndarray
 
     @property
@@ -102,6 +106,8 @@ def build_projection(
         threshold=float(threshold),
         gamma=gamma,
         basis=sd.left_basis,
+        weights=probs,
+        dropped_weight=sd.dropped_weight,
         keep_mask=np.asarray(mask).reshape((sd.rank,) * n),
     )
 
@@ -315,8 +321,23 @@ def union_bound_check(
     the individual projection deficits.
 
     Both states are pure, so the 1-norm distance reduces to an overlap
-    formula; the right side adds each projection's clipped weight on the
-    untouched n-copy state.
+    formula; the left side runs the projections in sequence on the dense
+    n-copy block.  The right side adds each projection's clipped weight on
+    the untouched block, and needs no block.  Across edge e the state is
+    sum_k sqrt(p_k) |a_k>|b_k> with S = ||psi||^2 = sum_k p_k, so psi^(x)n
+    is the sum over k in [levels]^n of sqrt(prod_c p_(k_c)) times
+    orthonormal product vectors.  P_e keeps exactly the terms whose k lies
+    in the stored rank on every copy and in keep_mask, so the deficit
+    1 - ||P_e psi^(x)n||^2 / S^n is
+
+        (sum_(k in [rank]^n, k not in mask) prod_c p_(k_c) + S^n - S_r^n) / S^n
+
+    with S_r the sum of p_k over the stored rank: the second term is the
+    block weight on products that leave the stored rank on some copy.  S is
+    taken as S_r plus the cut's dropped weight, so the term is exactly zero
+    when the rank cutoff drops nothing.  Summing the dropped products avoids
+    the cancellation in 1 - kept, and a trivial projection contributes
+    exactly zero.
     """
     if s.dims != t.dims:
         raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
@@ -343,17 +364,16 @@ def union_bound_check(
     ov2 = abs(np.vdot(ref, seq)) ** 2 / (tr * ref_nsq)
     lhs = 2.0 * sqrt(max(0.0, 1.0 - min(1.0, ov2)))
     deficits: dict[int, float] = {}
-    total = 0.0
     for proj in projections:
         if proj.trivial:
             deficits[proj.edge] = 0.0
             continue
-        one = _attach_copies(s, n)
-        _apply_projection(one, proj, t, s.dims)
-        kept = one.norm() ** 2 / ref_nsq
-        deficits[proj.edge] = float(max(0.0, 1.0 - kept))
-        total += deficits[proj.edge]
-    rhs = 2.0 * sqrt(total)
+        stored = float(proj.weights.sum())
+        block_nsq = (stored + proj.dropped_weight) ** n
+        products = reduce(np.multiply.outer, [proj.weights] * n)
+        clipped = products[~proj.keep_mask].sum() + (block_nsq - stored**n)
+        deficits[proj.edge] = float(max(0.0, clipped / block_nsq))
+    rhs = 2.0 * sqrt(sum(deficits.values()))
     return UnionBoundReport(
         lhs=float(lhs),
         rhs=float(rhs),

@@ -6,21 +6,24 @@ below the exact rate; the block-size quantity behind both bounds is a
 waterline threshold on the spectrum of the cut: raise the line t until the
 mass of eigenvalues clipped to the line equals the allowed deficit, then pay
 -log2(t) bits.  For many copies the spectrum is expanded exactly over type
-classes in log space; when the class count explodes, a Gaussian two-term
-expansion takes over and is labeled as such.
+classes in log space, in whole-array operations (stars-and-bars rows, one
+sort, a vectorized merge of levels within the merge tolerance); when the
+class count exceeds TYPE_CLASS_CAP, a Gaussian two-term expansion takes
+over and is labeled as such.  Bounds and threshold optimization read every
+edge's cut spectrum from one decompose sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, inf, lgamma, log, log2, sqrt, pi
 from typing import Iterable
 
 import numpy as np
 
 from . import config
+from .decomposition import decompose
 from .errors import (
     EnumerationCapExceeded,
     InvalidEpsilon,
@@ -112,27 +115,58 @@ class Spectrum:
 
 
 def _compositions(n: int, d: int) -> np.ndarray:
-    """All ways to split n copies among d distinct eigenvalues."""
+    """All ways to split n copies among d distinct eigenvalues, one row per
+    type class in ascending lexicographic order.
+
+    Stars and bars, one part at a time: every row so far with r copies left
+    is repeated r + 1 times, once for each value 0..r of its next part.
+    """
     if comb(n + d - 1, d - 1) > config.TYPE_CLASS_CAP:
         raise EnumerationCapExceeded(
             f"{comb(n + d - 1, d - 1)} type classes for n={n}, d={d} "
             f"exceed cap {config.TYPE_CLASS_CAP}"
         )
-    if d == 1:
-        return np.array([[n]], dtype=np.int64)
-    if d == 2:
-        k = np.arange(n + 1, dtype=np.int64)
-        return np.stack([k, n - k], axis=1)
-    rows = []
-    for bars in itertools.combinations(range(n + d - 1), d - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(n + d - 2 - prev)
-        rows.append(parts)
-    return np.asarray(rows, dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    parts: list[np.ndarray] = []
+    for _ in range(d - 1):
+        reps = left + 1
+        starts = np.cumsum(reps) - reps
+        part = np.arange(int(reps.sum()), dtype=np.int64)
+        part -= np.repeat(starts, reps)
+        parts = [np.repeat(p, reps) for p in parts] + [part]
+        left = np.repeat(left, reps) - part
+    return np.stack(parts + [left], axis=1)
+
+
+def _merge_starts(log_mu: np.ndarray) -> np.ndarray:
+    """First index of every merged level of a descending log_mu.
+
+    The rule is sequential: walking down, a level joins the current group
+    when the group's first level lies within
+    tol(mu) = SPECTRUM_MERGE_RTOL * max(1, |mu|) of it.  A gap to the
+    previous level above tol(mu) therefore always starts a group, and a run
+    between such gaps is one group when its first level lies within tol(mu)
+    of every member.  Only the rare runs that span more than that are split
+    again by the sequential rule itself.
+    """
+    tol = config.SPECTRUM_MERGE_RTOL * np.maximum(1.0, np.abs(log_mu))
+    gap = np.empty(log_mu.size, dtype=bool)
+    gap[0] = True
+    np.greater(log_mu[:-1] - log_mu[1:], tol[1:], out=gap[1:])
+    starts = np.flatnonzero(gap)
+    run = np.cumsum(gap) - 1
+    far = log_mu[starts][run] - log_mu > tol
+    if not far.any():
+        return starts
+    ends = np.append(starts[1:], log_mu.size)
+    splits = []
+    for r in np.unique(run[far]):
+        leader = log_mu[starts[r]]
+        for i in range(starts[r] + 1, ends[r]):
+            if leader - log_mu[i] > tol[i]:
+                splits.append(i)
+                leader = log_mu[i]
+    return np.union1d(starts, splits)
 
 
 class _SpectrumTable:
@@ -141,6 +175,13 @@ class _SpectrumTable:
     Levels are distinct product eigenvalues descending; for each prefix the
     table holds the linear cumulative mass and the log cumulative count, so
     the waterline for any deficit is a single monotone search.
+
+    The table is built from whole arrays: one row per type class, the
+    classes sorted by product eigenvalue, and classes closer than the merge
+    tolerance folded into one level (see _merge_starts).  Each reduction
+    (reduceat over a level's classes, the total, the cumulative count) runs
+    left to right like a loop over the sorted classes, so the arrays are
+    the ones a sequential merge gives, bit for bit.
     """
 
     def __init__(self, spectrum: Spectrum, n: int):
@@ -150,29 +191,23 @@ class _SpectrumTable:
         lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
         log_mu = comps @ log_vals
         log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+        # arrays here grow with the class count; freeing the spent ones
+        # lowers the peak of the build
+        del comps
         order = np.argsort(log_mu)[::-1]
         log_mu = log_mu[order]
         log_cnt = log_cnt[order]
+        del order
 
-        lv: list[float] = []
-        lc: list[float] = []
-        for mu, cnt in zip(log_mu, log_cnt):
-            tol = config.SPECTRUM_MERGE_RTOL * max(1.0, abs(mu))
-            if lv and lv[-1] - mu <= tol:
-                lc[-1] = np.logaddexp(lc[-1], cnt)
-            else:
-                lv.append(float(mu))
-                lc.append(float(cnt))
-        self.log_mu = np.asarray(lv)
-        self.log_cnt = np.asarray(lc)
+        starts = _merge_starts(log_mu)
+        self.log_mu = log_mu[starts]
+        self.log_cnt = np.logaddexp.reduceat(log_cnt, starts)
         log_mass = self.log_cnt + self.log_mu
-        total = reduce(np.logaddexp, log_mass)
+        total = np.logaddexp.reduce(log_mass)
         log_mass = log_mass - total
         self.log_mu = self.log_mu - total
         self.cum_mass = np.cumsum(np.exp(log_mass))
-        self.log_cum_cnt = np.array(
-            list(itertools.accumulate(self.log_cnt, np.logaddexp))
-        )
+        self.log_cum_cnt = np.logaddexp.accumulate(self.log_cnt)
         with np.errstate(divide="ignore"):
             mu_next = np.append(self.log_mu[1:], -np.inf)
         self.boundary = self.cum_mass - np.exp(self.log_cum_cnt + mu_next)
@@ -335,13 +370,14 @@ def approx_bounds(
             f"thresholds spend {budget:.6g} of an {eps:.6g} budget"
         )
 
+    dec = decompose(s, t, rank_tol)
     rows = []
     for e in edges:
-        sd = schmidt_wrt_edge(s, t, e, rank_tol)
-        spectrum = Spectrum.from_eigenvalues(sd.coefficients**2)
+        rank = dec.ranks[e.label]
+        spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
         epse = float(thresholds.get(e.label, 0.0))
         if epse == 0.0:
-            upper = float(log2(sd.rank))
+            upper = float(log2(rank))
             upper_method = "exact-rank"
         else:
             bits, upper_method = _block_bits(spectrum, n, epse * epse / 4.0)
@@ -350,8 +386,8 @@ def approx_bounds(
         rows.append(
             EdgeCostRow(
                 edge=e.label,
-                rank=sd.rank,
-                exact_bits=float(log2(sd.rank)),
+                rank=rank,
+                exact_bits=float(log2(rank)),
                 threshold=epse,
                 upper=float(upper),
                 upper_method=upper_method,
@@ -382,10 +418,11 @@ def optimize_thresholds(
     """
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"error budget {eps} outside (0, 1)")
+    dec = decompose(s, t, rank_tol)
     stds: dict[int, float] = {}
     for e in t.edges:
-        sd = schmidt_wrt_edge(s, t, e, rank_tol)
-        stds[e.label] = Spectrum.from_eigenvalues(sd.coefficients**2).std_log
+        spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
+        stds[e.label] = spectrum.std_log
     out = {lab: 0.0 for lab in stds}
     active = {lab: sv for lab, sv in stds.items() if sv > 0.0}
     if not active:

@@ -132,7 +132,8 @@ class DensityOperator:
 class SchmidtData:
     """Schmidt decomposition of a state across one tree bipartition.
 
-    coefficients are the descending singular values above the rank cutoff;
+    coefficients are the descending singular values above the rank cutoff,
+    and dropped_weight is the sum of the squares of those below it;
     left_basis columns live on the child-side (subtree) factor and right_basis
     columns on the complement, each factor flattened in ascending party order.
     Reassembling sum_l c_l * left[:, l] x right[:, l] and undoing the party
@@ -145,6 +146,7 @@ class SchmidtData:
     rank: int
     subtree_parties: tuple[int, ...]
     complement_parties: tuple[int, ...]
+    dropped_weight: float
 
 
 def make_named_state(
@@ -286,6 +288,7 @@ def schmidt_wrt_edge(
     mat = _split_axes(s, sub)
     u, sing, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(sing > rank_tol * sing[0]))
+    dropped = float(np.sum(sing[rank:] ** 2))
     u, vh, sing = _canonicalize_vectors(u[:, :rank], vh[:rank, :], sing[:rank].copy())
     return SchmidtData(
         coefficients=sing,
@@ -294,6 +297,7 @@ def schmidt_wrt_edge(
         rank=rank,
         subtree_parties=tuple(sub),
         complement_parties=tuple(comp),
+        dropped_weight=dropped,
     )
 
 

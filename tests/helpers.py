@@ -7,11 +7,18 @@ expansions) so tests compare two independent derivations.
 
 import itertools
 import string
-from math import erf, exp, log2, pi, sqrt
+from functools import reduce
+from math import comb, erf, exp, lgamma, log2, pi, sqrt
 
 import numpy as np
 
-from treecost import PureState, RootedTree, config, root_and_relabel
+from treecost import (
+    EnumerationCapExceeded,
+    PureState,
+    RootedTree,
+    config,
+    root_and_relabel,
+)
 
 
 def line_edges(n):
@@ -246,6 +253,100 @@ def brute_waterline_bits(probs, n, eps):
             t = (csum[k] - target) / (k + 1)
             return -log2(t)
     raise AssertionError("mass accounting failed")
+
+
+def loop_compositions(n, d):
+    """Compositions of n into d parts by stars and bars over
+    itertools.combinations, one bar position tuple at a time."""
+    if comb(n + d - 1, d - 1) > config.TYPE_CLASS_CAP:
+        raise EnumerationCapExceeded(
+            f"{comb(n + d - 1, d - 1)} type classes for n={n}, d={d} "
+            f"exceed cap {config.TYPE_CLASS_CAP}"
+        )
+    if d == 1:
+        return np.array([[n]], dtype=np.int64)
+    if d == 2:
+        k = np.arange(n + 1, dtype=np.int64)
+        return np.stack([k, n - k], axis=1)
+    rows = []
+    for bars in itertools.combinations(range(n + d - 1), d - 1):
+        prev = -1
+        parts = []
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(n + d - 2 - prev)
+        rows.append(parts)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def loop_spectrum_table(spectrum, n):
+    """Arrays of the merged n-fold type-class table by a sequential merge:
+    walking the product levels in descending order, a level joins the
+    current group when the group's first level lies within
+    SPECTRUM_MERGE_RTOL * max(1, |level|) of it.
+
+    Returns (log_mu, log_cnt, cum_mass, log_cum_cnt, boundary), the arrays
+    the library's table holds.
+    """
+    comps = loop_compositions(n, len(spectrum.values))
+    log_vals = np.log(np.asarray(spectrum.values))
+    log_mults = np.log(np.asarray(spectrum.multiplicities, dtype=float))
+    lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+    log_mu = comps @ log_vals
+    log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+    order = np.argsort(log_mu)[::-1]
+    log_mu = log_mu[order]
+    log_cnt = log_cnt[order]
+
+    lv = []
+    lc = []
+    for mu, cnt in zip(log_mu, log_cnt):
+        tol = config.SPECTRUM_MERGE_RTOL * max(1.0, abs(mu))
+        if lv and lv[-1] - mu <= tol:
+            lc[-1] = np.logaddexp(lc[-1], cnt)
+        else:
+            lv.append(float(mu))
+            lc.append(float(cnt))
+    log_mu = np.asarray(lv)
+    log_cnt = np.asarray(lc)
+    log_mass = log_cnt + log_mu
+    total = reduce(np.logaddexp, log_mass)
+    log_mass = log_mass - total
+    log_mu = log_mu - total
+    cum_mass = np.cumsum(np.exp(log_mass))
+    log_cum_cnt = np.array(list(itertools.accumulate(log_cnt, np.logaddexp)))
+    with np.errstate(divide="ignore"):
+        mu_next = np.append(log_mu[1:], -np.inf)
+    boundary = cum_mass - np.exp(log_cum_cnt + mu_next)
+    return log_mu, log_cnt, cum_mass, log_cum_cnt, boundary
+
+
+def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
+    """Per-edge deficits of union_bound_check by the dense route: each
+    nontrivial projection applied alone to an explicit n-copy block, and
+    the deficit read as one minus its kept weight over the block's."""
+    from treecost.approx import (
+        _apply_projection,
+        _attach_copies,
+        build_projection,
+    )
+
+    ref = _attach_copies(s, n).amplitudes()
+    ref_nsq = float(np.vdot(ref, ref).real)
+    deficits = {}
+    for e in t.edges:
+        proj = build_projection(
+            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
+        )
+        if proj.trivial:
+            deficits[proj.edge] = 0.0
+            continue
+        one = _attach_copies(s, n)
+        _apply_projection(one, proj, t, s.dims)
+        kept = one.norm() ** 2 / ref_nsq
+        deficits[proj.edge] = float(max(0.0, 1.0 - kept))
+    return deficits
 
 
 def series_normal_cdf(x):

@@ -1,5 +1,7 @@
 """Per-cut spectral truncation of block states and the projected protocol."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from treecost import (
     union_bound_check,
 )
 
-from helpers import line_tree, product_block_amps, random_pure_state
+from helpers import (
+    dense_union_deficits,
+    line_tree,
+    product_block_amps,
+    random_pure_state,
+    random_tree,
+    skewed_pure_state,
+)
 
 
 def skewed_ghz(p0=0.9, n=3):
@@ -275,6 +284,95 @@ def test_union_bound_is_zero_without_truncation():
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.holds
+
+
+UNION_SHAPES = [
+    ((2, 2, 2, 2), 1),
+    ((2, 2, 2), 1),
+    ((2, 2), 2),
+    ((3, 3), 1),
+    ((4, 4), 1),
+    ((2, 3), 1),
+    ((2, 2, 2), 2),
+    ((2, 2), 3),
+]
+
+
+def _union_trials(count, seed):
+    """(state, tree, n, thresholds) like the union-bound acceptance trials:
+    skewed states, random shares up to 0.9."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        dims, n = UNION_SHAPES[trial % len(UNION_SHAPES)]
+        if len(dims) > 2:
+            tree = random_tree(rng, len(dims), dim_choices=(2,))
+        else:
+            tree = line_tree(2, dims=dims)
+        state = skewed_pure_state(rng, tree.dims)
+        th = {e.label: float(rng.uniform(0.0, 0.9)) for e in tree.edges}
+        yield state, tree, n, th
+
+
+def _truncating_pair():
+    """(4,4) state whose smallest Schmidt coefficient falls below a rank
+    tolerance of 1e-4, so the stored rank drops block weight."""
+    coeffs = np.array([0.8, 0.5, 0.3, 3e-6])
+    s = normalized_state(np.diag(coeffs).reshape(-1).astype(complex), (4, 4))
+    return s, line_tree(2, dims=(4, 4))
+
+
+def test_closed_form_deficits_match_the_dense_route():
+    checked = 0
+    for state, tree, n, th in _union_trials(120, 1234):
+        rep = union_bound_check(state, tree, n, th)
+        dense = dense_union_deficits(state, tree, n, th)
+        assert set(rep.deficits) == set(dense)
+        for lab, want in dense.items():
+            assert abs(rep.deficits[lab] - want) <= 1e-13
+            checked += want > 0.0
+    assert checked > 100
+
+
+def test_closed_form_deficits_keep_the_weight_beyond_the_stored_rank():
+    s, t = _truncating_pair()
+    rep = union_bound_check(s, t, 2, {1: 0.6}, rank_tol=1e-4)
+    dense = dense_union_deficits(s, t, 2, {1: 0.6}, rank_tol=1e-4)
+    assert abs(rep.deficits[1] - dense[1]) <= 1e-13
+    proj = build_projection(s, t, t.edge_by_label(1), 2, 0.6, rank_tol=1e-4)
+    assert proj.rank == 3
+    assert proj.dropped_weight > 0.0
+    # the clipped products inside the stored rank fall short by the dropped
+    # weight on either copy, about 1.8e-11
+    products = np.multiply.outer(proj.weights, proj.weights)
+    inside = products[~proj.keep_mask].sum() / (
+        proj.weights.sum() + proj.dropped_weight
+    ) ** 2
+    assert rep.deficits[1] - inside > 1e-11
+
+
+def test_closed_form_deficits_are_at_least_as_accurate_as_the_dense_route():
+    # reference: the clipped products summed in extended precision, over the
+    # whole cut spectrum (nothing lies beyond the rank on these states)
+    compared = better = 0
+    for state, tree, n, th in _union_trials(48, 4321):
+        rep = union_bound_check(state, tree, n, th)
+        dense = dense_union_deficits(state, tree, n, th)
+        for e in tree.edges:
+            proj = build_projection(state, tree, e, n, th[e.label])
+            if proj.trivial:
+                continue
+            assert proj.dropped_weight < 1e-30
+            w = proj.weights.astype(np.longdouble)
+            products = reduce(np.multiply.outer, [w] * n)
+            want = products[~proj.keep_mask].sum() / w.sum() ** n
+            closed = abs(np.longdouble(rep.deficits[e.label]) - want)
+            dense_err = abs(np.longdouble(dense[e.label]) - want)
+            assert closed <= dense_err
+            compared += 1
+            better += closed < dense_err
+    assert compared > 30
+    # the dense route's cancellation in 1 - kept costs it about one ulp of 1
+    assert better > compared // 2
 
 
 def test_union_bound_degenerate_projection(monkeypatch):

@@ -1,9 +1,15 @@
 """Block-length cost accounting: waterline exponents, second-order
 coefficients, per-edge bounds, budget optimization, and chart data."""
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treecost.costs as costs_mod
 from treecost import (
     EnumerationCapExceeded,
     InvalidEpsilon,
@@ -12,6 +18,7 @@ from treecost import (
     Spectrum,
     ThresholdBudgetExceeded,
     approx_bounds,
+    config,
     decompose,
     exact_edge_cost,
     figure_data,
@@ -29,6 +36,8 @@ from helpers import (
     brute_waterline_bits,
     entropy_longdouble,
     line_tree,
+    loop_compositions,
+    loop_spectrum_table,
     random_pure_state,
     series_inverse_cdf,
     series_normal_cdf,
@@ -172,6 +181,106 @@ def test_type_class_enumeration_cap():
     wide = Spectrum(values=(0.5, 0.3, 0.2), multiplicities=(1, 1, 1))
     with pytest.raises(EnumerationCapExceeded):
         spectrum_entropy(wide, 50_000, 0.5)
+
+
+TABLE_ARRAYS = ("log_mu", "log_cnt", "cum_mass", "log_cum_cnt", "boundary")
+
+
+def _assert_table_matches_the_loop_oracle(spectrum, n):
+    table = costs_mod._SpectrumTable(spectrum, n)
+    for name, want in zip(TABLE_ARRAYS, loop_spectrum_table(spectrum, n)):
+        assert np.array_equal(getattr(table, name), want), name
+
+
+@st.composite
+def _spectra(draw):
+    """Spectra with multiplicities whose levels are small integers, each
+    nudged by a tiny relative offset.  Products of the integers coincide
+    often, and a level drawn twice with two offsets gives near-equal
+    levels whose products form chains of close neighbours, so classes fall
+    near, below and above the merge tolerance."""
+    d = draw(st.integers(1, 5))
+    levels = draw(st.lists(
+        st.tuples(st.integers(1, 6),
+                  st.sampled_from([0.0, 1e-13, 1e-12, 3e-12, 1e-11, 1e-9])),
+        min_size=d, max_size=d, unique=True,
+    ))
+    mults = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    raw = sorted(
+        ((b * (1.0 + x), m) for (b, x), m in zip(levels, mults)),
+        reverse=True,
+    )
+    mass = sum(v * m for v, m in raw)
+    return Spectrum(values=tuple(v / mass for v, _ in raw),
+                    multiplicities=tuple(m for _, m in raw))
+
+
+# the oracle walks every class in Python, so five-level tables stop at
+# n=32 (58,905 classes) to keep the test's run time down
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_spectra(), st.integers(1, 60))
+def test_table_matches_the_sequential_merge_oracle(spectrum, n):
+    if len(spectrum.values) == 5:
+        n = min(n, 32)
+    _assert_table_matches_the_loop_oracle(spectrum, n)
+
+
+def _gap_runs(spectrum, n):
+    """Runs of the sorted product levels split only where neighbours are
+    more than the merge tolerance apart."""
+    comps = loop_compositions(n, len(spectrum.values))
+    log_mu = np.sort(comps @ np.log(spectrum.values))[::-1]
+    tol = config.SPECTRUM_MERGE_RTOL * np.maximum(1.0, np.abs(log_mu))
+    return 1 + int(np.count_nonzero(log_mu[:-1] - log_mu[1:] > tol[1:]))
+
+
+@pytest.mark.parametrize("delta", [1e-12, 2e-12, 5e-12])
+@pytest.mark.parametrize("n", [10, 30, 60])
+def test_table_splits_chains_of_close_levels_like_the_loop(delta, n):
+    # neighbours within the tolerance chain into runs wider than it, which
+    # the sequential rule splits into more levels than the gaps alone give
+    chain = Spectrum(values=(0.4 + delta, 0.4 - delta, 0.2),
+                     multiplicities=(1, 1, 1))
+    _assert_table_matches_the_loop_oracle(chain, n)
+    if n >= 30:
+        levels = costs_mod._SpectrumTable(chain, n).log_mu.size
+        assert levels > _gap_runs(chain, n)
+
+
+def test_compositions_follow_the_itertools_order():
+    for d in range(1, 6):
+        for n in (0, 1, 2, 5, 13):
+            got = costs_mod._compositions(n, d)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, loop_compositions(n, d)), (n, d)
+
+
+def test_compositions_refuse_over_the_cap_as_before(monkeypatch):
+    monkeypatch.setattr(config, "TYPE_CLASS_CAP", 1000)
+    assert costs_mod._compositions(43, 3).shape == (990, 3)
+    messages = []
+    for build in (costs_mod._compositions, loop_compositions):
+        with pytest.raises(EnumerationCapExceeded) as info:
+            build(44, 3)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == "1035 type classes for n=44, d=3 exceed cap 1000"
+
+
+def test_table_memory_per_type_class():
+    # a generic four-level spectrum: no two classes merge, so the table is
+    # as large as the class count
+    spectrum = Spectrum.from_eigenvalues([0.5, 0.27, 0.13, 0.1])
+    costs_mod._SpectrumTable(spectrum, 3)
+    tracemalloc.start()
+    try:
+        table = costs_mod._SpectrumTable(spectrum, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    classes = comb(103, 3)
+    assert table.log_mu.size == classes
+    assert peak / classes < 170
 
 
 # ------------------------------------------------------------ second order
