@@ -7,14 +7,35 @@ Applying the projections (in edge label order; they need not commute) yields
 a nearby state whose cut ranks, and hence construction costs, are capped by
 the waterline exponents.  The final distance to the true n-copy state is
 checked against the root-sum-square of the shares.
+
+The distances need no n-copy block.  Write the subtree factor of vertex v
+in a basis B_e of the edge e above it: the projection's own basis columns,
+completed by the cut's Schmidt vectors below the rank cutoff down to
+config.RANK_TOL, so that B_e spans the subtree factor of psi.  Let A_v hold
+the coefficients of B_e in |level> x the children's bases (at the root, of
+psi itself).  Then psi^(x)n is the tree network of the A_v^(x)n, with bond
+e running over B_e^(x)n, |B_e|^n levels wide.  Projection e is
+B_e^(x)n diag(keep_mask) B_e^(x)n-dagger on the subtree factor of the n
+copies.  Edge labels follow breadth-first order, so every projection
+applied before e sits on an ancestor edge or in a disjoint subtree, and the
+subtree factor below e is still B_e^(x)n times the untouched network there.
+So projection e is exactly the mask keep_mask (zero beyond the stored rank)
+on bond e, and M psi^(x)n, for M the projections applied in label order,
+is the same network with masks on the bonds of the nontrivial projections.
+A trivial projection is skipped, so its bond stays whole.
+<psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 are then contracted from the
+leaves to the root over bond environments |B_e|^n x |B_e|^n in size, as
+the weights the masks remove (_removed_weights), and only
+ApproxState.state builds the dense block.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from math import inf, log, log2, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +50,7 @@ from .errors import (
     ZeroNorm,
 )
 from .protocol import MeasurementProgram, _Engine, build_program, simulate
-from .states import PureState, schmidt_wrt_edge
+from .states import PureState, normalized_state, schmidt_wrt_edge
 from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)
@@ -90,6 +111,11 @@ def build_projection(
     if not 0.0 <= threshold < 1.0:
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
     sd = schmidt_wrt_edge(s, t, e, rank_tol)
+    cap = config.dim_cap()
+    if sd.rank**n > cap:
+        raise DimensionCapExceeded(
+            f"keep mask of edge {e.label} spans {sd.rank**n} levels, cap {cap}"
+        )
     probs = sd.coefficients**2
     if threshold == 0.0:
         gamma = inf
@@ -148,11 +174,267 @@ def _apply_projection(
         )
 
 
+class _Env(NamedTuple):
+    """Environment of one bond over n copies: one axis per copy, in copy
+    order, flattened.  When paired, axis a runs over the (bra, ket) level
+    pairs of copy a, bra major; otherwise the environment is diagonal and
+    axis a runs over the one level that bra and ket share."""
+
+    legs: np.ndarray
+    paired: bool
+
+
+def _edge_bases(
+    s: PureState,
+    t: RootedTree,
+    projections: tuple[EdgeProjection, ...],
+    rank_tol: float | None,
+) -> dict[int, np.ndarray]:
+    """Basis B_e of the edge above each non-root vertex: the projection's
+    columns, then the cut's Schmidt vectors between the rank cutoff and
+    config.RANK_TOL, so that the bases carry the whole state."""
+    bases = {}
+    for proj in projections:
+        e = t.edge_by_label(proj.edge)
+        basis = proj.basis
+        if proj.dropped_weight > 0.0 and rank_tol is not None and (
+            rank_tol > config.RANK_TOL
+        ):
+            whole = schmidt_wrt_edge(s, t, e, config.RANK_TOL).left_basis
+            basis = np.hstack([basis, whole[:, proj.rank :]])
+        bases[e.child] = basis
+    return bases
+
+
+def _vertex_tensor(
+    t: RootedTree, v: int, columns: np.ndarray, bases: dict[int, np.ndarray]
+) -> np.ndarray:
+    """Coefficients of subtree vectors of v (columns, subtree parties
+    ascending) in |level> x its children's bases, shape (d_v, child
+    widths..., columns)."""
+    dims = t.dims
+    sub = t.subtree(v)
+    children = t.children(v)
+    pos = {p: i for i, p in enumerate(sub)}
+    block = [v] + [p for c in children for p in t.subtree(c)]
+    g = columns.reshape([dims[p - 1] for p in sub] + [columns.shape[1]])
+    g = g.transpose([pos[p] for p in block] + [len(sub)])
+    g = g.reshape(
+        [dims[v - 1]] + [bases[c].shape[0] for c in children] + [g.shape[-1]]
+    )
+    for i, c in enumerate(children, start=1):
+        g = np.moveaxis(np.tensordot(g, bases[c].conj(), axes=(i, 0)), -1, i)
+    return g
+
+
+def _transfer(g: np.ndarray, envs: list, n: int, v: int) -> _Env:
+    """Environment of the bond above v from its children's: the per-copy
+    transfer matrix sum_p conj(g) (x) g applied to one copy at a time, so
+    no n-fold vertex tensor is built.
+
+    g has shape (d_v, child widths..., own width).  A child environment of
+    None is the identity and is summed like the level; a diagonal one
+    shares its level between bra and ket.
+    """
+    m = len(envs)
+    own, own_ket = m + 1, 2 * m + 2
+    ket = [0]
+    rows = []
+    legs = []
+    for i, env in enumerate(envs, start=1):
+        paired = env is not None and env.paired
+        ket.append(own + i if paired else i)
+        if env is not None:
+            rows += [i, own + i] if paired else [i]
+            width = g.shape[i] ** 2 if paired else g.shape[i]
+            legs.append(env.legs.reshape((width,) * n))
+    bra = [0, *range(1, own + 1)]
+    phi = np.einsum(g.conj(), bra, g, ket + [own_ket], rows + [own, own_ket])
+    phi = phi.reshape(-1, g.shape[-1] ** 2)
+    widest = max(phi.shape) ** n
+    cap = config.dim_cap()
+    if widest > cap:
+        raise DimensionCapExceeded(
+            f"bond environment at vertex {v} spans {widest} amplitudes, "
+            f"cap {cap}"
+        )
+    # one axis per (child, copy), regrouped copy major
+    x = reduce(np.multiply.outer, legs)
+    x = x.transpose([i * n + a for a in range(n) for i in range(len(legs))])
+    for _ in range(n):
+        x = x.reshape(phi.shape[0], -1).T @ phi
+    return _Env(x.reshape(-1), True)
+
+
+def _paired_diagonal(width: int, n: int) -> np.ndarray:
+    """Flat positions of the entries of a paired environment whose bra and
+    ket levels agree on every copy."""
+    step = np.arange(width) * (width + 1)
+    pos = [step * (width * width) ** (n - 1 - a) for a in range(n)]
+    return reduce(np.add.outer, pos).reshape(-1)
+
+
+def _identity_minus(env: _Env | None, width: int, n: int) -> _Env | None:
+    """The environment whose complement from the identity is env."""
+    if env is None:
+        return None
+    if not env.paired:
+        return _Env(1.0 - env.legs, False)
+    legs = -env.legs
+    legs[_paired_diagonal(width, n)] += 1.0
+    return _Env(legs, True)
+
+
+def _removed_transfer(g: np.ndarray, removed: list, n: int, v: int) -> _Env:
+    """Complement I - E of the environment E of the bond above v, from the
+    complements C_c of its children's, by I - Phi(E_1 x ... x E_m) =
+    sum_i Phi(E_1 x ... x E_(i-1) x C_i x I x ... x I).  Phi maps the
+    identity to the identity, because the columns of g are orthonormal
+    (at the root, to ||psi||^(2n))."""
+    last = max(i for i, c in enumerate(removed) if c is not None)
+    total = None
+    ahead = []
+    for i, c in enumerate(removed[: last + 1]):
+        if c is not None:
+            rest = [None] * (len(removed) - i - 1)
+            term = _transfer(g, ahead + [c] + rest, n, v)
+            total = term if total is None else _Env(total.legs + term.legs, True)
+        if i < last:
+            ahead.append(_identity_minus(c, g.shape[1 + i], n))
+    return total
+
+
+def _environments(g: np.ndarray, pairs: list, n: int, v: int):
+    """Complements of the bra-ket and ket-ket environments of the bond
+    above v from its children's pairs; at the root, the removed overlap
+    and weight.  They are one object while every child's pair is."""
+    bra = _removed_transfer(g, [b for b, _ in pairs], n, v)
+    if all(b is k for b, k in pairs):
+        return bra, bra
+    return bra, _removed_transfer(g, [k for _, k in pairs], n, v)
+
+
+def _masked(bra: _Env | None, ket: _Env | None, mask: np.ndarray):
+    """Complements of a bond's bra-ket and ket-ket environments after its
+    mask.  The mask takes E to E M_ket and F to M_bra F M_ket, so a
+    complement C goes to C M plus (1 - mask) on the diagonal.  An identity
+    or diagonal environment is one object for both, and stays so."""
+    n, r = mask.ndim, mask.shape[0]
+    cut = (~mask).reshape(-1).astype(float)
+    if bra is None or not bra.paired:
+        legs = cut if bra is None else bra.legs * mask.reshape(-1) + cut
+        env = _Env(legs, False)
+        return env, env
+    on_ket = mask.reshape((1, r) * n)
+    on_bra = mask.reshape((r, 1) * n)
+    # in place: a bond's environments are read by nothing but this mask and
+    # its parent's transfer
+    x = bra.legs.reshape((r, r) * n)
+    x *= on_ket
+    if ket is bra:
+        y = x * on_bra
+    else:
+        y = ket.legs.reshape((r, r) * n)
+        y *= on_ket
+        y *= on_bra
+    diagonal = _paired_diagonal(r, n)
+    x, y = x.reshape(-1), y.reshape(-1)
+    x[diagonal] += cut
+    y[diagonal] += cut
+    return _Env(x, True), _Env(y, True)
+
+
+def _removed_weights(
+    s: PureState,
+    t: RootedTree,
+    projections: tuple[EdgeProjection, ...],
+    rank_tol: float | None,
+) -> tuple[float, complex, float] | None:
+    """||psi^(x)n||^2 with <psi^(x)n|(I - M) psi^(x)n> and
+    ||psi^(x)n||^2 - ||M psi^(x)n||^2, for M the projections applied in
+    edge label order; None when every projection is trivial (M = I).
+
+    The masked n-copy network (module docstring) is contracted from the
+    leaves to the root.  Each bond carries a bra-ket environment
+    E[k, k'] = <B^(x)n k|M psi^(x)n below the bond at level k'> and a
+    ket-ket one F, both the identity while nothing below is masked.  They
+    are carried as their complements I - E and I - F, so the weight the
+    masks remove is summed directly rather than as a difference of nearly
+    equal overlaps, and the distance keeps its relative precision however
+    little is cut.  A complement stays zero (None) until a mask lies at or
+    below its bond, and diagonal until a transfer fills it; the two are
+    one object until a mask falls on a full one.
+    """
+    if all(p.trivial for p in projections):
+        return None
+    n = projections[0].n
+    cap = config.dim_cap()
+    bases = _edge_bases(s, t, projections, rank_tol)
+    by_child = {t.edge_by_label(p.edge).child: p for p in projections}
+    below: dict[int, tuple] = {}
+    for v in reversed(t.vertices[1:]):
+        pairs = [below.pop(c) for c in t.children(v)]
+        if all(bra is None for bra, _ in pairs):
+            # nothing masked below: the columns of B_e^(x)n are orthonormal
+            bra = ket = None
+        else:
+            g = _vertex_tensor(t, v, bases[v], bases)
+            bra, ket = _environments(g, pairs, n, v)
+        proj = by_child[v]
+        if not proj.trivial:
+            width = bases[v].shape[1]
+            if width**n > cap:
+                raise DimensionCapExceeded(
+                    f"mask on edge {proj.edge} spans {width**n} levels, "
+                    f"cap {cap}"
+                )
+            mask = np.zeros((width,) * n, dtype=bool)
+            mask[(slice(proj.rank),) * n] = proj.keep_mask
+            bra, ket = _masked(bra, ket, mask)
+        below[v] = (bra, ket)
+    pairs = [below.pop(c) for c in t.children(t.root)]
+    g = _vertex_tensor(t, t.root, s.amplitudes.reshape(-1, 1), bases)
+    bra, ket = _environments(g, pairs, n, t.root)
+    block = float(np.vdot(g, g).real) ** n
+    return block, complex(bra.legs[0]), float(ket.legs[0].real)
+
+
+def _kept_weight(removed) -> float:
+    """||M psi^(x)n||^2 / ||psi^(x)n||^2 from _removed_weights."""
+    if removed is None:
+        return 1.0
+    block, _, lost = removed
+    return (block - lost) / block
+
+
+def _distance(removed) -> float:
+    """Trace distance 2 sqrt(1 - F) between psi^(x)n and the normalized
+    M psi^(x)n, from _removed_weights.  With S = ||psi^(x)n||^2,
+    a = <psi^(x)n|(I - M) psi^(x)n> and b = S - ||M psi^(x)n||^2, the
+    fidelity is F = |S - a|^2 / (S (S - b)), so
+
+        1 - F = (S (2 Re a - b) - |a|^2) / (S (S - b)),
+
+    where 2 Re a - b = ||(I - M) psi^(x)n||^2: no difference of nearly
+    equal numbers is taken, however little the masks cut."""
+    if removed is None:
+        return 0.0
+    block, lost_overlap, lost = removed
+    gap = block * (2.0 * lost_overlap.real - lost) - abs(lost_overlap) ** 2
+    gap /= block * (block - lost)
+    return 2.0 * sqrt(max(0.0, min(1.0, gap)))
+
+
 @dataclass(frozen=True)
 class ApproxState:
-    """Projected n-copy state with its distance accounting."""
+    """Projected n-copy state with its distance accounting.
 
-    state: PureState
+    source and tree are the single-copy state and its tree; the projected
+    block itself (state) is built densely on first access.
+    """
+
+    source: PureState = field(repr=False)
+    tree: RootedTree = field(repr=False)
     n: int
     thresholds: dict[int, float]
     projections: tuple[EdgeProjection, ...]
@@ -162,6 +444,17 @@ class ApproxState:
     @property
     def holds(self) -> bool:
         return self.achieved_distance <= self.bound + 1e-9
+
+    @cached_property
+    def state(self) -> PureState:
+        """The projected n-copy block, renormalized: every projection
+        applied in edge label order to the dense block, whose size is
+        capped by config.dim_cap()."""
+        big_dims = _check_block_dims(self.tree, self.n)
+        eng = _attach_copies(self.source, self.n)
+        for proj in self.projections:
+            _apply_projection(eng, proj, self.tree, self.source.dims)
+        return normalized_state(eng.amplitudes(), big_dims)
 
 
 def _check_block_dims(t: RootedTree, n: int) -> tuple[int, ...]:
@@ -178,6 +471,23 @@ def _check_block_dims(t: RootedTree, n: int) -> tuple[int, ...]:
     return tuple(big)
 
 
+def _projections(
+    s: PureState,
+    t: RootedTree,
+    n: int,
+    thresholds: dict[int, float],
+    rank_tol: float | None,
+) -> tuple[EdgeProjection, ...]:
+    if s.dims != t.dims:
+        raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
+    return tuple(
+        build_projection(
+            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
+        )
+        for e in t.edges
+    )
+
+
 def approx_state(
     s: PureState,
     t: RootedTree,
@@ -186,37 +496,22 @@ def approx_state(
     rank_tol: float | None = None,
 ) -> ApproxState:
     """Apply every edge projection to the n-copy state, in edge label order,
-    and renormalize."""
-    if s.dims != t.dims:
-        raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    big_dims = _check_block_dims(t, n)
-    projections = tuple(
-        build_projection(
-            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
-        )
-        for e in t.edges
-    )
-    eng = _attach_copies(s, n)
-    for proj in projections:
-        _apply_projection(eng, proj, t, s.dims)
-    amps = eng.amplitudes()
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
+    and renormalize.  The distance comes from the masked n-copy network;
+    the dense block is built only when ApproxState.state is read."""
+    projections = _projections(s, t, n, thresholds, rank_tol)
+    removed = _removed_weights(s, t, projections, rank_tol)
+    if _kept_weight(removed) < 1e-12:
         raise ZeroNorm("projections removed all weight")
-    ref = _attach_copies(s, n).amplitudes()
-    # normalize by both norms; the n-fold product drifts from 1 at float
-    # resolution, which the square root would otherwise amplify
-    ov = np.vdot(ref, amps) / (norm * np.linalg.norm(ref))
-    achieved = 2.0 * sqrt(max(0.0, 1.0 - min(1.0, abs(ov) ** 2)))
     bound = sqrt(
         sum(float(thresholds.get(e.label, 0.0)) ** 2 for e in t.edges)
     )
     return ApproxState(
-        state=PureState(amps / norm, big_dims),
+        source=s,
+        tree=t,
         n=int(n),
         thresholds={e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges},
         projections=projections,
-        achieved_distance=float(achieved),
+        achieved_distance=_distance(removed),
         bound=float(bound),
     )
 
@@ -321,10 +616,17 @@ def union_bound_check(
     the individual projection deficits.
 
     Both states are pure, so the 1-norm distance reduces to an overlap
-    formula; the left side runs the projections in sequence on the dense
-    n-copy block.  The right side adds each projection's clipped weight on
-    the untouched block, and needs no block.  Across edge e the state is
-    sum_k sqrt(p_k) |a_k>|b_k> with S = ||psi||^2 = sum_k p_k, so psi^(x)n
+    formula, and neither side needs the n-copy block.  The left side takes
+    <psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 for the sequential product
+    M from the masked n-copy network: edge labels follow breadth-first
+    order, so when projection e acts, every earlier projection sits on an
+    ancestor edge or in a disjoint subtree, the subtree factor below e is
+    still B_e^(x)n times the untouched network, and the projection is
+    exactly keep_mask on bond e (module docstring).
+
+    The right side adds each projection's clipped weight on the untouched
+    block.  Across edge e the state is sum_k sqrt(p_k) |a_k>|b_k> with
+    S = ||psi||^2 = sum_k p_k, so psi^(x)n
     is the sum over k in [levels]^n of sqrt(prod_c p_(k_c)) times
     orthonormal product vectors.  P_e keeps exactly the terms whose k lies
     in the stored rank on every copy and in keep_mask, so the deficit
@@ -339,30 +641,14 @@ def union_bound_check(
     the cancellation in 1 - kept, and a trivial projection contributes
     exactly zero.
     """
-    if s.dims != t.dims:
-        raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    _check_block_dims(t, n)
-    projections = [
-        build_projection(
-            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
-        )
-        for e in t.edges
-    ]
-    ref = _attach_copies(s, n).amplitudes()
-    ref_nsq = float(np.vdot(ref, ref).real)
-    eng = _attach_copies(s, n)
-    for proj in projections:
-        _apply_projection(eng, proj, t, s.dims)
-    seq = eng.amplitudes()
-    tr = float(np.vdot(seq, seq).real)
-    if tr < 1e-12:
+    projections = _projections(s, t, n, thresholds, rank_tol)
+    removed = _removed_weights(s, t, projections, rank_tol)
+    kept = _kept_weight(removed)
+    if kept < 1e-12:
         raise DegenerateDenominator(
-            f"projected weight {tr:.3e} too small to normalize"
+            f"projected weight {kept:.3e} too small to normalize"
         )
-    # both sides normalized by the reference block norm so a trivial
-    # projection contributes exactly zero instead of float dust
-    ov2 = abs(np.vdot(ref, seq)) ** 2 / (tr * ref_nsq)
-    lhs = 2.0 * sqrt(max(0.0, 1.0 - min(1.0, ov2)))
+    lhs = _distance(removed)
     deficits: dict[int, float] = {}
     for proj in projections:
         if proj.trivial:

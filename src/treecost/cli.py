@@ -112,7 +112,10 @@ def _resolve_thresholds(args, state, tree):
     if mode == "uniform":
         return None, "uniform"
     if mode == "optimized":
-        return optimize_thresholds(state, tree, args.eps), "optimized"
+        return (
+            optimize_thresholds(state, tree, args.eps, args.rank_tol),
+            "optimized",
+        )
     with open(mode, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return {int(k): float(v) for k, v in doc.items()}, mode
@@ -146,6 +149,22 @@ def _transcript_doc(tr, tree) -> dict:
             ],
         },
     }
+
+
+def _emit_transcripts(branches, tree, out: str) -> None:
+    """Write the transcripts document of the branches one branch at a
+    time, with the bytes _emit would write for the whole document."""
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "branches": [')
+        sep = "\n"
+        for b in branches:
+            doc = _transcript_doc(b, tree)
+            text = json.dumps(doc, sort_keys=True, indent=2)
+            fh.write(sep + "    " + text.replace("\n", "\n    "))
+            sep = ",\n"
+        if branches:
+            fh.write("\n  ")
+        fh.write('],\n  "schema": "treecost-transcripts/1"\n}\n')
 
 
 def _cmd_cost_exact(args) -> int:
@@ -240,11 +259,7 @@ def _cmd_simulate(args) -> int:
             }
         )
         if args.transcript:
-            full = {
-                "schema": "treecost-transcripts/1",
-                "branches": [_transcript_doc(b, tree) for b in branches],
-            }
-            _emit(full, args.transcript)
+            _emit_transcripts(branches, tree, args.transcript)
     else:
         if args.branch:
             tr = simulate(
@@ -316,11 +331,7 @@ def _cmd_approx(args) -> int:
         ok = min_fid >= 1.0 - tol
         if args.transcript:
             big = dataclasses.replace(tree, dims=tuple(d**report.n for d in tree.dims))
-            full = {
-                "schema": "treecost-transcripts/1",
-                "branches": [_transcript_doc(b, big) for b in result],
-            }
-            _emit(full, args.transcript)
+            _emit_transcripts(result, big, args.transcript)
     else:
         doc.update(
             {

@@ -16,7 +16,7 @@ edge's cut spectrum from one decompose sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, inf, lgamma, log, log2, sqrt, pi
 from typing import Iterable
 
@@ -94,13 +94,14 @@ class Spectrum:
         sd = schmidt_wrt_edge(s, t, e, rank_tol)
         return cls.from_eigenvalues(sd.coefficients**2)
 
-    @property
+    # computed once per spectrum: _edge_lower reads both at every grid point
+    @cached_property
     def entropy(self) -> float:
         return -sum(
             m * v * log2(v) for v, m in zip(self.values, self.multiplicities)
         )
 
-    @property
+    @cached_property
     def std_log(self) -> float:
         a = self.entropy
         second = sum(

@@ -349,6 +349,33 @@ def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
     return deficits
 
 
+def dense_block_overlaps(s, t, projections):
+    """(<psi^(x)n|M psi^(x)n>, ||M psi^(x)n||^2, ||psi^(x)n||^2) on the
+    explicit n-copy block, M being the nontrivial projections applied in
+    label order, in extended precision.  Each projection is its
+    EdgeProjection.matrix(), the Kronecker projector on the subtree factor
+    of the n copies, applied after moving that factor's axes (copy major,
+    parties ascending) to the front of the block tensor."""
+    n = projections[0].n
+    dims = s.dims
+    block = product_block_amps(s.amplitudes, dims, n).astype(np.clongdouble)
+    # block axis (p - 1) * n + c is copy c + 1 of party p
+    shape = [d for d in dims for _ in range(n)]
+    seq = block.reshape(shape)
+    for proj in projections:
+        if proj.trivial:
+            continue
+        sub = t.subtree(t.edge_by_label(proj.edge).child)
+        front = [(p - 1) * n + c for c in range(n) for p in sub]
+        order = front + [i for i in range(len(shape)) if i not in front]
+        moved = seq.transpose(order)
+        P = proj.matrix().astype(np.clongdouble)
+        moved = (P @ moved.reshape(P.shape[0], -1)).reshape(moved.shape)
+        seq = moved.transpose(np.argsort(order))
+    seq = seq.reshape(-1)
+    return np.vdot(block, seq), np.vdot(seq, seq).real, np.vdot(block, block).real
+
+
 def series_normal_cdf(x):
     """Standard normal CDF via the error function; the library path goes
     through erfc with halved argument, this one through erf directly."""

@@ -1,9 +1,13 @@
 """Per-cut spectral truncation of block states and the projected protocol."""
 
+import tracemalloc
 from functools import reduce
+from math import prod, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treecost import (
     DegenerateDenominator,
@@ -18,12 +22,14 @@ from treecost import (
     decompose,
     make_named_state,
     normalized_state,
+    root_and_relabel,
     schmidt_wrt_edge,
     spectrum_entropy,
     union_bound_check,
 )
 
 from helpers import (
+    dense_block_overlaps,
     dense_union_deficits,
     line_tree,
     product_block_amps,
@@ -150,11 +156,13 @@ def test_truncation_distance_matches_the_explicit_projector():
 
 
 def test_approx_state_respects_the_dimension_cap(monkeypatch):
+    # the dense block is built only when the state is read
     monkeypatch.setenv("TREECOST_DIM_CAP", "64")
     t = line_tree(4)
     s = make_named_state("w", 4)
+    ap = approx_state(s, t, 2, {})
     with pytest.raises(DimensionCapExceeded):
-        approx_state(s, t, 2, {})
+        ap.state
 
 
 def test_approx_state_raises_when_projections_remove_everything(monkeypatch):
@@ -393,3 +401,176 @@ def test_union_bound_degenerate_projection(monkeypatch):
     monkeypatch.setattr(approx_mod, "build_projection", starved)
     with pytest.raises(DegenerateDenominator):
         approx_mod.union_bound_check(s, t, 2, {1: 0.5})
+
+
+# ---------------------------------------------------------- masked network
+
+
+def _oracle_distance(state, tree, projections):
+    ov, weight, ref = dense_block_overlaps(state, tree, projections)
+    gap = 1 - abs(ov) ** 2 / (weight * ref)
+    return float(2 * np.sqrt(max(gap, 0)))
+
+
+def _product(rng, dims):
+    amps = np.ones(1)
+    for d in dims:
+        amps = np.kron(amps, random_pure_state(rng, (d,)).amplitudes)
+    return amps
+
+
+@st.composite
+def _block_cases(draw):
+    """(state, tree, n, shares): up to 4 vertices of dimension 2 or 3 on a
+    random tree, at most 4096 block amplitudes.  A near sum of two products
+    has Schmidt rank 2 across every cut plus coefficients near 1e-5, which
+    rank_tol=1e-4 drops."""
+    n = draw(st.sampled_from([2, 3, 1]))
+    size = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=size, max_size=size))
+    if prod(dims) ** n > 4096:
+        dims = [2] * size
+        n = min(n, 12 // size)
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, size + 1)]
+    root = draw(st.integers(1, size))
+    tree = root_and_relabel(edges, dict(enumerate(dims, start=1)), root)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["skewed", "random", "two products"]))
+    if kind == "skewed":
+        state = skewed_pure_state(rng, tree.dims)
+    elif kind == "random":
+        state = random_pure_state(rng, tree.dims)
+    else:
+        amps = _product(rng, tree.dims) + 0.6 * _product(rng, tree.dims)
+        amps = amps + 1e-5 * random_pure_state(rng, tree.dims).amplitudes
+        state = normalized_state(amps, tree.dims)
+    share = st.one_of(st.just(0.0), st.floats(0.01, 0.9, exclude_max=True))
+    shares = {e.label: draw(share) for e in tree.edges}
+    return state, tree, n, shares
+
+
+@settings(max_examples=100)
+@given(_block_cases(), st.sampled_from([None, 1e-4]))
+@example((*_truncating_pair(), 2, {1: 0.6}), 1e-4)
+def test_network_distances_match_the_dense_block(case, rank_tol):
+    state, tree, n, shares = case
+    ap = approx_state(state, tree, n, shares, rank_tol)
+    ub = union_bound_check(state, tree, n, shares, rank_tol)
+    if all(p.trivial for p in ap.projections):
+        assert ap.achieved_distance == 0.0
+        assert ub.lhs == 0.0
+        return
+    want = _oracle_distance(state, tree, ap.projections)
+    assert abs(ap.achieved_distance - want) <= 1e-10
+    assert abs(ub.lhs - want) <= 1e-10
+
+
+def test_network_carries_the_weight_below_the_rank_cutoff():
+    # 2-2-4-2 line: edge 2 keeps 3 of its 4 Schmidt vectors at rank_tol
+    # 1e-4 and is left whole while edge 3 cuts, so bond 2 must carry the
+    # dropped vector (1.4e-11 off the dense block without it)
+    rng = np.random.default_rng(77)
+    coeffs = np.array([0.8, 0.5, 0.3, 3e-6])
+    near = np.linalg.qr(
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    )[0]
+    far = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    far[1::2] *= 0.3  # skews the cut of the last qubit
+    far = np.linalg.qr(far)[0]
+    amps = np.einsum("ak,k,bk->ab", near, coeffs, far).reshape(-1)
+    s = normalized_state(amps, (2, 2, 4, 2))
+    t = line_tree(4, dims=(2, 2, 4, 2))
+    shares = {1: 0.6, 2: 0.0, 3: 0.6}
+    ap = approx_state(s, t, 2, shares, rank_tol=1e-4)
+    assert [p.trivial for p in ap.projections] == [True, True, False]
+    assert ap.projections[1].rank == 3
+    assert ap.projections[1].dropped_weight > 1e-12
+    want = _oracle_distance(s, t, ap.projections)
+    assert abs(ap.achieved_distance - want) <= 1e-13
+    ub = union_bound_check(s, t, 2, shares, rank_tol=1e-4)
+    assert abs(ub.lhs - want) <= 1e-13
+
+
+def test_masks_nested_three_deep_under_a_branching_root():
+    # edges 3 and 4 hang below edge 1, every edge cuts, and the root has
+    # two children, so the root reads the off-diagonal entries of the
+    # environments that two masks have already split apart
+    t = root_and_relabel(
+        [(1, 2), (2, 3), (3, 4), (1, 5)], {v: 2 for v in range(1, 6)}, 1
+    )
+    s = skewed_pure_state(np.random.default_rng(1), t.dims, decay=6.0)
+    shares = {e.label: 0.6 for e in t.edges}
+    ap = approx_state(s, t, 2, shares)
+    assert not any(p.trivial for p in ap.projections)
+    want = _oracle_distance(s, t, ap.projections)
+    assert abs(ap.achieved_distance - want) <= 1e-10
+    assert abs(union_bound_check(s, t, 2, shares).lhs - want) <= 1e-10
+
+
+def test_small_cuts_keep_their_relative_precision():
+    # a near-product state: each cut removes about 1e-10 of the weight, so
+    # 1 - |<a|b>|^2 is about 1e-9 and a float64 difference of overlaps
+    # near 1 would lose four to five of its digits
+    rng = np.random.default_rng(2024)
+    amps = np.zeros(16, dtype=complex)
+    amps[0] = 1.0
+    amps += 1e-5 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    s = normalized_state(amps, (2, 2, 2, 2))
+    t = line_tree(4)
+    shares = {e.label: 0.1 / sqrt(3) for e in t.edges}
+    for n in (1, 2, 3):
+        ap = approx_state(s, t, n, shares)
+        assert all(not p.trivial for p in ap.projections)
+        want = _oracle_distance(s, t, ap.projections)
+        assert 1e-5 < want < 1e-3
+        assert abs(ap.achieved_distance - want) <= 1e-9 * want
+
+
+def test_one_cut_at_n8_matches_its_deficit_without_a_block():
+    # the W4 block at n=8 would hold 2^32 amplitudes; with one projector P,
+    # <psi|P psi> = ||P psi||^2, so the left side is 2 sqrt(deficit)
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    shares = {1: 0.5, 2: 0.0, 3: 0.0}
+    rep = union_bound_check(s, t, 8, shares)
+    assert rep.deficits[1] > 0.0
+    assert abs(rep.lhs - 2.0 * sqrt(rep.deficits[1])) <= 1e-10
+    ap = approx_state(s, t, 8, shares)
+    assert not ap.projections[0].trivial
+    assert ap.achieved_distance == rep.lhs
+    assert ap.holds
+
+
+def test_network_environments_respect_the_dimension_cap(monkeypatch):
+    # W4 at n=4 cut on edges 1 and 3: bond 2's environment spans
+    # (2 x 2)^4 = 256 amplitudes
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    shares = {1: 0.7, 2: 0.0, 3: 0.7}
+    monkeypatch.setenv("TREECOST_DIM_CAP", "255")
+    with pytest.raises(DimensionCapExceeded):
+        approx_state(s, t, 4, shares)
+    with pytest.raises(DimensionCapExceeded):
+        union_bound_check(s, t, 4, shares)
+    monkeypatch.setenv("TREECOST_DIM_CAP", "256")
+    ap = approx_state(s, t, 4, shares)
+    assert ap.achieved_distance > 0.0
+    assert union_bound_check(s, t, 4, shares).lhs == ap.achieved_distance
+
+
+def test_trivial_projections_build_no_block():
+    # W4 at n=5 keeps every level at these shares; its block would take
+    # 2^20 amplitudes (16 MiB)
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    shares = {e.label: 0.1 / sqrt(3) for e in t.edges}
+    tracemalloc.start()
+    try:
+        ap = approx_state(s, t, 5, shares)
+        rep = union_bound_check(s, t, 5, shares)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.trivial for p in ap.projections)
+    assert ap.achieved_distance == rep.lhs == 0.0
+    assert peak < 2**20

@@ -91,6 +91,39 @@ def test_cost_approx_optimized_thresholds(w4_tree_path, capsys):
     assert by_edge[1]["threshold"] == pytest.approx(0.04 / 2**0.5, abs=1e-9)
 
 
+def test_cost_approx_optimized_thresholds_honor_rank_tol(
+    w4_tree_path, tmp_path, capsys
+):
+    # a near-product state: at rank_tol 1e-4 some cuts have rank 1, and
+    # the budget split must see them as flat like the bounds do
+    import numpy as np
+
+    from treecost import decompose, dump_state_json, load_tree_json
+    from treecost import normalized_state
+
+    rng = np.random.default_rng(2024)
+    amps = np.zeros(16, dtype=complex)
+    amps[0] = 1.0
+    amps += 1e-5 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    state = normalized_state(amps, (2, 2, 2, 2))
+    state_path = tmp_path / "near_product.json"
+    state_path.write_text(json.dumps(dump_state_json(state)))
+    code, out, _ = run_cli(
+        ["cost", "approx", "--tree", w4_tree_path, "--state", str(state_path),
+         "--n", "10", "--eps", "0.1", "--thresholds", "optimized",
+         "--rank-tol", "1e-4"],
+        capsys,
+    )
+    assert code == 0
+    ranks = decompose(state, load_tree_json(w4_tree_path), 1e-4).ranks
+    flat = [lab for lab, r in ranks.items() if r == 1]
+    assert flat
+    by_edge = {row["edge"]: row for row in json.loads(out)["edges"]}
+    for lab in flat:
+        assert by_edge[lab]["threshold"] == 0.0
+        assert by_edge[lab]["upper"] == 0.0
+
+
 def test_cost_approx_threshold_file(w4_tree_path, tmp_path, capsys):
     th_path = tmp_path / "thresholds.json"
     th_path.write_text(json.dumps({"1": 0.05, "2": 0.0, "3": 0.05}))
@@ -180,6 +213,58 @@ def test_streamed_documents_match_the_one_string_encoding(
     capsys.readouterr()
     _emit(doc, None)
     assert capsys.readouterr().out == want
+
+
+def _transcripts_bytes(branches, tree):
+    from treecost.cli import _transcript_doc
+
+    doc = {
+        "schema": "treecost-transcripts/1",
+        "branches": [_transcript_doc(b, tree) for b in branches],
+    }
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def test_transcripts_are_written_branch_by_branch_with_the_same_bytes(
+    w4_tree_path, tmp_path, capsys
+):
+    import dataclasses
+
+    from treecost import (
+        build_program,
+        construct_approx,
+        decompose,
+        load_tree_json,
+        make_named_state,
+        simulate,
+    )
+    from treecost.cli import _emit_transcripts
+
+    tree = load_tree_json(w4_tree_path)
+    w4 = make_named_state("w", 4)
+    branches = simulate(build_program(decompose(w4, tree)), mode="enumerate")
+    path = tmp_path / "branches.json"
+    for some in (branches, branches[:1], []):
+        _emit_transcripts(some, tree, str(path))
+        assert path.read_bytes() == _transcripts_bytes(some, tree)
+
+    run_cli(["simulate", "--tree", w4_tree_path, "--state", "w4",
+             "--enumerate", "--transcript", str(path)], capsys)
+    assert path.read_bytes() == _transcripts_bytes(branches, tree)
+
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({
+        "parties": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]],
+        "root": "a",
+    }))
+    run_cli(["approx", "--tree", str(pair_path), "--state", "bell2", "--n",
+             "2", "--eps", "0.3", "--enumerate", "--transcript", str(path)],
+            capsys)
+    pair = load_tree_json(str(pair_path))
+    bell = make_named_state("bell", 2)
+    result, _ = construct_approx(bell, pair, 2, {1: 0.3}, enumerate_all=True)
+    big = dataclasses.replace(pair, dims=(4, 4))
+    assert path.read_bytes() == _transcripts_bytes(result, big)
 
 
 def test_simulate_forced_branch(w4_tree_path, capsys):

@@ -217,7 +217,7 @@ def _spectra(draw):
 
 # the oracle walks every class in Python, so five-level tables stop at
 # n=32 (58,905 classes) to keep the test's run time down
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(_spectra(), st.integers(1, 60))
 def test_table_matches_the_sequential_merge_oracle(spectrum, n):
     if len(spectrum.values) == 5:
@@ -403,6 +403,40 @@ def test_approx_bounds_threshold_semantics():
     assert by_edge[3].upper_method == "exact-rank"
     assert by_edge[1].upper_method in ("type-class", "gaussian")
     assert by_edge[1].upper < 1.0 + np.log2(1 / (0.1 * 0.1 / 4)) / 20
+
+
+def test_spectrum_moments_are_computed_once_per_spectrum(monkeypatch):
+    # a random 14-qubit line at n=10 puts several edges on the Gaussian
+    # path, which reads both moments at every eta grid point
+    from functools import cached_property
+
+    rng = np.random.default_rng(1414)
+    t = line_tree(14)
+    s = random_pure_state(rng, t.dims)
+    entropy, std_log = Spectrum.entropy.func, Spectrum.std_log.func
+
+    monkeypatch.setattr(Spectrum, "entropy", property(entropy))
+    monkeypatch.setattr(Spectrum, "std_log", property(std_log))
+    recomputed = approx_bounds(s, t, n=10, eps=0.1).rows
+
+    calls: dict[tuple[str, int], list] = {}
+
+    def counted(name, body):
+        def wrapper(self):
+            calls.setdefault((name, id(self)), [self]).append(name)
+            return body(self)
+
+        prop = cached_property(wrapper)
+        prop.__set_name__(Spectrum, name)
+        monkeypatch.setattr(Spectrum, name, prop)
+
+    counted("entropy", entropy)
+    counted("std_log", std_log)
+    cached = approx_bounds(s, t, n=10, eps=0.1).rows
+    assert cached == recomputed
+    assert {"entropy", "std_log"} <= {name for name, _ in calls}
+    # each entry holds the spectrum, then one mark per evaluation
+    assert all(len(marks) == 2 for marks in calls.values())
 
 
 def test_approx_bounds_rejects_budget_overruns():

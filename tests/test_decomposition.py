@@ -170,7 +170,7 @@ def _nondegenerate(coeffs):
     return bool(np.all(-np.diff(coeffs) > 1e-6))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_tree_states(), st.sampled_from([1e-9, 1e-4]))
 def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
     state, t = case
