@@ -65,7 +65,8 @@ class EdgeProjection:
     the cut's weight below the rank cutoff, outside the basis.  keep_mask
     flags the kept product levels over n copies, shape (rank,) * n.  gamma
     is the budgeted exponent in bits for the whole block (infinite when the
-    share is zero and the projection is onto the exact support).
+    share allows no truncation and the projection is onto the exact
+    support).
     """
 
     edge: int
@@ -117,12 +118,15 @@ def build_projection(
             f"keep mask of edge {e.label} spans {sd.rank**n} levels, cap {cap}"
         )
     probs = sd.coefficients**2
-    if threshold == 0.0:
+    # a share below about 3e-162 squares to a zero deficit, which allows no
+    # truncation: the same projection as a zero share
+    deficit = threshold * threshold / 4.0
+    if deficit == 0.0:
         gamma = inf
         mask = np.ones((sd.rank,) * n, dtype=bool)
     else:
         spectrum = Spectrum.from_eigenvalues(probs)
-        gamma = spectrum_entropy(spectrum, int(n), threshold * threshold / 4.0)
+        gamma = spectrum_entropy(spectrum, int(n), deficit)
         log_p = np.log(probs)
         total = reduce(np.add.outer, [log_p] * n) if n > 1 else log_p
         mask = total >= -gamma * _LN2 - 1e-9
@@ -572,7 +576,7 @@ def construct_approx(
     rows = []
     for proj in ap.projections:
         reduced = dec.ranks[proj.edge]
-        if proj.threshold == 0.0:
+        if proj.gamma == inf:
             budget = float(log2(proj.rank))
         else:
             budget = proj.gamma / n

@@ -25,13 +25,19 @@ split depth first into contiguous chunks, which bounds the working memory
 of enumeration without changing the branch order.  Every branch ends in
 the same target state; branches differ only in probability bookkeeping and
 the recorded outcome labels.
+
+The walk computes each branch's probability and fidelity and nothing else
+per branch.  The branches a finished batch ends share one record of its
+outcome columns, conditional probabilities and normalized amplitude rows,
+and a transcript derives its events, outcomes and final state from that
+record the first time they are read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import log2, prod
 
 import numpy as np
@@ -100,15 +106,52 @@ class Event:
     info: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Full record of one protocol branch."""
+    """Full record of one protocol branch.
 
-    events: tuple[Event, ...]
-    outcomes: dict[int, int]
+    probability and fidelity are computed by the walk; events, outcomes and
+    final_state are derived on first read from the record shared by the
+    branches of the walk's batch, at row _row of it.
+    """
+
     probability: float
-    final_state: PureState
     fidelity: float
+    _batch: "_Batch" = field(repr=False)
+    _row: int = field(repr=False)
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        b = self._batch
+        if b.events is None:
+            return ()
+        return b.events.branch(
+            b.picks[self._row].tolist(), b.conds[self._row].tolist()
+        )
+
+    @cached_property
+    def outcomes(self) -> dict[int, int]:
+        b = self._batch
+        return dict(zip(b.measuring, b.picks[self._row].tolist()))
+
+    @cached_property
+    def final_state(self) -> PureState:
+        return PureState(self._batch.amps[self._row], self._batch.dims)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """What the branches one _transcripts call finishes share: per branch
+    (row), the outcome index and its conditional probability at each
+    measuring vertex (columns in the order of measuring) and the normalized
+    amplitudes of its final register in party order."""
+
+    measuring: list[int]
+    picks: np.ndarray
+    conds: np.ndarray
+    amps: np.ndarray
+    dims: tuple[int, ...]
+    events: "_EventLog | None"
 
 
 @dataclass(frozen=True)
@@ -143,22 +186,18 @@ class MeasurementProgram:
     def branch_count(self) -> int:
         return prod(ops.shape[0] for ops in self.vertex_ops.values())
 
-    def correction_for(self, edge_label: int, pair: tuple[int, int]) -> np.ndarray:
-        x, z = pair
-        return correction_unitary(self.ranks[edge_label], x, z)
-
-    def _pad_columns(self, v: int, own: bool) -> np.ndarray:
-        t = self.tree
-        factors = []
-        if own and v != t.root:
-            lab = t.edge_above(v).label
-            factors.append(np.eye(self.ranks[lab], self.resources[lab]))
-        for c in t.children(v):
-            lab = t.edge_above(c).label
-            factors.append(np.eye(self.ranks[lab], self.resources[lab]))
-        if not factors:
-            return np.eye(1)
-        return reduce(np.kron, factors)
+    def _pad_columns(self, a: np.ndarray, labels: list[int]) -> np.ndarray:
+        """a with its columns, mixed-radix over the true ranks of the given
+        edges, placed at the same digits over their supplied ranks; the
+        padding columns are zero."""
+        ranks = [self.ranks[lab] for lab in labels]
+        out = np.zeros(
+            (a.shape[0], *(self.resources[lab] for lab in labels)), a.dtype
+        )
+        out[(slice(None), *(slice(r) for r in ranks))] = a.reshape(
+            a.shape[0], *ranks
+        )
+        return out.reshape(a.shape[0], -1)
 
     def resource_operator(self, v: int, index: int) -> np.ndarray:
         """Measurement operator j of vertex v on the supplied (padded)
@@ -166,12 +205,14 @@ class MeasurementProgram:
         ops = self.vertex_ops[v]
         if not 0 <= index < ops.shape[0]:
             raise OutOfRangeIndex(f"operator index {index} at vertex {v}")
-        return ops[index] @ self._pad_columns(v, own=True)
+        t = self.tree
+        edges = [] if v == t.root else [t.edge_above(v).label]
+        edges += [t.edge_above(c).label for c in t.children(v)]
+        return self._pad_columns(ops[index], edges)
 
     def resource_isometry(self, leaf: int) -> np.ndarray:
         lab = self.tree.edge_above(leaf).label
-        pad = np.eye(self.ranks[lab], self.resources[lab])
-        return self.leaf_isometries[leaf] @ pad
+        return self._pad_columns(self.leaf_isometries[leaf], [lab])
 
 
 def build_program(
@@ -490,27 +531,21 @@ def _walk(program, choose, record_events, disable_corrections):
 def _transcripts(program, measuring, tensor, labels, prob, picks, conds,
                  events):
     """Finish a batch of branches: register axes into party order, then one
-    norm and one overlap with the target for the whole batch."""
+    norm and one overlap with the target for the whole batch.  The final
+    states are checked here, once for the batch, and built only when read."""
     b = len(prob)
     perm = sorted(range(len(labels)), key=labels.__getitem__)
     amps = tensor.transpose([0] + [1 + i for i in perm]).reshape(b, -1)
     amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    norms = np.linalg.norm(amps, axis=1)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > config.NORM_TOL)
+    if len(bad):
+        raise ValueError(f"state norm {norms[bad[0]]} is not 1")
     fids = np.abs(amps @ program.target.amplitudes.conj()) ** 2
+    batch = _Batch(measuring, picks, conds, amps, program.dims, events)
     return [
-        Transcript(
-            events=() if events is None else events.branch(row, cond),
-            outcomes=dict(zip(measuring, row)),
-            probability=p,
-            final_state=state,
-            fidelity=fid,
-        )
-        for p, fid, row, cond, state in zip(
-            prob.tolist(),
-            fids.tolist(),
-            picks.tolist(),
-            conds.tolist(),
-            PureState._from_rows(amps, program.dims),
-        )
+        Transcript(p, fid, batch, row)
+        for row, (p, fid) in enumerate(zip(prob.tolist(), fids.tolist()))
     ]
 
 

@@ -444,7 +444,12 @@ def _block_cases(draw):
         amps = _product(rng, tree.dims) + 0.6 * _product(rng, tree.dims)
         amps = amps + 1e-5 * random_pure_state(rng, tree.dims).amplitudes
         state = normalized_state(amps, tree.dims)
-    share = st.one_of(st.just(0.0), st.floats(0.01, 0.9, exclude_max=True))
+    # shares below about 3e-162 square to a zero deficit
+    share = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-162),
+        st.floats(0.01, 0.9, exclude_max=True),
+    )
     shares = {e.label: draw(share) for e in tree.edges}
     return state, tree, n, shares
 

@@ -139,6 +139,23 @@ def test_cost_approx_threshold_file(w4_tree_path, tmp_path, capsys):
     assert by_edge[1]["threshold"] == 0.05
 
 
+def test_cost_approx_tiny_share_spends_nothing(w4_tree_path, tmp_path, capsys):
+    # 1e-200 squares to a zero deficit, which allows no smoothing: the edge
+    # keeps its exact rank like a zero share
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": 1e-200, "2": 0.0, "3": 0.0}))
+    code, out, _ = run_cli(
+        ["cost", "approx", "--tree", w4_tree_path, "--state", "w4",
+         "--n", "2", "--eps", "0.1", "--thresholds", str(th_path)],
+        capsys,
+    )
+    assert code == 0
+    by_edge = {row["edge"]: row for row in json.loads(out)["edges"]}
+    assert by_edge[1]["threshold"] == 1e-200
+    assert by_edge[1]["upper"] == 1.0
+    assert by_edge[1]["upper_method"] == "exact-rank"
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -349,6 +366,25 @@ def test_approx_sampled_run(w4_tree_path, capsys):
     doc = json.loads(out)
     assert doc["mode"] == "sample"
     assert doc["fidelity"] >= 1 - 1e-9
+
+
+def test_approx_tiny_share_keeps_the_exact_support(
+    w4_tree_path, tmp_path, capsys
+):
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": 1e-200, "2": 0, "3": 0}))
+    code, out, _ = run_cli(
+        ["approx", "--tree", w4_tree_path, "--state", "w4",
+         "--n", "2", "--eps", "0.1", "--thresholds", str(th_path)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["thresholds"]["1"] == 1e-200
+    assert doc["distance"] == 0.0
+    assert doc["within_budget"] and doc["deterministic"]
+    assert [row["budget_bits"] for row in doc["edges"]] == [1.0, 1.0, 1.0]
+    assert [row["reduced_rank"] for row in doc["edges"]] == [4, 4, 4]
 
 
 # ---------------------------------------------------------------- figures

@@ -314,6 +314,77 @@ def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
             )
 
 
+def test_batch_records_survive_the_rest_of_the_walk(monkeypatch):
+    # single-branch batches give every branch a record of its own while
+    # the walk goes on; events and final states read only after the whole
+    # walk must still equal forced runs taken before it, so no later step
+    # wrote into the arrays an earlier record holds
+    import treecost.protocol as protocol_mod
+
+    monkeypatch.setattr(protocol_mod, "_BATCH_AMPLITUDES", 1)
+    for prog in (w4_program(), w4_program(root=2), _mixed_program(233)):
+        measuring = sorted(prog.vertex_ops)
+        combos = itertools.product(
+            *(range(prog.vertex_ops[v].shape[0]) for v in measuring)
+        )
+        want = []
+        for c in combos:
+            tr = simulate(prog, mode="branch", outcomes=dict(zip(measuring, c)))
+            want.append((tr.events, tr.outcomes, tr.probability,
+                         tr.final_state.amplitudes.tobytes()))
+        branches = enumerate_branches(prog)
+        assert len(branches) == len(want) == prog.branch_count
+        got = [
+            (tr.events, tr.outcomes, tr.probability,
+             tr.final_state.amplitudes.tobytes())
+            for tr in branches
+        ]
+        assert got == want
+
+
+def test_enumeration_derives_events_only_when_read(monkeypatch):
+    import treecost.protocol as protocol_mod
+
+    calls = []
+    branch = protocol_mod._EventLog.branch
+
+    def counted(self, row, cond):
+        calls.append(tuple(row))
+        return branch(self, row, cond)
+
+    monkeypatch.setattr(protocol_mod._EventLog, "branch", counted)
+    prog = w4_program()
+    branches = enumerate_branches(prog)
+    assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
+    assert abs(sum(tr.probability for tr in branches) - 1.0) < 1e-9
+    assert calls == []
+    lazy = ("events", "outcomes", "final_state")
+    assert not any(name in vars(tr) for tr in branches for name in lazy)
+    read = [branches[5], branches[40], branches[5]]
+    got = [tr.events for tr in read]
+    assert got[0] is got[2]  # derived once, then cached
+    assert calls == [
+        tuple(tr.outcomes[v] for v in sorted(tr.outcomes)) for tr in read[:2]
+    ]
+    assert not any(
+        "events" in vars(tr) for i, tr in enumerate(branches) if i not in (5, 40)
+    )
+
+
+def test_transcript_attributes_cannot_be_assigned():
+    tr = simulate(w4_program(), mode="sample", seed=1)
+    names = ("events", "outcomes", "probability", "final_state", "fidelity")
+    for read_first in (False, True):
+        for name in names:
+            if read_first:
+                getattr(tr, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tr, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(tr, name)
+    assert tr.fidelity >= 1 - FIDELITY_TOL
+
+
 def test_enumeration_transient_memory_stays_small():
     # 4096 branches of a 256-amplitude block state: everything the walk
     # holds beyond the transcripts it returns is a few batches of at most
