@@ -377,13 +377,17 @@ def approx_bounds(
         rank = dec.ranks[e.label]
         spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
         epse = float(thresholds.get(e.label, 0.0))
-        # a share whose deficit underflows to 0 allows no smoothing
+        # a share whose deficit underflows to 0, or is too small for the
+        # waterline to resolve (1 - deficit rounds to 1), allows no
+        # smoothing: the exact rank's bits suffice
         deficit = epse * epse / 4.0
-        if deficit == 0.0:
+        bits = inf
+        if deficit > 0.0:
+            bits, upper_method = _block_bits(spectrum, n, deficit)
+        if bits == inf:
             upper = float(log2(rank))
             upper_method = "exact-rank"
         else:
-            bits, upper_method = _block_bits(spectrum, n, deficit)
             upper = bits / n
         lower, best_eta, lower_method = _edge_lower(spectrum, n, eps, delta, eta)
         rows.append(

@@ -8,23 +8,34 @@ label order: each non-root party undoes the displacement its parent
 announced, a nonleaf vertex measures its share of the surrounding registers
 with a complete family of operators built from its coefficient tensor and
 broadcasts the outcome to its children, and a leaf finishes with an
-isometry into its output space.  A child edge's pair joins the simulated
-register only when the parent is about to measure, so the register holds
-the parties that have acted plus the pairs whose child has not.
+isometry into its output space.
+
+Outcome j of vertex v is one base operator B, v's coefficient tensor,
+followed by a generalized Pauli D_c = Z^z_c X^x_c on each child's half of
+its pair; j encodes the pairs (x_c, z_c) in mixed radix, so a program
+stores only B and decodes j when it needs the pairs.  The K_v = prod r_c^2
+explicit operators are a view built on demand (vertex_ops).  The walk never
+attaches the pairs either: by (M x I)|Phi> = (I x M^T)|Phi>, outcome j maps
+the register psi to (x)_c D_c^T applied to B psi, where B acts on v's own
+edge axis and its child indices become the axes of the children's pair
+halves.  D_c^T is a gather of levels plus a phase.  Every outcome has the
+norm of B psi, so each conditional probability is 1/K_v, and a measuring
+vertex makes one product B psi per batch of branches.
 
 Sampling, a forced branch and full enumeration are one walk that differs
 only in which outcomes it follows, so a branch records the same events in
 the same order in every mode.  The walk carries the live branches along a
-leading batch axis of the register: a measuring vertex applies its whole
-operator stack to every live branch in one batched product, and the
-followed (branch, outcome) pairs, in depth-first order, form the next
-batch.  A child's correction is a gather of its own edge's levels plus a
-phase, read from per-rank tables, not a matrix product.  A batch whose
-next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes is
-split depth first into contiguous chunks, which bounds the working memory
-of enumeration without changing the branch order.  Every branch ends in
-the same target state; branches differ only in probability bookkeeping and
-the recorded outcome labels.
+leading batch axis of the register.  Sampling and a forced branch gather
+only the followed outcome; enumeration gathers every outcome of every live
+branch in one fancy index from per-vertex (K_v, C) gather and phase tables,
+C = prod r_c, and the followed (branch, outcome) pairs, in depth-first
+order, form the next batch.  A child's correction is a gather of its own
+edge's levels plus a phase, read from per-rank tables, not a matrix
+product.  A batch whose next step would build more than _BATCH_AMPLITUDES
+(2^13) amplitudes is split depth first into contiguous chunks, which bounds
+the working memory of enumeration without changing the branch order.
+Every branch ends in the same target state; branches differ only in
+probability bookkeeping and the recorded outcome labels.
 
 The walk computes each branch's probability and fidelity and nothing else
 per branch.  The branches a finished batch ends share one record of its
@@ -35,7 +46,6 @@ record the first time they are read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import log2, prod
@@ -164,27 +174,66 @@ class CompletenessReport:
 
 @dataclass(frozen=True)
 class MeasurementProgram:
-    """Compiled protocol: stacked measurement operators per nonleaf vertex,
-    outcome labels, leaf isometries, and resource accounting.
+    """Compiled protocol: the base operator of every measuring vertex, leaf
+    isometries, and resource accounting.
 
-    vertex_ops[v] stacks the K_v operators as (K_v, d_v, in_dim) where the
-    input index runs over (own edge index, child edge indices ascending) at
-    the true ranks.  outcomes[v][j] lists the per-child displacement pair
-    (x, z) announced to each child for operator j.
+    bases[v] is the coefficient tensor of measuring vertex v as an operator
+    from its register to its level, shape (d_v, r_own, r_1, ..., r_k): the
+    input runs over its own edge index (r_own = 1 at the root) and its
+    children's edge indices ascending, at the true ranks.  Outcome j of v is
+    bases[v] (I x Z^z_1 X^x_1 x ... x Z^z_k X^x_k) / sqrt(C), C = r_1...r_k;
+    j runs over the per-child pairs (x_c, z_c) in mixed radix, child 1 most
+    significant and each pair as x_c r_c + z_c (outcome(v, j)), so v has
+    K_v = C^2 outcomes.  vertex_ops and outcomes are views that build every
+    outcome's operator and label on first read.
     """
 
     tree: RootedTree
     dims: tuple[int, ...]
     ranks: dict[int, int]
     resources: dict[int, int]
-    vertex_ops: dict[int, np.ndarray]
-    outcomes: dict[int, tuple[tuple[tuple[int, int], ...], ...]]
+    bases: dict[int, np.ndarray]
     leaf_isometries: dict[int, np.ndarray]
     target: PureState
 
+    def outcome_count(self, v: int) -> int:
+        """K_v, the number of measurement outcomes of vertex v."""
+        return prod(r * r for r in self.bases[v].shape[2:])
+
     @property
     def branch_count(self) -> int:
-        return prod(ops.shape[0] for ops in self.vertex_ops.values())
+        return prod(self.outcome_count(v) for v in self.bases)
+
+    def outcome(self, v: int, j: int) -> tuple[tuple[int, int], ...]:
+        """The displacement (x, z) outcome j of v announces to each child."""
+        ranks = self.bases[v].shape[2:]
+        return tuple(_announced(ranks, i, j) for i in range(len(ranks)))
+
+    @cached_property
+    def outcomes(self) -> dict[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """outcomes[v][j] is outcome(v, j), for every outcome of every
+        measuring vertex."""
+        return {
+            v: tuple(self.outcome(v, j) for j in range(self.outcome_count(v)))
+            for v in self.bases
+        }
+
+    @cached_property
+    def vertex_ops(self) -> dict[int, np.ndarray]:
+        """Every outcome's operator, stacked per vertex as (K_v, d_v,
+        in_dim); each stack is checked against the dimension cap."""
+        cap = config.dim_cap()
+        ops = {}
+        for v, base in self.bases.items():
+            k = self.outcome_count(v)
+            size = k * base.size
+            if size > cap:
+                raise DimensionCapExceeded(
+                    f"operator stack at vertex {v} spans {size} amplitudes, "
+                    f"cap {cap}"
+                )
+            ops[v] = _operators(base, np.arange(k))
+        return ops
 
     def _pad_columns(self, a: np.ndarray, labels: list[int]) -> np.ndarray:
         """a with its columns, mixed-radix over the true ranks of the given
@@ -202,13 +251,13 @@ class MeasurementProgram:
     def resource_operator(self, v: int, index: int) -> np.ndarray:
         """Measurement operator j of vertex v on the supplied (padded)
         register dimensions; padding levels map to zero columns."""
-        ops = self.vertex_ops[v]
-        if not 0 <= index < ops.shape[0]:
+        if not 0 <= index < self.outcome_count(v):
             raise OutOfRangeIndex(f"operator index {index} at vertex {v}")
         t = self.tree
         edges = [] if v == t.root else [t.edge_above(v).label]
         edges += [t.edge_above(c).label for c in t.children(v)]
-        return self._pad_columns(ops[index], edges)
+        op = _operators(self.bases[v], np.array([index]))[0]
+        return self._pad_columns(op, edges)
 
     def resource_isometry(self, leaf: int) -> np.ndarray:
         lab = self.tree.edge_above(leaf).label
@@ -219,7 +268,8 @@ def build_program(
     dec: TreeDecomposition,
     resources: ResourceConfig | dict[int, int] | None = None,
 ) -> MeasurementProgram:
-    """Compile the measurement family for every nonleaf vertex.
+    """Compile the measurement family for every nonleaf vertex: its base
+    operator, a view of the vertex's coefficient tensor.
 
     Each supplied rank must cover the edge's Schmidt rank; anything less
     cannot carry the correlations across that cut.
@@ -238,34 +288,14 @@ def build_program(
         if m < dec.ranks[e.label]:
             raise InsufficientResource(e.label, dec.ranks[e.label], m)
 
-    cap = config.dim_cap()
-    vertex_ops: dict[int, np.ndarray] = {}
-    outcome_table: dict[int, tuple] = {}
+    bases: dict[int, np.ndarray] = {}
     for v in t.vertices:
         if t.is_leaf(v) and v != t.root:
             continue
-        children = t.children(v)
-        child_ranks = [dec.ranks[t.edge_above(c).label] for c in children]
         g = dec.tensors[v]
         if v == t.root:
             g = g[..., None]
-        gm = np.moveaxis(g, -1, 1)
-        d_v = gm.shape[0]
-        in_dim = prod(gm.shape[1:])
-        size = prod(r * r for r in child_ranks) * d_v * in_dim
-        if size > cap:
-            raise DimensionCapExceeded(
-                f"operator stack at vertex {v} spans {size} amplitudes, "
-                f"cap {cap}"
-            )
-        base = gm / np.sqrt(prod(child_ranks))
-        per_child = [
-            [(x, z) for x in range(r) for z in range(r)] for r in child_ranks
-        ]
-        outcome_table[v] = tuple(itertools.product(*per_child))
-        vertex_ops[v] = _operator_stack(base, child_ranks).reshape(
-            -1, d_v, in_dim
-        )
+        bases[v] = np.moveaxis(g, -1, 1)
 
     leaf_isos = {
         v: dec.edge_bases[v]
@@ -279,38 +309,53 @@ def build_program(
         dims=dec.dims,
         ranks=dict(dec.ranks),
         resources=supplies,
-        vertex_ops=vertex_ops,
-        outcomes=outcome_table,
+        bases=bases,
         leaf_isometries=leaf_isos,
         target=recompose(dec),
     )
 
 
-def _operator_stack(base: np.ndarray, child_ranks: list[int]) -> np.ndarray:
-    """Every outcome's operator base (I x Z^z_1 X^x_1 x ...) in one gather
-    and one phase, without a matrix product per outcome.
+def _announced(child_ranks, place, j):
+    """The displacement (x, z) that outcome j (an int or an array of them)
+    announces to the child at position place among child_ranks."""
+    r = child_ranks[place]
+    stride = prod(q * q for q in child_ranks[place + 1 :])
+    return divmod(j // stride % (r * r), r)
 
-    base has shape (d_v, r_own, r_1, ..., r_k).  Column (a, k_1, ...) of
-    outcome ((x_1, z_1), ...) is base column (a, (k_1 + x_1) mod r_1, ...)
-    times the product over children of exp(2 pi i z_c (k_c + x_c) / r_c).
-    Returns shape (x_1, z_1, ..., x_k, z_k, d_v, r_own, r_1, ..., r_k), the
-    outcome axes in the order of the outcome table.
+
+def _outcome_gather(child_ranks, js) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and phase tables of the children's Paulis of outcomes js.
+
+    For outcome js[i] and children's levels m = (m_1, ..., m_k), mixed radix
+    with child 1 most significant, the transposed Paulis (x)_c D_c^T read
+    level src[i, m] and multiply it by phase[i, m]: D_c^T takes level
+    (m_c + x_c) mod r_c to m_c with the phase exp(2 pi i z_c (m_c + x_c) /
+    r_c).  Returns arrays of shape (len(js), prod(child_ranks)).
     """
-    k = len(child_ranks)
-    ndim = 3 * k + 2
-
-    def along(axis, n):
-        shape = [1] * ndim
-        shape[axis] = n
-        return np.arange(n).reshape(shape)
-
-    index = [along(2 * k, base.shape[0]), along(2 * k + 1, base.shape[1])]
-    phase = 1
+    js = np.asarray(js)[:, None]
+    c = prod(child_ranks)
+    levels = np.arange(c)
+    src = np.zeros((len(js), c), dtype=np.intp)
+    phase = np.ones((len(js), c), dtype=complex)
+    inner = c
     for i, r in enumerate(child_ranks):
-        source = (along(2 * k + 2 + i, r) + along(2 * i, r)) % r
-        index.append(source)
-        phase = phase * np.exp(2j * np.pi * along(2 * i + 1, r) * source / r)
-    return base[tuple(index)] * phase
+        inner //= r
+        x, z = _announced(child_ranks, i, js)
+        level = (levels // inner % r + x) % r
+        src += level * inner
+        phase *= np.exp(2j * np.pi * z * level / r)
+    return src, phase
+
+
+def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """The operators of outcomes js of a vertex with this base, shape
+    (len(js), d_v, in_dim), by one gather and one phase: column (a, m) of
+    outcome j is base column (a, src[j, m]) times phase[j, m] / sqrt(C)."""
+    d_v, r_own = base.shape[:2]
+    src, phase = _outcome_gather(base.shape[2:], js)
+    cols = base.reshape(d_v, r_own, -1)[:, :, src]
+    cols = cols * (phase / np.sqrt(src.shape[1]))
+    return np.moveaxis(cols, 2, 0).reshape(len(js), d_v, -1)
 
 
 class _Engine:
@@ -379,6 +424,12 @@ def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     return sources, phases
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a complex (rows, n) array."""
+    f = np.ascontiguousarray(a).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", f, f))
+
+
 def _front(tensor: np.ndarray, labels: list, in_labels: list):
     """Flatten a batch of registers to (branches, in_dim, rest), the middle
     index running over the in_labels axes in order; returns it with the
@@ -391,23 +442,27 @@ def _front(tensor: np.ndarray, labels: list, in_labels: list):
     return flat, rest_shape, [labels[i] for i in others]
 
 
-def _walk(program, choose, record_events, disable_corrections):
+def _walk(program, choose, every_outcome, record_events, disable_corrections):
     """Walk the protocol over the vertices in label order, carrying the
     live branches along a leading batch axis of the register.
 
-    choose(v, cond) gets the conditional outcome probabilities of the live
-    branches at measuring vertex v, shape (branches, K_v), and returns the
-    (branch rows, outcome columns) to follow in row-major order, so the
-    walk returns one transcript per followed branch in depth-first outcome
-    order.  Each child edge's pair, already at its true rank, is attached
-    just before the parent measures.  Besides its register a branch
-    carries its probability and, per measuring vertex, its outcome index
-    and that outcome's conditional probability; a child reads the
-    displacement it corrects from its parent's outcome.
+    choose(v, cond, k) gets, per live branch at measuring vertex v, the
+    conditional probability of each of v's k outcomes (they are equally
+    likely: 1/k, or 0 when the base annihilates the branch's register) and
+    returns the (branch rows, outcome columns) to follow in row-major
+    order, so the walk returns one transcript per followed branch in
+    depth-first outcome order.  every_outcome says whether it may follow
+    every outcome of a branch (enumeration) or at most one, which sets the
+    largest array a step builds.  A measuring vertex applies its base to
+    its own edge axis, and the base's child indices become the axes of the
+    children's pair halves.  Besides its register a branch carries its
+    probability and, per measuring vertex, its outcome index and that
+    outcome's conditional probability; a child reads the displacement it
+    corrects from its parent's outcome.
     """
     t = program.tree
     cap = config.dim_cap()
-    measuring = [v for v in t.vertices if v in program.vertex_ops]
+    measuring = [v for v in t.vertices if v in program.bases]
     column = {v: i for i, v in enumerate(measuring)}
     # per vertex: (vertex, own edge label, parent's outcome column, position
     # among the parent's children); the root has no edge above it
@@ -416,7 +471,20 @@ def _walk(program, choose, record_events, disable_corrections):
         u = t.parent(v)
         place = t.children(u).index(v)
         plan.append((v, t.edge_above(v).label, column[u], place))
-    announced: dict[int, np.ndarray] = {}
+    # per measuring vertex: its base as a (levels x child levels, own
+    # levels) matrix, its child ranks, outcome count and the labels of its
+    # children's pair halves
+    ops = {
+        v: (
+            np.moveaxis(base, 1, -1).reshape(-1, base.shape[1]),
+            base.shape[2:],
+            program.outcome_count(v),
+            [("r", t.edge_above(c).label, "c") for c in t.children(v)],
+        )
+        for v, base in program.bases.items()
+    }
+    # per measuring vertex, gather and phase tables of all its outcomes
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     events = None
     if record_events:
         events = _EventLog(program, plan, column, disable_corrections)
@@ -431,96 +499,110 @@ def _walk(program, choose, record_events, disable_corrections):
         if v in program.leaf_isometries:
             d, r = program.leaf_isometries[v].shape
             return d * size // r
-        k, d_v, in_dim = program.vertex_ops[v].shape
-        for c in t.children(v):
-            size *= program.ranks[t.edge_above(c).label] ** 2
-        scan = k * d_v * (size // in_dim)
-        if scan > cap:
+        mat, _, k, _ = ops[v]
+        need = mat.shape[0] * (size // mat.shape[1])
+        if every_outcome:
+            need *= k
+        if need > cap:
             raise DimensionCapExceeded(
-                f"measurement at vertex {v} spans {scan} amplitudes, "
+                f"measurement at vertex {v} spans {need} amplitudes, "
                 f"cap {cap}"
             )
-        return scan
+        return need
 
     def correct(v, lab, place, pcol, tensor, labels, picks):
         """Undo on every branch the displacement (x, z) that v's parent
         announced: Z^-z X^x on v's own edge axis as one gather and one
         phase, with one (x, z) for a single branch."""
-        parent_outs = program.outcomes[t.parent(v)]
+        ranks = ops[t.parent(v)][1]
         if len(picks) == 1:
-            x, z = parent_outs[picks[0, pcol]][place]
+            x, z = _announced(ranks, place, int(picks[0, pcol]))
             if not (x or z):
                 return tensor, labels
         else:
-            if v not in announced:
-                announced[v] = np.array([o[place] for o in parent_outs])
-            xz = announced[v][picks[:, pcol]]
-            if not xz.any():
+            x, z = _announced(ranks, place, picks[:, pcol])
+            if not (x.any() or z.any()):
                 return tensor, labels
-            x, z = xz[:, 0], xz[:, 1]
         sources, phases = _correction_tables(program.ranks[lab])
         flat, rest_shape, rem = _front(tensor, labels, [("r", lab, "c")])
         if np.ndim(x):
             rows = np.arange(len(flat))[:, None]
-            out = flat[rows, sources[x]] * phases[z][:, :, None]
+            out = flat[rows, sources[x]]
+            out *= phases[z][:, :, None]
         else:
-            out = flat[:, sources[x]] * phases[z][:, None]
+            out = flat[:, sources[x]]
+            out *= phases[z][:, None]
         return (
             out.reshape(out.shape[:2] + rest_shape),
             [("r", lab, "c")] + rem,
         )
 
     def step(pos, tensor, labels, prob, picks, conds):
-        b = len(prob)
-        need = widest(pos, tensor.size // b)
-        if b > 1 and b * need > _BATCH_AMPLITUDES:
-            n = max(1, _BATCH_AMPLITUDES // need)
-            for s in range(0, b, n):
-                part = slice(s, s + n)
-                step(pos, tensor[part], labels, prob[part], picks[part],
-                     conds[part])
-            return
-        if pos == len(plan):
-            results.extend(_transcripts(program, measuring, tensor, labels,
-                                        prob, picks, conds, events))
-            return
-        v, lab, pcol, place = plan[pos]
-        in_labels = []
-        if lab is not None:
-            in_labels.append(("r", lab, "c"))
-            if lab not in disable_corrections:
-                tensor, labels = correct(
-                    v, lab, place, pcol, tensor, labels, picks
-                )
-        if v in program.leaf_isometries:
+        """Carry one batch from plan position pos to the end of the walk.
+        Each step rebinds the batch's arrays, so a register is freed once
+        the next one is built; a batch is split where a step would build
+        too much."""
+        while True:
+            b = len(prob)
+            need = widest(pos, tensor.size // b)
+            if b > 1 and b * need > _BATCH_AMPLITUDES:
+                n = max(1, _BATCH_AMPLITUDES // need)
+                for s in range(0, b, n):
+                    part = slice(s, s + n)
+                    step(pos, tensor[part], labels, prob[part], picks[part],
+                         conds[part])
+                return
+            if pos == len(plan):
+                results.extend(_transcripts(program, measuring, tensor,
+                                            labels, prob, picks, conds,
+                                            events))
+                return
+            v, lab, pcol, place = plan[pos]
+            pos += 1
+            in_labels = []
+            if lab is not None:
+                in_labels.append(("r", lab, "c"))
+                if lab not in disable_corrections:
+                    tensor, labels = correct(
+                        v, lab, place, pcol, tensor, labels, picks
+                    )
             flat, rest_shape, rem = _front(tensor, labels, in_labels)
-            out = program.leaf_isometries[v] @ flat
-            step(pos + 1, out.reshape(out.shape[:2] + rest_shape),
-                 [("t", v)] + rem, prob, picks, conds)
-            return
-        for c in t.children(v):
-            c_lab = t.edge_above(c).label
-            r = program.ranks[c_lab]
-            tensor = np.multiply.outer(tensor, np.eye(r) / np.sqrt(r))
-            labels = labels + [("r", c_lab, "p"), ("r", c_lab, "c")]
-            in_labels.append(("r", c_lab, "p"))
-        flat, rest_shape, rem = _front(tensor, labels, in_labels)
-        res = program.vertex_ops[v][None] @ flat[:, None]
-        probs = np.sum(np.abs(res) ** 2, axis=(2, 3))
-        cond = probs / probs.sum(axis=1, keepdims=True)
-        rows, cols = choose(v, cond)
-        if not len(rows):
-            return
-        out = res[rows, cols]
-        del res, flat, tensor
-        out *= (1.0 / np.sqrt(probs[rows, cols]))[:, None, None]
-        col = column[v]
-        picks = picks[rows]
-        picks[:, col] = cols
-        conds = conds[rows]
-        conds[:, col] = cond[rows, cols]
-        step(pos + 1, out.reshape(out.shape[:2] + rest_shape),
-             [("t", v)] + rem, prob[rows] * conds[:, col], picks, conds)
+            del tensor
+            if v in program.leaf_isometries:
+                tensor = program.leaf_isometries[v] @ flat
+                del flat
+                tensor = tensor.reshape(tensor.shape[:2] + rest_shape)
+                labels = [("t", v)] + rem
+                continue
+            mat, child_ranks, k, halves = ops[v]
+            d_v = program.dims[v - 1]
+            y = (mat @ flat).reshape(b, d_v, -1, flat.shape[2])
+            del flat
+            norms = _row_norms(y.reshape(b, -1))
+            cond = np.where(norms > 0.0, 1.0 / k, 0.0)
+            rows, cols = choose(v, cond, k)
+            if not len(rows):
+                return
+            if every_outcome:
+                if v not in tables:
+                    tables[v] = _outcome_gather(child_ranks, np.arange(k))
+                src, phase = (a[cols] for a in tables[v])
+            else:
+                src, phase = _outcome_gather(child_ranks, cols)
+            # the branch and level indices, split by the slice over v's
+            # level, put their broadcast axes (followed, children's levels)
+            # in front
+            tensor = y[rows[:, None], :, src]
+            del y
+            tensor *= (phase / norms[rows, None])[:, :, None, None]
+            col = column[v]
+            picks = picks[rows]
+            picks[:, col] = cols
+            conds = conds[rows]
+            conds[:, col] = cond[rows]
+            prob = prob[rows] * conds[:, col]
+            tensor = tensor.reshape(len(rows), *child_ranks, d_v, *rest_shape)
+            labels = halves + [("t", v)] + rem
 
     m = len(measuring)
     step(0, np.ones(1, dtype=complex), [], np.ones(1),
@@ -535,13 +617,17 @@ def _transcripts(program, measuring, tensor, labels, prob, picks, conds,
     states are checked here, once for the batch, and built only when read."""
     b = len(prob)
     perm = sorted(range(len(labels)), key=labels.__getitem__)
+    # the rows are the walk's last register or a copy of it, which nothing
+    # else reads, so they are normalized and conjugated in place
     amps = tensor.transpose([0] + [1 + i for i in perm]).reshape(b, -1)
-    amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
-    norms = np.linalg.norm(amps, axis=1)
+    amps /= _row_norms(amps)[:, None]
+    norms = _row_norms(amps)
     bad = np.flatnonzero(np.abs(norms - 1.0) > config.NORM_TOL)
     if len(bad):
         raise ValueError(f"state norm {norms[bad[0]]} is not 1")
-    fids = np.abs(amps @ program.target.amplitudes.conj()) ** 2
+    np.conjugate(amps, out=amps)
+    fids = np.abs(amps @ program.target.amplitudes) ** 2
+    np.conjugate(amps, out=amps)
     batch = _Batch(measuring, picks, conds, amps, program.dims, events)
     return [
         Transcript(p, fid, batch, row)
@@ -608,7 +694,7 @@ class _EventLog:
 
     def _correction(self, v, lab, place, j_parent):
         program = self.program
-        pair = program.outcomes[program.tree.parent(v)][j_parent][place]
+        pair = program.outcome(program.tree.parent(v), j_parent)[place]
         if pair == (0, 0):
             return ()
         x, z = pair
@@ -634,7 +720,7 @@ class _EventLog:
                     outcome=pair,
                     info=f"to vertex {c}",
                 )
-                for c, pair in zip(t.children(v), self.program.outcomes[v][j])
+                for c, pair in zip(t.children(v), self.program.outcome(v, j))
             )
         measure = Event(kind="measure", vertex=v, index=j, probability=p)
         return (measure,) + messages
@@ -665,32 +751,41 @@ def simulate(
     if mode == "sample":
         rng = np.random.default_rng(seed)
 
-        def choose(v, cond):
-            return _ONE_ROW, np.array([rng.choice(cond.shape[1], p=cond[0])])
+        def choose(v, cond, k):
+            if cond[0] < config.BRANCH_PRUNE_TOL:
+                raise ZeroProbabilityBranch(
+                    f"every outcome at vertex {v} has probability "
+                    f"{cond[0]:.3e}"
+                )
+            # the draw rng.choice(k, p=cond[0]) makes: one uniform double
+            # against the cumulative probabilities, here (j + 1) / k
+            return _ONE_ROW, np.array([min(int(rng.random() * k), k - 1)])
 
     elif mode == "branch":
         if outcomes is None:
             raise MalformedProgram("branch mode needs forced outcomes")
-        if sorted(outcomes) != sorted(program.vertex_ops):
+        if sorted(outcomes) != sorted(program.bases):
             raise MalformedProgram(
                 "forced outcomes must cover exactly the measuring vertices"
             )
         for v, j in outcomes.items():
-            if not 0 <= j < program.vertex_ops[v].shape[0]:
+            if not 0 <= j < program.outcome_count(v):
                 raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
 
-        def choose(v, cond):
+        def choose(v, cond, k):
             j = outcomes[v]
-            if cond[0, j] < config.BRANCH_PRUNE_TOL:
+            if cond[0] < config.BRANCH_PRUNE_TOL:
                 raise ZeroProbabilityBranch(
                     f"outcome {j} at vertex {v} has probability "
-                    f"{cond[0, j]:.3e}"
+                    f"{cond[0]:.3e}"
                 )
             return _ONE_ROW, np.array([j])
 
     else:
         raise MalformedProgram(f"unknown mode {mode!r}")
-    (transcript,) = _walk(program, choose, record_events, disable_corrections)
+    (transcript,) = _walk(
+        program, choose, False, record_events, disable_corrections
+    )
     return transcript
 
 
@@ -702,19 +797,21 @@ def enumerate_branches(
     """Walk every measurement branch depth first, pruning branches whose
     conditional probability at some step falls below the zero threshold."""
 
-    def choose(v, cond):
-        return np.nonzero(cond >= config.BRANCH_PRUNE_TOL)
+    def choose(v, cond, k):
+        live = np.flatnonzero(cond >= config.BRANCH_PRUNE_TOL)
+        return np.repeat(live, k), np.tile(np.arange(k), len(live))
 
-    return _walk(program, choose, record_events, disable_corrections)
+    return _walk(program, choose, True, record_events, disable_corrections)
 
 
 def check_completeness(program: MeasurementProgram) -> CompletenessReport:
     """Verify each vertex's operator family resolves the identity and each
     leaf map is an isometry, at the true ranks."""
     vertex_defects: dict[int, float] = {}
-    for v, ops in program.vertex_ops.items():
-        # sum_j ops_j^H ops_j as one Gram product over the stacked rows
-        a = ops.reshape(-1, ops.shape[2])
+    for v, base in program.bases.items():
+        # by the Pauli twirl, sum_j op_j^H op_j = A (x) I_C, where A is the
+        # Gram matrix of the base over its (level, child levels) rows
+        a = np.moveaxis(base, 1, -1).reshape(-1, base.shape[1])
         eigs = np.linalg.eigvalsh(a.conj().T @ a)
         vertex_defects[v] = float(np.abs(eigs - 1.0).max())
     iso_defects: dict[int, float] = {}

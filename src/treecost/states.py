@@ -48,6 +48,14 @@ class PureState:
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
 
+    def __eq__(self, other):
+        """Equal dims and exactly equal amplitudes."""
+        if not isinstance(other, PureState):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(
+            self.amplitudes, other.amplitudes
+        )
+
     @property
     def n_parties(self) -> int:
         return len(self.dims)

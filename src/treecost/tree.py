@@ -100,9 +100,21 @@ class RootedTree:
         """Original identifier -> BFS label."""
         return {pid: k + 1 for k, pid in enumerate(self.original_ids)}
 
+    @cached_property
+    def _subtrees(self) -> dict[int, tuple[int, ...]]:
+        """Every vertex's subtree, ascending labels, in one pass from the
+        highest label down: children carry higher labels than their
+        parent, so their subtrees are known first."""
+        out: dict[int, tuple[int, ...]] = {}
+        for v in reversed(self.vertices):
+            below = [u for c in self._children.get(v, ()) for u in out[c]]
+            out[v] = (v, *sorted(below))
+        return out
+
     def subtree(self, v: int) -> tuple[int, ...]:
         """Vertex v and all its descendants, ascending labels."""
-        return tuple(sorted(descendants_closure(self, v)))
+        self._check_party(v)
+        return self._subtrees[v]
 
     def _check_party(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -191,15 +203,7 @@ def root_and_relabel(
 
 def descendants_closure(t: RootedTree, v: int) -> frozenset[int]:
     """Vertex v together with every descendant."""
-    t._check_party(v)
-    out = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for c in t.children(u):
-            out.add(c)
-            queue.append(c)
-    return frozenset(out)
+    return frozenset(t.subtree(v))
 
 
 def bipartition(t: RootedTree, e: Edge) -> tuple[frozenset[int], frozenset[int]]:

@@ -438,5 +438,77 @@ def product_block_amps(amps, dims, n):
     return out
 
 
+def dense_forced_branch(program, outcomes, disable_corrections=()):
+    """One forced branch of the protocol by the explicit route: in vertex
+    label order, each child pair is attached as a dense maximally entangled
+    tensor when its parent measures, outcome j of v is applied as the
+    operator base (I x Z^z_1 X^x_1 x ... ) / sqrt(C) built by np.kron on
+    (own edge, the children's pair halves), with the pairs (x_c, z_c) of j
+    read from an itertools.product table, and each correction is a dense
+    matrix.  Returns (amplitudes in party order, branch probability), the
+    probability being the product of the squared norms of the measured
+    registers."""
+    from treecost import (
+        correction_unitary,
+        generalized_pauli_x,
+        generalized_pauli_z,
+    )
+
+    t = program.tree
+    state = {"tensor": np.ones((), dtype=complex), "labels": []}
+
+    def apply(mat, axes, out_label):
+        labels = state["labels"]
+        idx = [labels.index(a) for a in axes]
+        rest = [i for i in range(len(labels)) if i not in idx]
+        moved = np.transpose(state["tensor"], idx + rest)
+        res = mat @ moved.reshape(mat.shape[1], -1)
+        state["tensor"] = res.reshape((mat.shape[0],) + moved.shape[len(idx):])
+        state["labels"] = [out_label] + [labels[i] for i in rest]
+
+    def child_ranks(u):
+        return [program.ranks[t.edge_above(c).label] for c in t.children(u)]
+
+    def pairs(u):
+        per_child = [
+            [(x, z) for x in range(r) for z in range(r)] for r in child_ranks(u)
+        ]
+        return list(itertools.product(*per_child))[outcomes[u]]
+
+    prob = 1.0
+    for v in t.vertices:
+        axes = []
+        if v != t.root:
+            lab = t.edge_above(v).label
+            axes = [("c", lab)]
+            if lab not in disable_corrections:
+                u = t.parent(v)
+                x, z = pairs(u)[t.children(u).index(v)]
+                apply(correction_unitary(program.ranks[lab], x, z), axes, axes[0])
+        if v in program.leaf_isometries:
+            apply(program.leaf_isometries[v], axes, ("t", v))
+            continue
+        ranks = child_ranks(v)
+        for c, r in zip(t.children(v), ranks):
+            lab = t.edge_above(c).label
+            pair = np.eye(r, dtype=complex) / np.sqrt(r)
+            state["tensor"] = np.multiply.outer(state["tensor"], pair)
+            state["labels"] = state["labels"] + [("p", lab), ("c", lab)]
+            axes.append(("p", lab))
+        base = program.bases[v]
+        factors = [np.eye(base.shape[1])] + [
+            generalized_pauli_z(r, z) @ generalized_pauli_x(r, x)
+            for (x, z), r in zip(pairs(v), ranks)
+        ]
+        op = base.reshape(base.shape[0], -1) @ reduce(np.kron, factors)
+        apply(op / np.sqrt(np.prod(ranks)), axes, ("t", v))
+        p = float(np.vdot(state["tensor"], state["tensor"]).real)
+        prob *= p
+        state["tensor"] = state["tensor"] / np.sqrt(p)
+    labels = state["labels"]
+    order = sorted(range(len(labels)), key=lambda i: labels[i][1])
+    return np.transpose(state["tensor"], order).reshape(-1), prob
+
+
 def all_transcript_outcomes(transcripts):
     return {tuple(sorted(tr.outcomes.items())) for tr in transcripts}

@@ -1,6 +1,8 @@
 """Command line interface behavior: documents, exit codes, determinism."""
 
+import gzip
 import json
+import math
 import subprocess
 import sys
 
@@ -154,6 +156,31 @@ def test_cost_approx_tiny_share_spends_nothing(w4_tree_path, tmp_path, capsys):
     assert by_edge[1]["threshold"] == 1e-200
     assert by_edge[1]["upper"] == 1.0
     assert by_edge[1]["upper_method"] == "exact-rank"
+
+
+def test_cost_approx_unresolvable_share_keeps_a_finite_upper_bound(
+    w4_tree_path, tmp_path, capsys
+):
+    # 1e-10 leaves a nonzero deficit 2.5e-21, but 1 - deficit rounds to 1,
+    # so the waterline cannot resolve it: the upper bound is the exact
+    # rank's bits, never Infinity
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": 1e-10, "2": 0.0, "3": 0.0}))
+    code, out, _ = run_cli(
+        ["cost", "approx", "--tree", w4_tree_path, "--state", "w4",
+         "--n", "2", "--eps", "0.1", "--thresholds", str(th_path)],
+        capsys,
+    )
+    assert code == 0
+    assert "Infinity" not in out
+    doc = json.loads(out)
+    by_edge = {row["edge"]: row for row in doc["edges"]}
+    assert by_edge[1]["threshold"] == 1e-10
+    assert by_edge[1]["upper"] == 1.0
+    assert by_edge[1]["upper_method"] == "exact-rank"
+    assert all(math.isfinite(row["upper"]) for row in doc["edges"])
+    assert math.isfinite(doc["upper_total"])
+    assert doc["upper_total"] == 3.0
 
 
 # --------------------------------------------------------------- simulate
@@ -513,3 +540,53 @@ def test_console_entry_point_smoke(w4_tree_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_bits"] == 3.0
+
+
+# ------------------------------------------------------- recorded documents
+
+
+def _golden():
+    import golden_simulate
+
+    with gzip.open(golden_simulate.GOLDEN_PATH, "rt", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _assert_documents_close(got, want, tol, where="$"):
+    """Equal JSON documents, except that floats may differ by tol."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert abs(got - want) <= tol, f"{where}: {got!r} vs {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_documents_close(got[key], want[key], tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_documents_close(g, w, tol, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (
+            f"{where}: {got!r} vs {want!r}"
+        )
+
+
+def test_simulate_documents_match_the_recording(tmp_path):
+    # sampled draws, forced branches, enumeration order, events and padded
+    # resources on the W4 line and a mixed qubit/qutrit tree, against the
+    # documents tests/golden_simulate.py recorded
+    from golden_simulate import CASES, GOLDEN_FLOAT_TOL, run_case
+
+    golden = _golden()
+    assert sorted(golden) == sorted(name for name, *_ in CASES)
+    for name, tree, args, transcript in CASES:
+        code, out, text = run_case(tmp_path, tree, args, transcript)
+        want = golden[name]
+        assert code == want["code"] == 0, name
+        _assert_documents_close(
+            json.loads(out), json.loads(want["stdout"]), GOLDEN_FLOAT_TOL, name
+        )
+        if transcript:
+            _assert_documents_close(
+                json.loads(text), json.loads(want["transcript"]),
+                GOLDEN_FLOAT_TOL, name,
+            )

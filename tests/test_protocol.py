@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecost import (
     DimensionCapExceeded,
@@ -32,6 +34,7 @@ from treecost.config import FIDELITY_TOL
 
 from helpers import (
     all_transcript_outcomes,
+    dense_forced_branch,
     line_tree,
     random_pure_state,
     random_tree,
@@ -127,6 +130,9 @@ def test_program_operator_shapes_and_outcome_order():
             [(x, z) for x in range(r) for z in range(r)] for r in child_ranks
         ]
         assert prog.outcomes[v] == tuple(itertools.product(*per_child))
+        assert prog.outcome_count(v) == k
+        assert [prog.outcome(v, j) for j in range(k)] == list(prog.outcomes[v])
+        assert prog.bases[v].shape == (t.dim_of(v), own, *child_ranks)
     assert prog.branch_count == 64
     assert set(prog.leaf_isometries) == {4}
 
@@ -159,13 +165,17 @@ def test_resource_config_helpers():
 
 def test_operator_stacks_respect_the_dimension_cap(monkeypatch):
     # on a W4 line vertices 2 and 3 stack 4 outcomes x 2 levels x 4 inputs
-    # = 32 amplitudes; the root's stack is smaller
+    # = 32 amplitudes; the root's stack is smaller.  A program stores only
+    # its bases, so the stacks are built, and refused, by the view.
     dec = decompose(make_named_state("w", 4), line_tree(4))
     monkeypatch.setenv("TREECOST_DIM_CAP", "31")
+    prog = build_program(dec)
+    assert prog.branch_count == 64
     with pytest.raises(DimensionCapExceeded):
-        build_program(dec)
+        prog.vertex_ops
     monkeypatch.setenv("TREECOST_DIM_CAP", "32")
-    assert build_program(dec).branch_count == 64
+    ops = build_program(dec).vertex_ops
+    assert max(o.size for o in ops.values()) == 32
 
 
 def test_operator_stacks_match_the_kron_construction():
@@ -213,9 +223,7 @@ def test_completeness_on_random_programs():
 
 def test_completeness_catches_a_scaled_operator_family():
     prog = w4_program()
-    bad_ops = dict(prog.vertex_ops)
-    bad_ops[2] = 1.05 * bad_ops[2]
-    bad = dataclasses.replace(prog, vertex_ops=bad_ops)
+    bad = dataclasses.replace(prog, bases={**prog.bases, 2: 1.05 * prog.bases[2]})
     rep = check_completeness(bad)
     assert not rep.ok
     assert rep.vertex_defects[2] > 0.05
@@ -292,6 +300,69 @@ def test_forced_branch_matches_enumeration():
             assert np.array_equal(
                 forced.final_state.amplitudes, tr.final_state.amplitudes
             )
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_forced_branches_match_the_dense_oracle(seed, cripple):
+    # the walk absorbs each child pair into the base product and gathers
+    # the followed outcome; the oracle attaches the pairs and applies the
+    # Kronecker-built operator.  With a correction disabled the branch no
+    # longer reaches the target, but both routes must still agree.
+    rng = np.random.default_rng(seed)
+    t = random_tree(rng, int(rng.integers(2, 6)), dim_choices=(2, 3))
+    prog = _program(random_pure_state(rng, t.dims), t)
+    outcomes = {v: int(rng.integers(prog.outcome_count(v))) for v in prog.bases}
+    disabled = (int(rng.integers(1, t.n)),) if cripple else ()
+    tr = simulate(prog, mode="branch", outcomes=outcomes,
+                  disable_corrections=disabled)
+    amps, prob = dense_forced_branch(prog, outcomes, disabled)
+    assert tr.outcomes == outcomes
+    assert abs(tr.probability - prob) <= 1e-12
+    assert np.abs(tr.final_state.amplitudes - amps).max() <= 1e-12
+    if not cripple:
+        assert tr.fidelity >= 1 - FIDELITY_TOL
+
+
+def test_sampling_makes_the_draw_of_a_uniform_choice():
+    # one rng.choice(K_v, p=uniform) per measuring vertex in label order
+    for prog in (w4_program(), w4_program(root=2), _mixed_program(227)):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            want = {
+                v: int(rng.choice(k, p=np.full(k, 1.0 / k)))
+                for v in sorted(prog.bases)
+                for k in [prog.outcome_count(v)]
+            }
+            assert simulate(prog, mode="sample", seed=seed).outcomes == want
+
+
+@pytest.mark.parametrize("shape", ["line14", "tree12"])
+def test_large_random_instances_sample_without_outcome_tables(shape):
+    # a random 14-qubit line (K_v up to 16,384) and a random 12-vertex
+    # qubit tree (K_v up to 1,048,576) sample within the default cap, and
+    # nothing the walk allocates is sized by K_v: the tree's traced peak
+    # stays under 8 bytes per outcome of its largest vertex, the line's
+    # under 8 times its state
+    rng = np.random.default_rng(2)
+    t = line_tree(14) if shape == "line14" else random_tree(rng, 12)
+    s = random_pure_state(rng, t.dims)
+    prog = _program(s, t)
+    k_max = max(prog.outcome_count(v) for v in prog.bases)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        tr = simulate(prog, mode="sample", seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.fidelity >= 1 - FIDELITY_TOL
+    if shape == "line14":
+        assert k_max == 2**14
+        assert peak < 8 * s.amplitudes.nbytes
+    else:
+        assert k_max == 2**20
+        assert peak < 8 * k_max
 
 
 def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
@@ -421,14 +492,15 @@ def test_branch_mode_validates_the_outcome_map():
 
 
 def test_forced_zero_probability_branch_raises():
+    # every outcome of a vertex has the norm of its base applied to the
+    # register, so a zero base gives every branch through it no weight
     prog = w4_program()
-    broken_ops = dict(prog.vertex_ops)
-    ops = broken_ops[2].copy()
-    ops[3] = 0.0  # kill one operator so its branch carries no weight
-    broken_ops[2] = ops
-    broken = dataclasses.replace(prog, vertex_ops=broken_ops)
+    broken = dataclasses.replace(prog, bases={**prog.bases, 2: 0 * prog.bases[2]})
     with pytest.raises(ZeroProbabilityBranch):
         simulate(broken, mode="branch", outcomes={1: 0, 2: 3, 3: 0})
+    with pytest.raises(ZeroProbabilityBranch):
+        simulate(broken, mode="sample", seed=0)
+    assert enumerate_branches(broken) == []
 
 
 def test_qutrit_star_protocol():
@@ -457,8 +529,9 @@ def test_single_party_program_is_trivial():
 
 @pytest.mark.parametrize("family", ["ghz", "w"])
 def test_large_lines_sample_within_memory(family):
-    # pairs join the register only when their parent measures, so a
-    # 16-party line never holds more than the target plus one open pair
+    # no pair is ever attached and each step frees the register it
+    # replaces, so sampling a 16-party line holds at most a few registers
+    # of the state's size at once
     prog = _program(make_named_state(family, 16), line_tree(16))
     tracemalloc.start()
     try:
@@ -469,19 +542,29 @@ def test_large_lines_sample_within_memory(family):
         tracemalloc.stop()
     assert tr.fidelity >= 1 - FIDELITY_TOL
     assert peak < 64 * 2**20
+    assert peak < 4 * prog.target.amplitudes.nbytes
 
 
 def test_protocol_scans_respect_the_dimension_cap(monkeypatch):
-    # on a W6 line the last measurement scans 4 outcomes x 2 levels x 32
-    # register amplitudes = 256; every earlier scan is smaller
+    # on a W6 line the last measurement applies its base (2 levels x 2
+    # child levels per own level) to a register of 32 amplitudes: 64
+    # amplitudes when it follows one outcome, 4 outcomes x 64 = 256 when it
+    # enumerates them; every earlier step is smaller
     prog = _program(make_named_state("w", 6), line_tree(6))
-    monkeypatch.setenv("TREECOST_DIM_CAP", "128")
+    monkeypatch.setenv("TREECOST_DIM_CAP", "63")
     with pytest.raises(DimensionCapExceeded):
         simulate(prog, mode="sample", seed=0)
     with pytest.raises(DimensionCapExceeded):
+        simulate(prog, mode="branch", outcomes={v: 0 for v in prog.bases})
+    monkeypatch.setenv("TREECOST_DIM_CAP", "64")
+    assert simulate(prog, mode="sample", seed=0).fidelity >= 1 - FIDELITY_TOL
+    monkeypatch.setenv("TREECOST_DIM_CAP", "255")
+    with pytest.raises(DimensionCapExceeded):
         enumerate_branches(prog, record_events=False)
     monkeypatch.setenv("TREECOST_DIM_CAP", "256")
-    assert simulate(prog, mode="sample", seed=0).fidelity >= 1 - FIDELITY_TOL
+    branches = enumerate_branches(prog, record_events=False)
+    assert len(branches) == prog.branch_count
+    assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
 
 
 # --------------------------------------------------------------- resources

@@ -44,6 +44,19 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0.0], dtype=complex), (2, 1, 0))
 
 
+def test_pure_states_compare_by_dims_and_amplitudes():
+    a = make_named_state("w", 3)
+    assert a == make_named_state("w", 3)
+    assert not a != make_named_state("w", 3)
+    assert a != make_named_state("ghz", 3)
+    assert a != make_named_state("random", 3, seed=1)
+    # the same amplitudes over different dims are a different state
+    flat = make_named_state("random", 2, dims=(2, 3), seed=4)
+    swapped = PureState(flat.amplitudes, (3, 2))
+    assert flat != swapped
+    assert a.__eq__(a.amplitudes) is NotImplemented
+
+
 def test_normalized_state_scales_and_rejects_zero():
     s = normalized_state(np.array([3.0, 4.0], dtype=complex), (2,))
     assert np.allclose(np.abs(s.amplitudes), [0.6, 0.8])

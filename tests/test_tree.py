@@ -123,6 +123,27 @@ def test_subtree_closure_matches_recursive_oracle():
             assert descendants_closure(t, v) == frozenset(closure(t, v))
 
 
+def test_subtrees_are_computed_once_per_tree(monkeypatch):
+    # every subtree comes from one cached pass; repeated calls, and the
+    # closure, read it instead of walking the tree again
+    t = random_tree(np.random.default_rng(17), 9)
+    first = {v: t.subtree(v) for v in t.vertices}
+    calls = []
+    children = type(t).children
+
+    def counted(self, v):
+        calls.append(v)
+        return children(self, v)
+
+    monkeypatch.setattr(type(t), "children", counted)
+    for v in t.vertices:
+        assert t.subtree(v) is first[v]
+        assert descendants_closure(t, v) == frozenset(first[v])
+    assert calls == []
+    with pytest.raises(UnknownParty):
+        t.subtree(t.n + 1)
+
+
 def test_bipartition_matches_reachability_oracle():
     rng = np.random.default_rng(13)
     for _ in range(30):
