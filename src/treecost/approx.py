@@ -8,25 +8,28 @@ a nearby state whose cut ranks, and hence construction costs, are capped by
 the waterline exponents.  The final distance to the true n-copy state is
 checked against the root-sum-square of the shares.
 
-The distances need no n-copy block.  Write the subtree factor of vertex v
-in a basis B_e of the edge e above it: the projection's own basis columns,
-completed by the cut's Schmidt vectors below the rank cutoff down to
-config.RANK_TOL, so that B_e spans the subtree factor of psi.  Let A_v hold
-the coefficients of B_e in |level> x the children's bases (at the root, of
-psi itself).  Then psi^(x)n is the tree network of the A_v^(x)n, with bond
-e running over B_e^(x)n, |B_e|^n levels wide.  Projection e is
-B_e^(x)n diag(keep_mask) B_e^(x)n-dagger on the subtree factor of the n
-copies.  Edge labels follow breadth-first order, so every projection
-applied before e sits on an ancestor edge or in a disjoint subtree, and the
-subtree factor below e is still B_e^(x)n times the untouched network there.
-So projection e is exactly the mask keep_mask (zero beyond the stored rank)
-on bond e, and M psi^(x)n, for M the projections applied in label order,
-is the same network with masks on the bonds of the nontrivial projections.
-A trivial projection is skipped, so its bond stays whole.
-<psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 are then contracted from the
-leaves to the root over bond environments |B_e|^n x |B_e|^n in size, as
-the weights the masks remove (_removed_weights), and only
-ApproxState.state builds the dense block.
+Everything here reads one decompose sweep of psi, compressed at the tighter
+of rank_tol and config.RANK_TOL.  Its edge basis B_e above vertex v is the
+cut's Schmidt basis down to that tolerance; the first rank columns (those
+above rank_tol) and their weights make projection e, and the columns
+beyond carry the rest of psi.  Its tensor A_v holds the coefficients of B_e
+in |level> x the children's bases (at the root, of psi itself; at a leaf,
+A_v is B_e).  So psi^(x)n is the tree network of the A_v^(x)n, with bond e
+running over B_e^(x)n, |B_e|^n levels wide (tree tensor networks: Shi, Duan
+& Vidal, PRA 74, 022320 (2006)).  Projection e is B_e^(x)n diag(keep_mask)
+B_e^(x)n-dagger on the subtree factor of the n copies.  Edge labels follow
+breadth-first order, so every projection applied before e sits on an
+ancestor edge or in a disjoint subtree, and the subtree factor below e is
+still B_e^(x)n times the untouched network there.  So projection e is
+exactly the mask keep_mask (zero beyond the stored rank) on bond e, and
+M psi^(x)n, for M the projections applied in label order, is the same
+network with masks on the bonds of the nontrivial projections.  A trivial
+projection is skipped, so its bond stays whole.
+<psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 are contracted from the leaves
+to the root over bond environments |B_e|^n x |B_e|^n in size, as the
+weights the masks remove (_removed_weights).  Only ApproxState.state builds
+the dense block, by contracting the same masked network densely
+(_block_amplitudes).
 """
 
 from __future__ import annotations
@@ -34,29 +37,28 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from math import inf, log, log2, sqrt
+from math import inf, log, log2, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from . import config
 from .costs import Spectrum, spectrum_entropy
-from .decomposition import decompose
+from .decomposition import TreeDecomposition, _contract_vertex, decompose
 from .errors import (
     DegenerateDenominator,
     DimensionCapExceeded,
-    DimensionMismatch,
     InvalidEpsilon,
     ZeroNorm,
 )
-from .protocol import MeasurementProgram, _Engine, build_program, simulate
-from .states import PureState, normalized_state, schmidt_wrt_edge
+from .protocol import build_program, simulate
+from .states import PureState, normalized_state
 from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeProjection:
     """Spectral projection of one cut of the n-copy state.
 
@@ -98,32 +100,41 @@ class EdgeProjection:
         return cols @ cols.conj().T
 
 
-def build_projection(
-    s: PureState,
-    t: RootedTree,
+def _decompose(s: PureState, t: RootedTree, rank_tol: float | None):
+    """The one decompose sweep the projections and the network read: every
+    cut kept down to the tighter of rank_tol and config.RANK_TOL."""
+    tol = config.RANK_TOL if rank_tol is None else rank_tol
+    return decompose(s, t, min(tol, config.RANK_TOL))
+
+
+def _edge_projection(
+    dec: TreeDecomposition,
     e: Edge,
     n: int,
     threshold: float,
-    rank_tol: float | None = None,
+    rank_tol: float | None,
 ) -> EdgeProjection:
-    """Projection of edge e's cut for one error share."""
+    """Projection of edge e's cut from a decomposition made by _decompose:
+    the cut's Schmidt levels above rank_tol, and the weight of the rest."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"block size {n} must be a positive integer")
     if not 0.0 <= threshold < 1.0:
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
-    sd = schmidt_wrt_edge(s, t, e, rank_tol)
+    coeffs = dec.schmidt_coeffs[e.label]
+    tol = config.RANK_TOL if rank_tol is None else rank_tol
+    rank = int(np.count_nonzero(coeffs > tol * coeffs.max()))
     cap = config.dim_cap()
-    if sd.rank**n > cap:
+    if rank**n > cap:
         raise DimensionCapExceeded(
-            f"keep mask of edge {e.label} spans {sd.rank**n} levels, cap {cap}"
+            f"keep mask of edge {e.label} spans {rank**n} levels, cap {cap}"
         )
-    probs = sd.coefficients**2
+    probs = coeffs[:rank] ** 2
     # a share below about 3e-162 squares to a zero deficit, which allows no
     # truncation: the same projection as a zero share
     deficit = threshold * threshold / 4.0
     if deficit == 0.0:
         gamma = inf
-        mask = np.ones((sd.rank,) * n, dtype=bool)
+        mask = np.ones((rank,) * n, dtype=bool)
     else:
         spectrum = Spectrum.from_eigenvalues(probs)
         gamma = spectrum_entropy(spectrum, int(n), deficit)
@@ -135,47 +146,24 @@ def build_projection(
         n=int(n),
         threshold=float(threshold),
         gamma=gamma,
-        basis=sd.left_basis,
+        basis=dec.edge_bases[e.child][:, :rank],
         weights=probs,
-        dropped_weight=sd.dropped_weight,
-        keep_mask=np.asarray(mask).reshape((sd.rank,) * n),
+        dropped_weight=float(np.sum(coeffs[rank:] ** 2)),
+        keep_mask=np.asarray(mask).reshape((rank,) * n),
     )
 
 
-def _attach_copies(s: PureState, n: int) -> _Engine:
-    eng = _Engine()
-    for c in range(1, n + 1):
-        eng.attach(
-            s.tensor.astype(complex),
-            [("q", v, c) for v in range(1, len(s.dims) + 1)],
-        )
-    return eng
-
-
-def _apply_projection(
-    eng: _Engine, proj: EdgeProjection, t: RootedTree, dims: tuple[int, ...]
-) -> None:
-    if proj.trivial:
-        return
-    sub = t.subtree(t.edge_by_label(proj.edge).child)
-    sub_dims = [dims[v - 1] for v in sub]
-    w = proj.basis
-    n = proj.n
-    for c in range(1, n + 1):
-        eng.apply(
-            w.conj().T, [("q", v, c) for v in sub], ("s", proj.edge, c)
-        )
-    eng.mask_axes(
-        proj.keep_mask.astype(float),
-        [("s", proj.edge, c) for c in range(1, n + 1)],
-    )
-    for c in range(1, n + 1):
-        eng.apply(w, [("s", proj.edge, c)], ("blk", proj.edge, c))
-        eng.split_axis(
-            ("blk", proj.edge, c),
-            [("q", v, c) for v in sub],
-            sub_dims,
-        )
+def build_projection(
+    s: PureState,
+    t: RootedTree,
+    e: Edge,
+    n: int,
+    threshold: float,
+    rank_tol: float | None = None,
+) -> EdgeProjection:
+    """Projection of edge e's cut for one error share."""
+    dec = _decompose(s, t, rank_tol)
+    return _edge_projection(dec, e, n, threshold, rank_tol)
 
 
 class _Env(NamedTuple):
@@ -186,49 +174,6 @@ class _Env(NamedTuple):
 
     legs: np.ndarray
     paired: bool
-
-
-def _edge_bases(
-    s: PureState,
-    t: RootedTree,
-    projections: tuple[EdgeProjection, ...],
-    rank_tol: float | None,
-) -> dict[int, np.ndarray]:
-    """Basis B_e of the edge above each non-root vertex: the projection's
-    columns, then the cut's Schmidt vectors between the rank cutoff and
-    config.RANK_TOL, so that the bases carry the whole state."""
-    bases = {}
-    for proj in projections:
-        e = t.edge_by_label(proj.edge)
-        basis = proj.basis
-        if proj.dropped_weight > 0.0 and rank_tol is not None and (
-            rank_tol > config.RANK_TOL
-        ):
-            whole = schmidt_wrt_edge(s, t, e, config.RANK_TOL).left_basis
-            basis = np.hstack([basis, whole[:, proj.rank :]])
-        bases[e.child] = basis
-    return bases
-
-
-def _vertex_tensor(
-    t: RootedTree, v: int, columns: np.ndarray, bases: dict[int, np.ndarray]
-) -> np.ndarray:
-    """Coefficients of subtree vectors of v (columns, subtree parties
-    ascending) in |level> x its children's bases, shape (d_v, child
-    widths..., columns)."""
-    dims = t.dims
-    sub = t.subtree(v)
-    children = t.children(v)
-    pos = {p: i for i, p in enumerate(sub)}
-    block = [v] + [p for c in children for p in t.subtree(c)]
-    g = columns.reshape([dims[p - 1] for p in sub] + [columns.shape[1]])
-    g = g.transpose([pos[p] for p in block] + [len(sub)])
-    g = g.reshape(
-        [dims[v - 1]] + [bases[c].shape[0] for c in children] + [g.shape[-1]]
-    )
-    for i, c in enumerate(children, start=1):
-        g = np.moveaxis(np.tensordot(g, bases[c].conj(), axes=(i, 0)), -1, i)
-    return g
 
 
 def _transfer(g: np.ndarray, envs: list, n: int, v: int) -> _Env:
@@ -348,11 +293,30 @@ def _masked(bra: _Env | None, ket: _Env | None, mask: np.ndarray):
     return _Env(x, True), _Env(y, True)
 
 
+def _bond_masks(
+    dec: TreeDecomposition, projections: tuple[EdgeProjection, ...]
+) -> dict[int, np.ndarray]:
+    """keep_mask of each nontrivial projection, zero-padded to its bond's
+    width on every copy, keyed by the vertex below its edge."""
+    t = dec.tree
+    cap = config.dim_cap()
+    masks = {}
+    for proj in projections:
+        if proj.trivial:
+            continue
+        v, n = t.edge_by_label(proj.edge).child, proj.n
+        width = dec.edge_bases[v].shape[1]
+        if width**n > cap:
+            raise DimensionCapExceeded(
+                f"mask on edge {proj.edge} spans {width**n} levels, cap {cap}"
+            )
+        masks[v] = np.zeros((width,) * n, dtype=bool)
+        masks[v][(slice(proj.rank),) * n] = proj.keep_mask
+    return masks
+
+
 def _removed_weights(
-    s: PureState,
-    t: RootedTree,
-    projections: tuple[EdgeProjection, ...],
-    rank_tol: float | None,
+    dec: TreeDecomposition, masks: dict[int, np.ndarray], n: int
 ) -> tuple[float, complex, float] | None:
     """||psi^(x)n||^2 with <psi^(x)n|(I - M) psi^(x)n> and
     ||psi^(x)n||^2 - ||M psi^(x)n||^2, for M the projections applied in
@@ -369,12 +333,9 @@ def _removed_weights(
     below its bond, and diagonal until a transfer fills it; the two are
     one object until a mask falls on a full one.
     """
-    if all(p.trivial for p in projections):
+    if not masks:
         return None
-    n = projections[0].n
-    cap = config.dim_cap()
-    bases = _edge_bases(s, t, projections, rank_tol)
-    by_child = {t.edge_by_label(p.edge).child: p for p in projections}
+    t = dec.tree
     below: dict[int, tuple] = {}
     for v in reversed(t.vertices[1:]):
         pairs = [below.pop(c) for c in t.children(v)]
@@ -382,25 +343,50 @@ def _removed_weights(
             # nothing masked below: the columns of B_e^(x)n are orthonormal
             bra = ket = None
         else:
-            g = _vertex_tensor(t, v, bases[v], bases)
-            bra, ket = _environments(g, pairs, n, v)
-        proj = by_child[v]
-        if not proj.trivial:
-            width = bases[v].shape[1]
-            if width**n > cap:
-                raise DimensionCapExceeded(
-                    f"mask on edge {proj.edge} spans {width**n} levels, "
-                    f"cap {cap}"
-                )
-            mask = np.zeros((width,) * n, dtype=bool)
-            mask[(slice(proj.rank),) * n] = proj.keep_mask
-            bra, ket = _masked(bra, ket, mask)
+            bra, ket = _environments(dec.tensors[v], pairs, n, v)
+        if v in masks:
+            bra, ket = _masked(bra, ket, masks[v])
         below[v] = (bra, ket)
     pairs = [below.pop(c) for c in t.children(t.root)]
-    g = _vertex_tensor(t, t.root, s.amplitudes.reshape(-1, 1), bases)
+    g = dec.tensors[t.root][..., None]
     bra, ket = _environments(g, pairs, n, t.root)
     block = float(np.vdot(g, g).real) ** n
     return block, complex(bra.legs[0]), float(ket.legs[0].real)
+
+
+def _copies(g: np.ndarray, n: int) -> np.ndarray:
+    """g^(x)n with the n copies of every axis grouped into one axis, copy 1
+    most significant."""
+    k = g.ndim
+    x = reduce(np.multiply.outer, [g] * n)
+    x = x.transpose([c * k + a for a in range(k) for c in range(n)])
+    return x.reshape([d**n for d in g.shape])
+
+
+def _block_amplitudes(
+    dec: TreeDecomposition, masks: dict[int, np.ndarray], n: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """M psi^(x)n as a dense vector, with its party dimensions: the masked
+    network of the module docstring contracted from the leaves to the root
+    as decomposition.recompose contracts one copy.  Each party register
+    holds its n copies, copy 1 most significant."""
+    t = dec.tree
+    big_dims = tuple(d**n for d in t.dims)
+    cap = config.dim_cap()
+    if prod(big_dims) > cap:
+        raise DimensionCapExceeded(
+            f"block state dimension {prod(big_dims)} exceeds cap {cap}"
+        )
+    vecs: dict[int, np.ndarray] = {}
+    for v in reversed(t.vertices):
+        g = dec.tensors[v] if v in dec.tensors else dec.edge_bases[v]
+        g = _copies(g[..., None] if v == t.root else g, n)
+        if v in masks:
+            g = g * masks[v].reshape(-1)
+        vecs[v] = _contract_vertex(t, big_dims, v, g, vecs)
+        for c in t.children(v):
+            del vecs[c]
+    return vecs[t.root][:, 0], big_dims
 
 
 def _kept_weight(removed) -> float:
@@ -429,15 +415,17 @@ def _distance(removed) -> float:
     return 2.0 * sqrt(max(0.0, min(1.0, gap)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxState:
     """Projected n-copy state with its distance accounting.
 
-    source and tree are the single-copy state and its tree; the projected
-    block itself (state) is built densely on first access.
+    decomposition is the one decompose sweep of the single-copy state that
+    the projections and the distances were read from, and tree its tree.
+    The projected block itself (state) is contracted densely from the same
+    masked network on first access.
     """
 
-    source: PureState = field(repr=False)
+    decomposition: TreeDecomposition = field(repr=False)
     tree: RootedTree = field(repr=False)
     n: int
     thresholds: dict[int, float]
@@ -451,45 +439,29 @@ class ApproxState:
 
     @cached_property
     def state(self) -> PureState:
-        """The projected n-copy block, renormalized: every projection
-        applied in edge label order to the dense block, whose size is
-        capped by config.dim_cap()."""
-        big_dims = _check_block_dims(self.tree, self.n)
-        eng = _attach_copies(self.source, self.n)
-        for proj in self.projections:
-            _apply_projection(eng, proj, self.tree, self.source.dims)
-        return normalized_state(eng.amplitudes(), big_dims)
+        """The projected n-copy block, renormalized: the masked network
+        contracted densely, its size capped by config.dim_cap()."""
+        dec = self.decomposition
+        masks = _bond_masks(dec, self.projections)
+        return normalized_state(*_block_amplitudes(dec, masks, self.n))
 
 
-def _check_block_dims(t: RootedTree, n: int) -> tuple[int, ...]:
-    big = []
-    total = 1
-    cap = config.dim_cap()
-    for d in t.dims:
-        big.append(d**n)
-        total *= d**n
-        if total > cap:
-            raise DimensionCapExceeded(
-                f"block state dimension {total}+ exceeds cap {cap}"
-            )
-    return tuple(big)
-
-
-def _projections(
+def _truncate(
     s: PureState,
     t: RootedTree,
     n: int,
-    thresholds: dict[int, float],
+    shares: dict[int, float],
     rank_tol: float | None,
-) -> tuple[EdgeProjection, ...]:
-    if s.dims != t.dims:
-        raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    return tuple(
-        build_projection(
-            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
-        )
+):
+    """The decomposition of s, every edge's projection read from it, and
+    the weights their masks remove (_removed_weights)."""
+    dec = _decompose(s, t, rank_tol)
+    projections = tuple(
+        _edge_projection(dec, e, n, float(shares.get(e.label, 0.0)), rank_tol)
         for e in t.edges
     )
+    masks = _bond_masks(dec, projections)
+    return dec, projections, _removed_weights(dec, masks, n)
 
 
 def approx_state(
@@ -502,21 +474,18 @@ def approx_state(
     """Apply every edge projection to the n-copy state, in edge label order,
     and renormalize.  The distance comes from the masked n-copy network;
     the dense block is built only when ApproxState.state is read."""
-    projections = _projections(s, t, n, thresholds, rank_tol)
-    removed = _removed_weights(s, t, projections, rank_tol)
+    shares = {e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges}
+    dec, projections, removed = _truncate(s, t, n, shares, rank_tol)
     if _kept_weight(removed) < 1e-12:
         raise ZeroNorm("projections removed all weight")
-    bound = sqrt(
-        sum(float(thresholds.get(e.label, 0.0)) ** 2 for e in t.edges)
-    )
     return ApproxState(
-        source=s,
+        decomposition=dec,
         tree=t,
         n=int(n),
-        thresholds={e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges},
+        thresholds=shares,
         projections=projections,
         achieved_distance=_distance(removed),
-        bound=float(bound),
+        bound=sqrt(sum(v * v for v in shares.values())),
     )
 
 
@@ -622,11 +591,7 @@ def union_bound_check(
     Both states are pure, so the 1-norm distance reduces to an overlap
     formula, and neither side needs the n-copy block.  The left side takes
     <psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 for the sequential product
-    M from the masked n-copy network: edge labels follow breadth-first
-    order, so when projection e acts, every earlier projection sits on an
-    ancestor edge or in a disjoint subtree, the subtree factor below e is
-    still B_e^(x)n times the untouched network, and the projection is
-    exactly keep_mask on bond e (module docstring).
+    M from the masked n-copy network (module docstring).
 
     The right side adds each projection's clipped weight on the untouched
     block.  Across edge e the state is sum_k sqrt(p_k) |a_k>|b_k> with
@@ -645,8 +610,7 @@ def union_bound_check(
     the cancellation in 1 - kept, and a trivial projection contributes
     exactly zero.
     """
-    projections = _projections(s, t, n, thresholds, rank_tol)
-    removed = _removed_weights(s, t, projections, rank_tol)
+    _, projections, removed = _truncate(s, t, n, thresholds, rank_tol)
     kept = _kept_weight(removed)
     if kept < 1e-12:
         raise DegenerateDenominator(

@@ -49,7 +49,7 @@ from .states import PureState, _canonical_frame
 from .tree import RootedTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeDecomposition:
     """Per-vertex coefficient tensors and per-edge Schmidt bases.
 
@@ -235,7 +235,7 @@ def vertex_gram_defect(d: TreeDecomposition, v: int) -> float:
     return float(np.abs(gram - np.eye(gram.shape[0])).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalMPS:
     """Canonical line-tree form: site tensors and bond weight vectors.
 

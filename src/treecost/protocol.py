@@ -172,7 +172,7 @@ class CompletenessReport:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementProgram:
     """Compiled protocol: the base operator of every measuring vertex, leaf
     isometries, and resource accounting.
@@ -356,50 +356,6 @@ def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
     cols = base.reshape(d_v, r_own, -1)[:, :, src]
     cols = cols * (phase / np.sqrt(src.shape[1]))
     return np.moveaxis(cols, 2, 0).reshape(len(js), d_v, -1)
-
-
-class _Engine:
-    """Dense register-level state with labeled axes."""
-
-    def __init__(self, tensor=None, labels=None):
-        self.tensor = np.ones((), dtype=complex) if tensor is None else tensor
-        self.labels: list = [] if labels is None else labels
-
-    def attach(self, tensor: np.ndarray, labels: list) -> None:
-        self.tensor = np.multiply.outer(self.tensor, tensor)
-        self.labels = self.labels + labels
-
-    def apply(self, op: np.ndarray, in_labels: list, out_label) -> None:
-        flat, rest_shape, rem = _front(
-            self.tensor[None], self.labels, in_labels
-        )
-        res = op @ flat[0]
-        self.tensor = res.reshape((op.shape[0],) + rest_shape)
-        self.labels = [out_label] + rem
-
-    def split_axis(self, label, new_labels: list, new_dims: list) -> None:
-        i = self.labels.index(label)
-        shape = list(self.tensor.shape)
-        self.tensor = self.tensor.reshape(
-            shape[:i] + list(new_dims) + shape[i + 1 :]
-        )
-        self.labels = self.labels[:i] + list(new_labels) + self.labels[i + 1 :]
-
-    def mask_axes(self, mask: np.ndarray, in_labels: list) -> None:
-        idx = [self.labels.index(lab) for lab in in_labels]
-        k = len(idx)
-        t = np.moveaxis(self.tensor, idx, list(range(k)))
-        self.tensor = t * mask.reshape(mask.shape + (1,) * (t.ndim - k))
-        rem = [lab for lab in self.labels if lab not in in_labels]
-        self.labels = list(in_labels) + rem
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.tensor))
-
-    def amplitudes(self) -> np.ndarray:
-        order = sorted(range(len(self.labels)), key=lambda i: self.labels[i])
-        t = np.transpose(self.tensor, order)
-        return t.reshape(-1)
 
 
 # Largest array, in amplitudes, that one batched step of the walk builds;

@@ -79,7 +79,7 @@ def normalized_state(amplitudes: np.ndarray, dims: Sequence[int]) -> PureState:
     return PureState(amps / norm, tuple(dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator on a party subset."""
 
@@ -111,7 +111,7 @@ class DensityOperator:
         return np.linalg.eigvalsh(self.matrix)[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt decomposition of a state across one tree bipartition.
 

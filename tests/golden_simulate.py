@@ -73,15 +73,16 @@ CASES = [
 ]
 
 
-def run_case(tmp_dir, tree, args, transcript):
-    """Run one case in tmp_dir; returns (exit code, stdout, transcript
-    text or None)."""
+def run_cli(tmp_dir, tree_doc, command, args, transcript):
+    """Run `treecost *command --tree FILE *args` in tmp_dir, FILE holding
+    tree_doc, adding --transcript when asked; returns (exit code, stdout,
+    transcript text or None)."""
     from treecost.cli import main
 
     tmp_dir = pathlib.Path(tmp_dir)
-    tree_path = tmp_dir / f"{tree}.json"
-    tree_path.write_text(json.dumps(TREES[tree]))
-    argv = ["simulate", "--tree", str(tree_path), *args]
+    tree_path = tmp_dir / "tree.json"
+    tree_path.write_text(json.dumps(tree_doc))
+    argv = [*command, "--tree", str(tree_path), *args]
     out_path = tmp_dir / "transcript.json"
     if transcript:
         argv += ["--transcript", str(out_path)]
@@ -92,18 +93,25 @@ def run_case(tmp_dir, tree, args, transcript):
     return code, buf.getvalue(), text
 
 
-def record():
+def run_case(tmp_dir, tree, args, transcript):
+    """Run one case in tmp_dir; returns (exit code, stdout, transcript
+    text or None)."""
+    return run_cli(tmp_dir, TREES[tree], ["simulate"], args, transcript)
+
+
+def record_cases(path, cases, run_case):
+    """Run every case and write the documents to path."""
     import tempfile
 
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, tree, args, transcript in CASES:
+        for name, tree, args, transcript in cases:
             code, out, text = run_case(tmp, tree, args, transcript)
             golden[name] = {"code": code, "stdout": out, "transcript": text}
-    GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    with gzip.open(GOLDEN_PATH, "wt", encoding="utf-8") as fh:
+    path.parent.mkdir(exist_ok=True)
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
         json.dump(golden, fh, sort_keys=True)
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record_cases(GOLDEN_PATH, CASES, run_case))

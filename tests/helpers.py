@@ -322,18 +322,33 @@ def loop_spectrum_table(spectrum, n):
     return log_mu, log_cnt, cum_mass, log_cum_cnt, boundary
 
 
-def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
-    """Per-edge deficits of union_bound_check by the dense route: each
-    nontrivial projection applied alone to an explicit n-copy block, and
-    the deficit read as one minus its kept weight over the block's."""
-    from treecost.approx import (
-        _apply_projection,
-        _attach_copies,
-        build_projection,
-    )
+def _project_block(block, dims, t, proj, dtype=complex):
+    """An n-copy block (product_block_amps layout) with one projection
+    applied as its explicit EdgeProjection.matrix(), the Kronecker projector
+    on the subtree factor of the n copies, in the given precision: the
+    factor's axes (copy major, parties ascending) are moved to the front,
+    multiplied and moved back."""
+    n = proj.n
+    # block axis (p - 1) * n + c is copy c + 1 of party p
+    shape = [d for d in dims for _ in range(n)]
+    sub = t.subtree(t.edge_by_label(proj.edge).child)
+    front = [(p - 1) * n + c for c in range(n) for p in sub]
+    order = front + [i for i in range(len(shape)) if i not in front]
+    moved = block.reshape(shape).transpose(order)
+    P = proj.matrix().astype(dtype)
+    moved = (P @ moved.reshape(P.shape[0], -1)).reshape(moved.shape)
+    return moved.transpose(np.argsort(order)).reshape(-1)
 
-    ref = _attach_copies(s, n).amplitudes()
-    ref_nsq = float(np.vdot(ref, ref).real)
+
+def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
+    """Per-edge deficits of union_bound_check by the dense route, in double
+    precision: each nontrivial projection applied alone to the explicit
+    n-copy block, and the deficit read as one minus its kept weight over
+    the block's."""
+    from treecost.approx import build_projection
+
+    block = product_block_amps(s.amplitudes, s.dims, n)
+    block_nsq = float(np.vdot(block, block).real)
     deficits = {}
     for e in t.edges:
         proj = build_projection(
@@ -342,38 +357,29 @@ def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
         if proj.trivial:
             deficits[proj.edge] = 0.0
             continue
-        one = _attach_copies(s, n)
-        _apply_projection(one, proj, t, s.dims)
-        kept = one.norm() ** 2 / ref_nsq
-        deficits[proj.edge] = float(max(0.0, 1.0 - kept))
+        kept = _project_block(block, s.dims, t, proj)
+        deficits[proj.edge] = float(
+            max(0.0, 1.0 - np.vdot(kept, kept).real / block_nsq)
+        )
     return deficits
 
 
 def dense_block_overlaps(s, t, projections):
-    """(<psi^(x)n|M psi^(x)n>, ||M psi^(x)n||^2, ||psi^(x)n||^2) on the
-    explicit n-copy block, M being the nontrivial projections applied in
-    label order, in extended precision.  Each projection is its
-    EdgeProjection.matrix(), the Kronecker projector on the subtree factor
-    of the n copies, applied after moving that factor's axes (copy major,
-    parties ascending) to the front of the block tensor."""
-    n = projections[0].n
-    dims = s.dims
-    block = product_block_amps(s.amplitudes, dims, n).astype(np.clongdouble)
-    # block axis (p - 1) * n + c is copy c + 1 of party p
-    shape = [d for d in dims for _ in range(n)]
-    seq = block.reshape(shape)
+    """(<psi^(x)n|M psi^(x)n>, ||M psi^(x)n||^2, ||psi^(x)n||^2, M psi^(x)n)
+    on the explicit n-copy block, M being the nontrivial projections
+    applied in label order, in extended precision."""
+    block = product_block_amps(s.amplitudes, s.dims, projections[0].n)
+    block = block.astype(np.clongdouble)
+    seq = block
     for proj in projections:
-        if proj.trivial:
-            continue
-        sub = t.subtree(t.edge_by_label(proj.edge).child)
-        front = [(p - 1) * n + c for c in range(n) for p in sub]
-        order = front + [i for i in range(len(shape)) if i not in front]
-        moved = seq.transpose(order)
-        P = proj.matrix().astype(np.clongdouble)
-        moved = (P @ moved.reshape(P.shape[0], -1)).reshape(moved.shape)
-        seq = moved.transpose(np.argsort(order))
-    seq = seq.reshape(-1)
-    return np.vdot(block, seq), np.vdot(seq, seq).real, np.vdot(block, block).real
+        if not proj.trivial:
+            seq = _project_block(seq, s.dims, t, proj, np.clongdouble)
+    return (
+        np.vdot(block, seq),
+        np.vdot(seq, seq).real,
+        np.vdot(block, block).real,
+        seq,
+    )
 
 
 def series_normal_cdf(x):

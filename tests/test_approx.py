@@ -16,6 +16,7 @@ from treecost import (
     PureState,
     Spectrum,
     ZeroNorm,
+    approx_bounds,
     approx_state,
     build_projection,
     construct_approx,
@@ -170,7 +171,7 @@ def test_approx_state_raises_when_projections_remove_everything(monkeypatch):
 
     t = line_tree(2)
     s = make_named_state("bell", 2)
-    real = approx_mod.build_projection
+    real = approx_mod._edge_projection
 
     def starved(*args, **kwargs):
         proj = real(*args, **kwargs)
@@ -180,7 +181,7 @@ def test_approx_state_raises_when_projections_remove_everything(monkeypatch):
             proj, keep_mask=np.zeros_like(proj.keep_mask)
         )
 
-    monkeypatch.setattr(approx_mod, "build_projection", starved)
+    monkeypatch.setattr(approx_mod, "_edge_projection", starved)
     with pytest.raises(ZeroNorm):
         approx_mod.approx_state(s, t, 2, {1: 0.5})
 
@@ -229,6 +230,27 @@ def test_construct_approx_zero_budget_reduces_to_exact_blocks():
         assert row.reduced_rank == row.rank**2
         assert row.budget_bits == pytest.approx(np.log2(row.rank))
         assert row.achieved_bits == pytest.approx(np.log2(row.rank))
+
+
+def test_budgets_equal_the_cost_upper_bounds():
+    # the projections and approx_bounds read the same decompose sweep, so
+    # the same share gives the same spectrum and the same waterline, bit
+    # for bit
+    rng = np.random.default_rng(909)
+    eps = 0.3
+    compared = 0
+    for trial in range(40):
+        t = random_tree(rng, 3 + trial % 2)
+        s = random_pure_state(rng, t.dims)
+        n = 2 + trial % 2
+        th = {e.label: eps / sqrt(len(t.edges)) for e in t.edges}
+        _, rep = construct_approx(s, t, n, th, seed=trial)
+        bounds = approx_bounds(s, t, n, eps, thresholds=th)
+        for row, bound in zip(rep.rows, bounds.rows):
+            assert row.edge == bound.edge
+            assert row.budget_bits == bound.upper
+            compared += 1
+    assert compared == 100
 
 
 # ------------------------------------------------------------- union bound
@@ -390,7 +412,7 @@ def test_union_bound_degenerate_projection(monkeypatch):
 
     t = line_tree(2)
     s = make_named_state("bell", 2)
-    real = approx_mod.build_projection
+    real = approx_mod._edge_projection
 
     def starved(*args, **kwargs):
         proj = real(*args, **kwargs)
@@ -398,7 +420,7 @@ def test_union_bound_degenerate_projection(monkeypatch):
             proj, keep_mask=np.zeros_like(proj.keep_mask)
         )
 
-    monkeypatch.setattr(approx_mod, "build_projection", starved)
+    monkeypatch.setattr(approx_mod, "_edge_projection", starved)
     with pytest.raises(DegenerateDenominator):
         approx_mod.union_bound_check(s, t, 2, {1: 0.5})
 
@@ -406,10 +428,12 @@ def test_union_bound_degenerate_projection(monkeypatch):
 # ---------------------------------------------------------- masked network
 
 
-def _oracle_distance(state, tree, projections):
-    ov, weight, ref = dense_block_overlaps(state, tree, projections)
+def _oracle(state, tree, projections):
+    """The distance and the normalized projected block by the dense
+    oracle."""
+    ov, weight, ref, block = dense_block_overlaps(state, tree, projections)
     gap = 1 - abs(ov) ** 2 / (weight * ref)
-    return float(2 * np.sqrt(max(gap, 0)))
+    return float(2 * np.sqrt(max(gap, 0))), block / np.sqrt(weight)
 
 
 def _product(rng, dims):
@@ -461,11 +485,13 @@ def test_network_distances_match_the_dense_block(case, rank_tol):
     state, tree, n, shares = case
     ap = approx_state(state, tree, n, shares, rank_tol)
     ub = union_bound_check(state, tree, n, shares, rank_tol)
+    want, block = _oracle(state, tree, ap.projections)
+    # every drawn block fits the default cap, so the dense block is built
+    assert np.abs(ap.state.amplitudes - block).max() <= 1e-10
     if all(p.trivial for p in ap.projections):
         assert ap.achieved_distance == 0.0
         assert ub.lhs == 0.0
         return
-    want = _oracle_distance(state, tree, ap.projections)
     assert abs(ap.achieved_distance - want) <= 1e-10
     assert abs(ub.lhs - want) <= 1e-10
 
@@ -490,7 +516,7 @@ def test_network_carries_the_weight_below_the_rank_cutoff():
     assert [p.trivial for p in ap.projections] == [True, True, False]
     assert ap.projections[1].rank == 3
     assert ap.projections[1].dropped_weight > 1e-12
-    want = _oracle_distance(s, t, ap.projections)
+    want, _ = _oracle(s, t, ap.projections)
     assert abs(ap.achieved_distance - want) <= 1e-13
     ub = union_bound_check(s, t, 2, shares, rank_tol=1e-4)
     assert abs(ub.lhs - want) <= 1e-13
@@ -507,7 +533,7 @@ def test_masks_nested_three_deep_under_a_branching_root():
     shares = {e.label: 0.6 for e in t.edges}
     ap = approx_state(s, t, 2, shares)
     assert not any(p.trivial for p in ap.projections)
-    want = _oracle_distance(s, t, ap.projections)
+    want, _ = _oracle(s, t, ap.projections)
     assert abs(ap.achieved_distance - want) <= 1e-10
     assert abs(union_bound_check(s, t, 2, shares).lhs - want) <= 1e-10
 
@@ -526,7 +552,7 @@ def test_small_cuts_keep_their_relative_precision():
     for n in (1, 2, 3):
         ap = approx_state(s, t, n, shares)
         assert all(not p.trivial for p in ap.projections)
-        want = _oracle_distance(s, t, ap.projections)
+        want, _ = _oracle(s, t, ap.projections)
         assert 1e-5 < want < 1e-3
         assert abs(ap.achieved_distance - want) <= 1e-9 * want
 

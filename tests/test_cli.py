@@ -141,6 +141,24 @@ def test_cost_approx_threshold_file(w4_tree_path, tmp_path, capsys):
     assert by_edge[1]["threshold"] == 0.05
 
 
+def test_approx_budgets_equal_the_cost_upper_bounds(
+    w4_tree_path, tmp_path, capsys
+):
+    # the same shares through a thresholds file: every budget of approx is
+    # the upper bound of cost approx, to the last bit
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": 0.3, "2": 0.2, "3": 0.3}))
+    args = ["--tree", w4_tree_path, "--state", "random4:4", "--n", "2",
+            "--eps", "0.5", "--thresholds", str(th_path)]
+    code, out, _ = run_cli(["approx", *args], capsys)
+    assert code == 0
+    budgets = {row["edge"]: row["budget_bits"] for row in json.loads(out)["edges"]}
+    code, out, _ = run_cli(["cost", "approx", *args], capsys)
+    assert code == 0
+    uppers = {row["edge"]: row["upper"] for row in json.loads(out)["edges"]}
+    assert budgets == uppers
+
+
 def test_cost_approx_tiny_share_spends_nothing(w4_tree_path, tmp_path, capsys):
     # 1e-200 squares to a zero deficit, which allows no smoothing: the edge
     # keeps its exact rank like a zero share
@@ -545,10 +563,8 @@ def test_console_entry_point_smoke(w4_tree_path):
 # ------------------------------------------------------- recorded documents
 
 
-def _golden():
-    import golden_simulate
-
-    with gzip.open(golden_simulate.GOLDEN_PATH, "rt", encoding="utf-8") as fh:
+def _golden(module):
+    with gzip.open(module.GOLDEN_PATH, "rt", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -570,23 +586,36 @@ def _assert_documents_close(got, want, tol, where="$"):
         )
 
 
+def _replay(module, tmp_path):
+    golden = _golden(module)
+    assert sorted(golden) == sorted(name for name, *_ in module.CASES)
+    for name, tree, args, transcript in module.CASES:
+        code, out, text = module.run_case(tmp_path, tree, args, transcript)
+        want = golden[name]
+        assert code == want["code"] == 0, name
+        tol = module.GOLDEN_FLOAT_TOL
+        _assert_documents_close(
+            json.loads(out), json.loads(want["stdout"]), tol, name
+        )
+        if transcript:
+            _assert_documents_close(
+                json.loads(text), json.loads(want["transcript"]), tol, name
+            )
+
+
 def test_simulate_documents_match_the_recording(tmp_path):
     # sampled draws, forced branches, enumeration order, events and padded
     # resources on the W4 line and a mixed qubit/qutrit tree, against the
     # documents tests/golden_simulate.py recorded
-    from golden_simulate import CASES, GOLDEN_FLOAT_TOL, run_case
+    import golden_simulate
 
-    golden = _golden()
-    assert sorted(golden) == sorted(name for name, *_ in CASES)
-    for name, tree, args, transcript in CASES:
-        code, out, text = run_case(tmp_path, tree, args, transcript)
-        want = golden[name]
-        assert code == want["code"] == 0, name
-        _assert_documents_close(
-            json.loads(out), json.loads(want["stdout"]), GOLDEN_FLOAT_TOL, name
-        )
-        if transcript:
-            _assert_documents_close(
-                json.loads(text), json.loads(want["transcript"]),
-                GOLDEN_FLOAT_TOL, name,
-            )
+    _replay(golden_simulate, tmp_path)
+
+
+def test_approx_documents_match_the_recording(tmp_path):
+    # approx and cost approx on the W4 line and a qubit star: uniform and
+    # optimized shares, a rank tolerance, enumeration and a transcript,
+    # against the documents tests/golden_approx.py recorded
+    import golden_approx
+
+    _replay(golden_approx, tmp_path)

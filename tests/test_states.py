@@ -57,6 +57,43 @@ def test_pure_states_compare_by_dims_and_amplitudes():
     assert a.__eq__(a.amplitudes) is NotImplemented
 
 
+def _array_holders():
+    """Builders of each library object that holds arrays: two calls build
+    two distinct objects with equal contents."""
+    from treecost import (
+        approx_state,
+        build_program,
+        build_projection,
+        decompose,
+        mps_canonical_form,
+    )
+
+    t = line_tree(4)
+    w4 = make_named_state("w", 4)
+    return {
+        "TreeDecomposition": lambda: decompose(w4, t),
+        "CanonicalMPS": lambda: mps_canonical_form(w4, t),
+        "MeasurementProgram": lambda: build_program(decompose(w4, t)),
+        "DensityOperator": lambda: reduced_state(w4, [1, 2]),
+        "SchmidtData": lambda: schmidt_wrt_edge(w4, t, t.edge_by_label(1)),
+        "EdgeProjection": lambda: build_projection(
+            w4, t, t.edge_by_label(1), 2, 0.5
+        ),
+        "ApproxState": lambda: approx_state(w4, t, 2, {1: 0.5}),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(kind):
+    build = _array_holders()[kind]
+    x = build()
+    assert type(x).__name__ == kind
+    assert x == x
+    # the generated __eq__ would compare the arrays with == and raise
+    assert (x == build()) is False
+    assert x != build()
+
+
 def test_normalized_state_scales_and_rejects_zero():
     s = normalized_state(np.array([3.0, 4.0], dtype=complex), (2,))
     assert np.allclose(np.abs(s.amplitudes), [0.6, 0.8])
