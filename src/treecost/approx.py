@@ -44,7 +44,12 @@ import numpy as np
 
 from . import config
 from .costs import Spectrum, spectrum_entropy
-from .decomposition import TreeDecomposition, _contract_vertex, decompose
+from .decomposition import (
+    TreeDecomposition,
+    _check_rank_tol,
+    _contract_vertex,
+    decompose,
+)
 from .errors import (
     DegenerateDenominator,
     DimensionCapExceeded,
@@ -103,8 +108,7 @@ class EdgeProjection:
 def _decompose(s: PureState, t: RootedTree, rank_tol: float | None):
     """The one decompose sweep the projections and the network read: every
     cut kept down to the tighter of rank_tol and config.RANK_TOL."""
-    tol = config.RANK_TOL if rank_tol is None else rank_tol
-    return decompose(s, t, min(tol, config.RANK_TOL))
+    return decompose(s, t, min(_check_rank_tol(rank_tol), config.RANK_TOL))
 
 
 def _edge_projection(
@@ -121,7 +125,7 @@ def _edge_projection(
     if not 0.0 <= threshold < 1.0:
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
     coeffs = dec.schmidt_coeffs[e.label]
-    tol = config.RANK_TOL if rank_tol is None else rank_tol
+    tol = _check_rank_tol(rank_tol)
     rank = int(np.count_nonzero(coeffs > tol * coeffs.max()))
     cap = config.dim_cap()
     if rank**n > cap:

@@ -11,24 +11,41 @@ order
 
 where the trailing own-edge axis is absent at the root.
 
-decompose computes all of it in one leaves-to-root sweep, the hierarchical
-SVD (on a line, the tensor-train SVD).  A working tensor W starts as the
+decompose runs in two parts.
+
+The sweep is the hierarchical SVD (on a line, the tensor-train SVD) and
+yields ranks and Schmidt coefficients.  A working tensor W starts as the
 state tensor, one axis per party, and the vertices are visited in descending
 label order, so every child comes before its parent.  At a non-root vertex v
-one SVD of W, with v's party axis and its children's bond axes (ascending)
-flattened into the rows, gives U s Vh: U, shaped (d_v, child ranks..., r_v),
-is v's tensor, and those axes of W are replaced by one bond axis of v holding
-diag(s) Vh (kept as W's last axis, so a line needs no transposition).  W
-shrinks as the sweep climbs, and what is left at the root is the root's
-tensor.  The children's edge bases have orthonormal columns, so s
-is the Schmidt spectrum of the state at v's edge, and U expanded in the
-children's dense bases is the dense Schmidt basis of the subtree.
+the cut matrix M has v's party axis and its children's bond axes
+(ascending) flattened into its rows; one SVD M = U s Vh gives v's small
+factor U, shaped (d_v, child ranks..., r_v), and those axes of W are
+replaced by one bond axis of v holding diag(s) Vh = U^H M (kept as W's last
+axis, so a line needs no transposition).  W shrinks as the sweep climbs,
+and what is left at the root is the root's tensor.  The children's edge
+bases have orthonormal columns, so s is the Schmidt spectrum of the state
+at v's edge.  The sweep keeps per vertex only U and s, never a dense basis.
 
-Canonicalization acts on that dense basis: the phase and order rules of
-states._canonical_frame (the same rules schmidt_wrt_edge applies) are
-computed from it, and the same column phases and order are applied to U and
-to the rows of the new bond axis.  Edge bases and tensors therefore agree
+Route rule: W holds M^T, whose rows are the rest of the tree.  When M^T is
+at least twice as tall as wide and holds at least _QR_MIN_ENTRIES entries,
+U and s come from Chan's R-SVD, an SVD of the small triangular R of
+M^T = QR, and the new bond axis is the one product M^T conj(U); the tall
+Q and gesdd's tall singular-vector factor are never formed.  Smaller or
+squarer cuts take one gesdd call, whose factors give the bond axis.
+
+The canonical pass runs once, on the first read of tensors or edge_bases,
+and builds both.  Leaves to root, it expands each U in its children's
+dense edge bases (_contract_vertex), which gives the dense Schmidt basis of
+the subtree; the phase and order rules of states._canonical_frame (the
+same rules schmidt_wrt_edge applies) are computed from that basis and
+applied to U's own axis, and each child's phases and order are applied to
+its parent's U along that child's axis (and to the root tensor), as if the
+sweep had seen canonical bonds.  Edge bases and tensors therefore agree
 with per-cut Schmidt decompositions wherever the spectrum is nondegenerate.
+Ranks and Schmidt coefficients come from the sweep alone, so code that
+reads only them never builds a dense basis; the coefficients stay
+descending, also where the order rule reorders the columns of a group of
+coefficients equal to within config.SPECTRUM_MERGE_RTOL.
 
 Truncation: W is compressed at the tighter of rank_tol and config.RANK_TOL,
 so every cut sees the spectrum of the state itself, while ranks,
@@ -38,6 +55,7 @@ only the rows of its children's stored columns.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
 
@@ -48,6 +66,18 @@ from .errors import DimensionMismatch, MalformedTensors, NotALine
 from .states import PureState, _canonical_frame
 from .tree import RootedTree
 
+# Smallest cut, in entries of M^T, that takes the R-SVD route (which also
+# needs M^T at least twice as tall as wide: squarer, R is nearly as large
+# as M and the QR pass is overhead).  On one core (OpenBLAS 0.3.31,
+# complex128) R-SVD, bond product included, draws level with gesdd near
+# 2^10 entries in a warm process (512 x 2 and 256 x 4: 0.03 ms each) and
+# takes a quarter to a half of its time from 2^14 (8192 x 2: 0.13 vs
+# 0.49 ms; 1024 x 16: 0.38 vs 0.88 ms).  But the first QR call in a fresh
+# process pays about 0.2-0.5 ms to fault the routine in, which the gain
+# covers only from about 2^14 entries (first call, gesdd already warm:
+# 1024 x 4 0.27 vs 0.32 ms, 4096 x 4 0.69 vs 1.25 ms).
+_QR_MIN_ENTRIES = 2**14
+
 
 @dataclass(frozen=True, eq=False)
 class TreeDecomposition:
@@ -57,17 +87,56 @@ class TreeDecomposition:
     edge_bases[c] holds, for each non-root vertex c, the orthonormal basis
     of the subtree factor at the edge above c (columns, subtree parties
     ascending); ranks and schmidt_coeffs are keyed by edge label.
+
+    From decompose, ranks and schmidt_coeffs are plain dicts filled by the
+    sweep, while tensors and edge_bases are read-only mappings whose keys
+    are known up front: the first read of a value from either runs the
+    canonical pass once and builds both (see the module docstring).
+    decomposition_from_mps and dataclasses.replace take plain dicts.
     """
 
     tree: RootedTree
     dims: tuple[int, ...]
-    tensors: dict[int, np.ndarray]
-    edge_bases: dict[int, np.ndarray]
+    tensors: Mapping[int, np.ndarray]
+    edge_bases: Mapping[int, np.ndarray]
     ranks: dict[int, int]
     schmidt_coeffs: dict[int, np.ndarray]
 
     def subtree_dim(self, v: int) -> int:
         return prod(self.dims[u - 1] for u in self.tree.subtree(v))
+
+
+def _check_rank_tol(rank_tol: float | None) -> float:
+    """rank_tol, or config.RANK_TOL for None; refuses NaN and values
+    outside [0, 1)."""
+    if rank_tol is None:
+        return config.RANK_TOL
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank tolerance {rank_tol!r} outside [0, 1)")
+    return rank_tol
+
+
+def _compress(mat: np.ndarray, tol: float):
+    """Left factor U, singular values s above tol * s[0], and the
+    compressed rest (U^H M)^T = mat @ conj(U) of the cut matrix M = mat^T."""
+    m, n = mat.shape
+    bond = None
+    if m >= 2 * n and m * n >= _QR_MIN_ENTRIES:
+        _, sing, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"))
+        u = vh.T
+    elif m >= n:
+        bond, sing, ut = np.linalg.svd(mat, full_matrices=False)
+        u = ut.T
+    else:
+        u, sing, vh = np.linalg.svd(mat.T, full_matrices=False)
+        bond = vh.T
+    kept = int(np.count_nonzero(sing > tol * sing[0]))
+    u, sing = u[:, :kept], sing[:kept]
+    if bond is None:
+        bond = mat @ np.conj(u)
+    else:
+        bond = bond[:, :kept] * sing
+    return u, sing, bond
 
 
 def decompose(
@@ -76,75 +145,129 @@ def decompose(
     """Expand a state into per-vertex coefficient tensors over the tree."""
     if s.dims != t.dims:
         raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    if rank_tol is None:
-        rank_tol = config.RANK_TOL
+    rank_tol = _check_rank_tol(rank_tol)
     compress_tol = min(rank_tol, config.RANK_TOL)
     # axes of the working tensor: party v is v, the bond above vertex c is -c
     w = s.tensor
     axes = list(t.vertices)
-    # dense edge bases at the compressed ranks, which later vertices expand in
-    bases: dict[int, np.ndarray] = {}
-    tensors: dict[int, np.ndarray] = {}
-    edge_bases: dict[int, np.ndarray] = {}
+    # per vertex, its factor U and its stored coefficients
+    factors: dict[int, np.ndarray] = {}
+    stored: dict[int, np.ndarray] = {}
     ranks: dict[int, int] = {}
     coeffs: dict[int, np.ndarray] = {}
-
-    def kept_rows(children):
-        return tuple(slice(ranks[t.edge_above(c).label]) for c in children)
-
     for v in reversed(t.vertices[1:]):
-        children = t.children(v)
-        front = [axes.index(a) for a in [v] + [-c for c in children]]
+        front = [axes.index(a) for a in [v] + [-c for c in t.children(v)]]
         rest = [i for i in range(len(axes)) if i not in front]
         w = w.transpose(rest + front)
         rest_shape, rows = w.shape[: len(rest)], w.shape[len(rest) :]
-        # the cut matrix M is (rows, rest); w holds M^T = V s U^T, and
-        # LAPACK's SVD runs faster on the tall one of M and M^T
         mat = w.reshape(-1, prod(rows))
         del w
-        if mat.shape[0] >= mat.shape[1]:
-            vt, sing, ut = np.linalg.svd(mat, full_matrices=False)
-            u = ut.T
-        else:
-            u, sing, vh = np.linalg.svd(mat.T, full_matrices=False)
-            vt = vh.T
+        u, sing, bond = _compress(mat, compress_tol)
         del mat
-        kept = int(np.count_nonzero(sing > compress_tol * sing[0]))
-        rank = int(np.count_nonzero(sing[:kept] > rank_tol * sing[0]))
-        u, sing, vt = u[:, :kept], sing[:kept], vt[:, :kept]
-        basis = _contract_vertex(t, t.dims, v, u.reshape(rows + (kept,)), bases)
-        # canonical frame of the stored columns; the rest only feed W
-        phases, order = _canonical_frame(basis[:, :rank], sing[:rank])
-        order += range(rank, kept)
-        phases = np.concatenate([phases, np.ones(kept - rank)])
-        if order != sorted(order):
-            u, basis, vt = u[:, order], basis[:, order], vt[:, order]
-            sing, phases = sing[order], phases[order]
-        g = (u * np.conj(phases)).reshape(rows + (kept,))
-        basis *= np.conj(phases)
-        vt *= phases * sing
-        w = vt.reshape(rest_shape + (kept,))
+        w = bond.reshape(rest_shape + (sing.size,))
         axes = [axes[i] for i in rest] + [-v]
-
-        bases[v] = basis
         lab = t.edge_above(v).label
-        ranks[lab] = rank
-        coeffs[lab] = sing[:rank]
-        edge_bases[v] = basis[:, :rank]
-        if children:
-            tensors[v] = g[(slice(None),) + kept_rows(children) + (slice(rank),)]
-
+        ranks[lab] = int(np.count_nonzero(sing > rank_tol * sing[0]))
+        coeffs[lab] = stored[v] = sing[: ranks[lab]]
+        factors[v] = u.reshape(rows + (sing.size,))
     children = t.children(t.root)
-    g = w.transpose([axes.index(a) for a in [t.root] + [-c for c in children]])
-    tensors[t.root] = g[(slice(None),) + kept_rows(children)].copy()
+    factors[t.root] = w.transpose(
+        [axes.index(a) for a in [t.root] + [-c for c in children]]
+    )
+    canonical = _CanonicalPass(t, factors, stored)
+    below = t.vertices[:0:-1]
     return TreeDecomposition(
         tree=t,
         dims=t.dims,
-        tensors=tensors,
-        edge_bases=edge_bases,
+        tensors=_PassView(
+            canonical, 0, [v for v in below if t.children(v)] + [t.root]
+        ),
+        edge_bases=_PassView(canonical, 1, below),
         ranks=ranks,
         schmidt_coeffs=coeffs,
     )
+
+
+class _CanonicalPass:
+    """The canonical pass over one sweep's factors, run on first use."""
+
+    def __init__(self, *sweep):
+        self._sweep, self._built = sweep, None
+
+    def built(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+        if self._built is None:
+            self._built, self._sweep = _canonical_pass(*self._sweep), None
+        return self._built
+
+
+class _PassView(Mapping):
+    """Read-only view of one of the canonical pass's dicts: keys known up
+    front, values built on the first read."""
+
+    def __init__(self, source: _CanonicalPass, which: int, keys):
+        self._source, self._which, self._keys = source, which, tuple(keys)
+
+    def __getitem__(self, v):
+        return self._source.built()[self._which][v]
+
+    def __contains__(self, v):
+        return v in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _canonical_pass(t, factors, stored):
+    """Coefficient tensors and dense edge bases in the canonical frame,
+    from the sweep's factors and stored coefficients, both keyed by vertex
+    (see the module docstring)."""
+    # per vertex, the (order or None for no reordering, phases) taking its
+    # sweep columns to canonical ones, and its dense basis at the
+    # compressed width
+    frames: dict[int, tuple[list[int] | None, np.ndarray]] = {}
+    bases: dict[int, np.ndarray] = {}
+    tensors: dict[int, np.ndarray] = {}
+    edge_bases: dict[int, np.ndarray] = {}
+    for v in reversed(t.vertices):
+        children = t.children(v)
+        g = factors[v]
+        for axis, c in enumerate(children, start=1):
+            order, phases = frames[c]
+            if order is not None:
+                g = np.take(g, order, axis=axis)
+            shape = [1] * g.ndim
+            shape[axis] = -1
+            g = g * phases.reshape(shape)
+        kept_rows = tuple(slice(stored[c].size) for c in children)
+        if v == t.root:
+            tensors[v] = g[(slice(None),) + kept_rows].copy()
+            break
+        sing = stored[v]
+        rank, kept = sing.size, g.shape[-1]
+        basis = _contract_vertex(t, t.dims, v, g, bases)
+        # canonical frame of the stored columns; the columns past the rank
+        # only carry the rows the parent's factor was compressed over
+        phases, order = _canonical_frame(basis[:, :rank], sing)
+        order += range(rank, kept)
+        phases = np.concatenate([phases, np.ones(kept - rank)])[order]
+        if order != sorted(order):
+            g, basis = g[..., order], basis[:, order]
+        else:
+            order = None
+        g = g * np.conj(phases)
+        if children:
+            basis *= np.conj(phases)
+        else:
+            basis = g.reshape(basis.shape)  # a leaf's basis is its factor
+        frames[v] = (order, phases)
+        bases[v] = basis
+        edge_bases[v] = basis[:, :rank]
+        if children:
+            tensors[v] = g[(slice(None),) + kept_rows + (slice(rank),)]
+    return tensors, edge_bases
 
 
 def _check_shapes(d: TreeDecomposition) -> None:

@@ -97,20 +97,20 @@ def cut_matrix(amps, dims, front_parties):
     rows = int(np.prod([dims[p - 1] for p in front]))
     cols = int(np.prod([dims[p - 1] for p in rest]))
     mat = np.zeros((rows, cols), dtype=complex)
-    for idx, value in enumerate(amps):
-        digits = []
-        rem = idx
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        r = 0
-        for p in front:
-            r = r * dims[p - 1] + digits[p - 1]
-        c = 0
-        for p in rest:
-            c = c * dims[p - 1] + digits[p - 1]
-        mat[r, c] = value
+    # the digits of every flat index at once, least significant first
+    rem = np.arange(len(amps))
+    digits = []
+    for d in reversed(dims):
+        digits.append(rem % d)
+        rem = rem // d
+    digits.reverse()
+    r = np.zeros(len(amps), dtype=np.int64)
+    for p in front:
+        r = r * dims[p - 1] + digits[p - 1]
+    c = np.zeros(len(amps), dtype=np.int64)
+    for p in rest:
+        c = c * dims[p - 1] + digits[p - 1]
+    mat[r, c] = amps
     return mat
 
 
@@ -170,7 +170,9 @@ def expand_in_child_bases(tree, v, columns, bases):
         subs_in.append(flat[i] + rank[i])
         operands.append(bases[c].conj())
     subs_out = own + "".join(rank) + col
-    return np.einsum(",".join(subs_in) + "->" + subs_out, *operands)
+    return np.einsum(
+        ",".join(subs_in) + "->" + subs_out, *operands, optimize=True
+    )
 
 
 def dense_tree_decomposition(amps, tree, rank_tol=1e-9):

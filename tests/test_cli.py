@@ -126,6 +126,27 @@ def test_cost_approx_optimized_thresholds_honor_rank_tol(
         assert by_edge[lab]["upper"] == 0.0
 
 
+@pytest.mark.parametrize("tol", ["-1", "1", "2", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["cost", "exact"], ["cost", "approx", "--n", "2", "--eps", "0.5"],
+     ["simulate"], ["approx", "--n", "2", "--eps", "0.5"]],
+    ids=["cost-exact", "cost-approx", "simulate", "approx"],
+)
+def test_rank_tol_outside_zero_one_is_refused(
+    w4_tree_path, capsys, command, tol
+):
+    # -1 used to keep every cut at full rank (exit 0), 1 and 2 failed
+    # with "math domain error" and nan with a reshape error
+    code, out, err = run_cli(
+        [*command, "--tree", w4_tree_path, "--state", "w4", "--rank-tol", tol],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"rank tolerance {float(tol)!r} outside [0, 1)" in err
+
+
 def test_cost_approx_threshold_file(w4_tree_path, tmp_path, capsys):
     th_path = tmp_path / "thresholds.json"
     th_path.write_text(json.dumps({"1": 0.05, "2": 0.0, "3": 0.05}))
@@ -594,6 +615,9 @@ def _replay(module, tmp_path):
         want = golden[name]
         assert code == want["code"] == 0, name
         tol = module.GOLDEN_FLOAT_TOL
+        if tol is None:  # byte for byte
+            assert out == want["stdout"] and text == want["transcript"], name
+            continue
         _assert_documents_close(
             json.loads(out), json.loads(want["stdout"]), tol, name
         )
@@ -619,3 +643,12 @@ def test_approx_documents_match_the_recording(tmp_path):
     import golden_approx
 
     _replay(golden_approx, tmp_path)
+
+
+def test_cost_exact_documents_match_the_recording(tmp_path):
+    # cost exact on named lines, random and mixed trees, a nearly product
+    # state at --rank-tol 1e-4 and 14-qubit lines, byte for byte against
+    # the documents tests/golden_cost_exact.py recorded
+    import golden_cost_exact
+
+    _replay(golden_cost_exact, tmp_path)

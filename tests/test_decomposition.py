@@ -1,12 +1,15 @@
 """Tree tensor decomposition, canonical line form, and reconstruction."""
 
 import dataclasses
+import json
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from treecost.cli import main
 
 from treecost import (
     CanonicalMPS,
@@ -14,14 +17,17 @@ from treecost import (
     MalformedTensors,
     NotALine,
     TreeDecomposition,
+    approx_bounds,
     contract_mps,
     decompose,
     decomposition_from_mps,
     config,
+    exact_edge_cost,
     fidelity_pure,
     make_named_state,
     mps_canonical_form,
     normalized_state,
+    optimize_thresholds,
     recompose,
     root_and_relabel,
     schmidt_wrt_edge,
@@ -170,10 +176,7 @@ def _nondegenerate(coeffs):
     return bool(np.all(-np.diff(coeffs) > 1e-6))
 
 
-@settings(max_examples=200)
-@given(_tree_states(), st.sampled_from([1e-9, 1e-4]))
-def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
-    state, t = case
+def _assert_matches_the_dense_oracle(state, t, rank_tol):
     dec = decompose(state, t, rank_tol)
     ranks, coeffs, bases, tensors = dense_tree_decomposition(
         state.amplitudes, t, rank_tol
@@ -183,8 +186,11 @@ def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
         assert np.abs(dec.schmidt_coeffs[lab] - want).max() <= 1e-12
     for c, want in bases.items():
         got = dec.edge_bases[c]
-        proj = got @ got.conj().T - want @ want.conj().T
-        assert np.abs(proj).max() <= 1e-10
+        # the projectors' difference, 256 rows at a time
+        for i in range(0, len(got), 256):
+            proj = got[i : i + 256] @ got.conj().T
+            proj -= want[i : i + 256] @ want.conj().T
+            assert np.abs(proj).max() <= 1e-10
     for v, want in tensors.items():
         around = [t.edge_above(c).label for c in t.children(v)]
         if v != t.root:
@@ -195,6 +201,70 @@ def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
         assert fidelity_pure(recompose(dec), state) >= 1.0 - 1e-12
 
 
+@settings(max_examples=200)
+@given(_tree_states(), st.sampled_from([1e-9, 1e-4]))
+def test_sweep_matches_the_per_edge_dense_oracle(case, rank_tol):
+    _assert_matches_the_dense_oracle(*case, rank_tol)
+
+
+def _nearly_product(rng, dims):
+    amps = np.ones(1)
+    for d in dims:
+        amps = np.kron(amps, random_pure_state(rng, (d,)).amplitudes)
+    amps = amps + 1e-5 * random_pure_state(rng, dims).amplitudes
+    return normalized_state(amps, dims)
+
+
+def _large_cut_cases():
+    """14-qubit and 12-13-party qubit/qutrit instances of 2^14 to 2^15
+    amplitudes, whose leaf cuts take the sweep's R-SVD route.  Roots sit
+    near the middle, so no subtree spans more than 2^10 levels and the
+    oracle's projectors stay small."""
+    rng = np.random.default_rng(151)
+
+    def draw(n, dims):
+        while True:
+            t = random_tree(rng, n, dim_choices=dims)
+            big = max(prod(t.dims[u - 1] for u in t.subtree(v))
+                      for v in t.vertices[1:])
+            if 2**14 <= prod(t.dims) <= 2**15 and big <= 2**10:
+                return t
+
+    trees = {
+        "random-line-root7": line_tree(14, root=7),
+        "random-line-root8": line_tree(14, root=8),
+        "random-tree14": draw(14, (2,)),
+        "random-tree13-mixed": draw(13, (2, 2, 3)),
+        "random-tree12-mixed": draw(12, (2, 3)),
+    }
+    cases = [
+        pytest.param(random_pure_state(rng, t.dims), t, 1e-9, id=name)
+        for name, t in trees.items()
+    ]
+    for name, k in [("ghz", None), ("w", None), ("dicke", 3)]:
+        state = make_named_state(name, 14, k=k)
+        cases.append(pytest.param(state, line_tree(14, root=6), 1e-9, id=name))
+    for name, t in [("line", line_tree(14, root=8)), ("tree", draw(14, (2,)))]:
+        state = _nearly_product(rng, t.dims)
+        cases.append(pytest.param(state, t, 1e-4, id=f"nearly-product-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("state,t,rank_tol", _large_cut_cases())
+def test_large_cuts_match_the_per_edge_dense_oracle(
+    state, t, rank_tol, monkeypatch
+):
+    # hypothesis draws at most 6 parties, whose cuts never reach the
+    # R-SVD route; these instances take it at least once each
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(
+        np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw)
+    )
+    _assert_matches_the_dense_oracle(state, t, rank_tol)
+    assert calls
+
+
 @pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
 def test_decompose_memory_stays_near_the_state_size(name, k):
     # the dense edge bases it returns take about r times the state's bytes
@@ -203,11 +273,104 @@ def test_decompose_memory_stays_near_the_state_size(name, k):
     t = line_tree(16)
     tracemalloc.start()
     try:
-        decompose(s, t)
+        dec = decompose(s, t)
+        dec.tensors[t.root], dec.edge_bases[t.n]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * s.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
+def test_ranks_alone_stay_under_two_and_a_half_states(name, k):
+    # the sweep's leaf-side cuts take the R-SVD route, which forms neither
+    # tall factor, and no dense basis is built until tensors is read
+    s = make_named_state(name, 16, k=k)
+    t = line_tree(16)
+    tracemalloc.start()
+    try:
+        decompose(s, t).ranks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * s.amplitudes.nbytes
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """Calls of the canonical pass's two steps, counted by name."""
+    from treecost import decomposition
+
+    calls = {"_contract_vertex": 0, "_canonical_frame": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(decomposition, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(decomposition, name, counted)
+    return calls
+
+
+def test_rank_and_spectrum_readers_never_run_the_canonical_pass(
+    pass_calls, tmp_path, capsys
+):
+    rng = np.random.default_rng(157)
+    t = random_tree(rng, 6, dim_choices=(2, 3))
+    s = random_pure_state(rng, t.dims)
+    dec = decompose(s, t)
+    exact_edge_cost(dec)
+    approx_bounds(s, t, 3, 0.3)
+    approx_bounds(s, t, 2, 0.3, thresholds=optimize_thresholds(s, t, 0.3, 1e-4))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({
+        "parties": [{"id": str(i)} for i in range(1, 7)],
+        "edges": [[str(i), str(i + 1)] for i in range(1, 6)],
+        "root": "1",
+    }))
+    assert main(["cost", "exact", "--tree", str(tree), "--state", "w6"]) == 0
+    assert json.loads(capsys.readouterr().out)["total_bits"] == 5.0
+    assert pass_calls == {"_contract_vertex": 0, "_canonical_frame": 0}
+
+
+@pytest.mark.parametrize("first", ["tensors", "edge_bases"])
+def test_first_read_runs_the_canonical_pass_once_for_both(pass_calls, first):
+    rng = np.random.default_rng(163)
+    t = random_tree(rng, 7, dim_choices=(2, 3))
+    dec = decompose(random_pure_state(rng, t.dims), t)
+    # keys, lengths and membership are known without the pass
+    assert set(dec.edge_bases) == set(t.vertices) - {t.root}
+    assert t.root in dec.tensors and len(dec.tensors) == sum(
+        1 for v in t.vertices if v == t.root or t.children(v)
+    )
+    assert pass_calls == {"_contract_vertex": 0, "_canonical_frame": 0}
+    view = getattr(dec, first)
+    view[next(iter(view))]
+    once = {"_contract_vertex": t.n - 1, "_canonical_frame": t.n - 1}
+    assert pass_calls == once
+    for v in dec.tensors:
+        dec.tensors[v]
+    for c in dec.edge_bases:
+        dec.edge_bases[c]
+    assert pass_calls == once
+    with pytest.raises(TypeError):
+        dec.tensors[t.root] = None
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, float("nan"),
+                                      float("inf")])
+def test_decompose_refuses_rank_tol_outside_zero_one(rank_tol):
+    s = make_named_state("w", 4)
+    with pytest.raises(ValueError, match=f"rank tolerance {rank_tol!r}"):
+        decompose(s, line_tree(4), rank_tol)
+
+
+def test_decompose_accepts_rank_tol_in_zero_one():
+    # W4's cut spectra are (sqrt 3, 1)/2, (1, 1)/sqrt 2 and (sqrt 3, 1)/2;
+    # at 0 every nonzero singular value counts, round-off included
+    s = make_named_state("w", 4)
+    assert decompose(s, line_tree(4), 0.5).ranks == {1: 2, 2: 2, 3: 2}
+    assert decompose(s, line_tree(4), 0.99).ranks == {1: 1, 2: 2, 3: 1}
+    assert all(r >= 2 for r in decompose(s, line_tree(4), 0.0).ranks.values())
 
 
 def test_decompose_rejects_mismatched_dims():
