@@ -252,9 +252,9 @@ def _canonical_pass(t, factors, stored):
         # only carry the rows the parent's factor was compressed over
         phases, order = _canonical_frame(basis[:, :rank], sing)
         order += range(rank, kept)
-        phases = np.concatenate([phases, np.ones(kept - rank)])[order]
+        phases = np.concatenate([phases, np.ones(kept - rank)])
         if order != sorted(order):
-            g, basis = g[..., order], basis[:, order]
+            g, basis, phases = g[..., order], basis[:, order], phases[order]
         else:
             order = None
         g = g * np.conj(phases)
