@@ -124,7 +124,7 @@ def _compress(mat: np.ndarray, tol: float):
     if m >= 2 * n and m * n >= _QR_MIN_ENTRIES:
         _, sing, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"))
         u = vh.T
-    elif m >= n:
+    elif m >= n:  # gesdd runs faster on the tall one of M and M^T
         bond, sing, ut = np.linalg.svd(mat, full_matrices=False)
         u = ut.T
     else:
@@ -175,7 +175,7 @@ def decompose(
         [axes.index(a) for a in [t.root] + [-c for c in children]]
     )
     canonical = _CanonicalPass(t, factors, stored)
-    below = t.vertices[:0:-1]
+    below = t.vertices[:0:-1]  # the non-root vertices, descending
     return TreeDecomposition(
         tree=t,
         dims=t.dims,
