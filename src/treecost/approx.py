@@ -8,11 +8,13 @@ a nearby state whose cut ranks, and hence construction costs, are capped by
 the waterline exponents.  The final distance to the true n-copy state is
 checked against the root-sum-square of the shares.
 
-Everything here reads one decompose sweep of psi, compressed at the tighter
-of rank_tol and config.RANK_TOL.  Its edge basis B_e above vertex v is the
-cut's Schmidt basis down to that tolerance; the first rank columns (those
-above rank_tol) and their weights make projection e, and the columns
-beyond carry the rest of psi.  Its tensor A_v holds the coefficients of B_e
+Everything here reads the factors of one decompose sweep of psi,
+compressed at the tighter of rank_tol and config.RANK_TOL; the canonical
+pass runs only for EdgeProjection.basis, which EdgeProjection.matrix()
+reads.  The sweep's edge basis B_e above vertex v is the cut's Schmidt
+basis down to that tolerance, in the sweep's phases; the first rank columns
+(those above rank_tol) and their weights make projection e, and the columns
+beyond carry the rest of psi.  v's factor A_v holds the coefficients of B_e
 in |level> x the children's bases (at the root, of psi itself; at a leaf,
 A_v is B_e).  So psi^(x)n is the tree network of the A_v^(x)n, with bond e
 running over B_e^(x)n, |B_e|^n levels wide (tree tensor networks: Shi, Duan
@@ -29,7 +31,7 @@ projection is skipped, so its bond stays whole.
 to the root over bond environments |B_e|^n x |B_e|^n in size, as the
 weights the masks remove (_removed_weights).  Only ApproxState.state builds
 the dense block, by contracting the same masked network densely
-(_block_amplitudes).
+(_block_amplitudes, with decomposition._contract).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .costs import Spectrum, spectrum_entropy
 from .decomposition import (
     TreeDecomposition,
     _check_rank_tol,
-    _contract_vertex,
+    _contract,
     decompose,
 )
 from .errors import (
@@ -57,7 +59,7 @@ from .errors import (
     ZeroNorm,
 )
 from .protocol import build_program, simulate
-from .states import PureState, normalized_state
+from .states import PureState, _numerical_rank, normalized_state
 from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)
@@ -67,27 +69,32 @@ _LN2 = log(2.0)
 class EdgeProjection:
     """Spectral projection of one cut of the n-copy state.
 
-    basis holds the single-copy cut eigenvectors as columns and weights
-    their eigenvalues, the squared Schmidt coefficients; dropped_weight is
-    the cut's weight below the rank cutoff, outside the basis.  keep_mask
+    weights holds the cut's eigenvalues above the rank cutoff, the squared
+    Schmidt coefficients, and dropped_weight the weight below it.  keep_mask
     flags the kept product levels over n copies, shape (rank,) * n.  gamma
     is the budgeted exponent in bits for the whole block (infinite when the
     share allows no truncation and the projection is onto the exact
-    support).
+    support).  basis, the matching single-copy cut eigenvectors in the
+    canonical frame, is built from the decomposition on first read.
     """
 
     edge: int
     n: int
     threshold: float
     gamma: float
-    basis: np.ndarray
     weights: np.ndarray
     dropped_weight: float
     keep_mask: np.ndarray
+    _dec: TreeDecomposition = field(repr=False)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.weights.size
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        child = self._dec.tree.edge_by_label(self.edge).child
+        return self._dec.edge_bases[child][:, : self.rank]
 
     @property
     def kept(self) -> int:
@@ -125,8 +132,7 @@ def _edge_projection(
     if not 0.0 <= threshold < 1.0:
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
     coeffs = dec.schmidt_coeffs[e.label]
-    tol = _check_rank_tol(rank_tol)
-    rank = int(np.count_nonzero(coeffs > tol * coeffs.max()))
+    rank = _numerical_rank(coeffs, _check_rank_tol(rank_tol))
     cap = config.dim_cap()
     if rank**n > cap:
         raise DimensionCapExceeded(
@@ -150,10 +156,10 @@ def _edge_projection(
         n=int(n),
         threshold=float(threshold),
         gamma=gamma,
-        basis=dec.edge_bases[e.child][:, :rank],
         weights=probs,
         dropped_weight=float(np.sum(coeffs[rank:] ** 2)),
         keep_mask=np.asarray(mask).reshape((rank,) * n),
+        _dec=dec,
     )
 
 
@@ -309,7 +315,7 @@ def _bond_masks(
         if proj.trivial:
             continue
         v, n = t.edge_by_label(proj.edge).child, proj.n
-        width = dec.edge_bases[v].shape[1]
+        width = dec.factors[v].shape[-1]
         if width**n > cap:
             raise DimensionCapExceeded(
                 f"mask on edge {proj.edge} spans {width**n} levels, cap {cap}"
@@ -347,12 +353,12 @@ def _removed_weights(
             # nothing masked below: the columns of B_e^(x)n are orthonormal
             bra = ket = None
         else:
-            bra, ket = _environments(dec.tensors[v], pairs, n, v)
+            bra, ket = _environments(dec.factors[v], pairs, n, v)
         if v in masks:
             bra, ket = _masked(bra, ket, masks[v])
         below[v] = (bra, ket)
     pairs = [below.pop(c) for c in t.children(t.root)]
-    g = dec.tensors[t.root][..., None]
+    g = dec.factors[t.root][..., None]
     bra, ket = _environments(g, pairs, n, t.root)
     block = float(np.vdot(g, g).real) ** n
     return block, complex(bra.legs[0]), float(ket.legs[0].real)
@@ -371,26 +377,20 @@ def _block_amplitudes(
     dec: TreeDecomposition, masks: dict[int, np.ndarray], n: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """M psi^(x)n as a dense vector, with its party dimensions: the masked
-    network of the module docstring contracted from the leaves to the root
-    as decomposition.recompose contracts one copy.  Each party register
-    holds its n copies, copy 1 most significant."""
-    t = dec.tree
-    big_dims = tuple(d**n for d in t.dims)
+    network of the module docstring contracted from the leaves to the root.
+    Each party register holds its n copies, copy 1 most significant."""
+    big_dims = tuple(d**n for d in dec.dims)
     cap = config.dim_cap()
     if prod(big_dims) > cap:
         raise DimensionCapExceeded(
             f"block state dimension {prod(big_dims)} exceeds cap {cap}"
         )
-    vecs: dict[int, np.ndarray] = {}
-    for v in reversed(t.vertices):
-        g = dec.tensors[v] if v in dec.tensors else dec.edge_bases[v]
-        g = _copies(g[..., None] if v == t.root else g, n)
-        if v in masks:
-            g = g * masks[v].reshape(-1)
-        vecs[v] = _contract_vertex(t, big_dims, v, g, vecs)
-        for c in t.children(v):
-            del vecs[c]
-    return vecs[t.root][:, 0], big_dims
+
+    def tensor(v):
+        g = _copies(dec.factors[v], n)
+        return g * masks[v].reshape(-1) if v in masks else g
+
+    return _contract(dec.tree, big_dims, tensor), big_dims
 
 
 def _kept_weight(removed) -> float:

@@ -4,14 +4,13 @@ A state on a rooted tree is expanded vertex by vertex: each non-root vertex v
 contributes the Schmidt basis of the bipartition at its parent edge, and each
 nonleaf vertex carries a coefficient tensor expressing its own edge basis (or,
 at the root, the full state) in the product of its computational basis and its
-children's edge bases.  The coefficient tensor of vertex v is stored with axis
-order
+children's edge bases.  The tensor of vertex v is stored with axis order
 
     (own level l, child indices in ascending child order, own edge index)
 
 where the trailing own-edge axis is absent at the root.
 
-decompose runs in two parts.
+decompose runs in two parts; the second runs only for its readers.
 
 The sweep is the hierarchical SVD (on a line, the tensor-train SVD) and
 yields ranks and Schmidt coefficients.  A working tensor W starts as the
@@ -25,6 +24,9 @@ axis, so a line needs no transposition).  W shrinks as the sweep climbs,
 and what is left at the root is the root's tensor.  The children's edge
 bases have orthonormal columns, so s is the Schmidt spectrum of the state
 at v's edge.  The sweep keeps per vertex only U and s, never a dense basis.
+These U and the root's tensor are the factors, a tree network of the state
+in the SVDs' phases (a leaf's factor is its edge basis), which the protocol
+and block truncation read: they work in any orthonormal bond basis.
 
 Route rule: W holds M^T, whose rows are the rest of the tree.  When M^T is
 at least twice as tall as wide and holds at least _QR_MIN_ENTRIES entries,
@@ -50,20 +52,23 @@ coefficients equal to within config.SPECTRUM_MERGE_RTOL.
 Truncation: W is compressed at the tighter of rank_tol and config.RANK_TOL,
 so every cut sees the spectrum of the state itself, while ranks,
 coefficients, bases and tensors are stored at rank_tol; a stored tensor keeps
-only the rows of its children's stored columns.
+only the rows of its children's stored columns.  The factors keep the
+compressed widths; a reader trims them to the stored ranks.  Both cutoffs
+follow states._numerical_rank, whose floor keeps round-off out of the rank.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, MalformedTensors, NotALine
-from .states import PureState, _canonical_frame
+from .states import PureState, _canonical_frame, _numerical_rank
 from .tree import RootedTree
 
 # Smallest cut, in entries of M^T, that takes the R-SVD route (which also
@@ -81,18 +86,18 @@ _QR_MIN_ENTRIES = 2**14
 
 @dataclass(frozen=True, eq=False)
 class TreeDecomposition:
-    """Per-vertex coefficient tensors and per-edge Schmidt bases.
+    """Per-vertex tensors and per-edge Schmidt data.
 
-    tensors[v] is the combined coefficient tensor of nonleaf vertex v.
-    edge_bases[c] holds, for each non-root vertex c, the orthonormal basis
-    of the subtree factor at the edge above c (columns, subtree parties
-    ascending); ranks and schmidt_coeffs are keyed by edge label.
-
-    From decompose, ranks and schmidt_coeffs are plain dicts filled by the
-    sweep, while tensors and edge_bases are read-only mappings whose keys
-    are known up front: the first read of a value from either runs the
-    canonical pass once and builds both (see the module docstring).
-    decomposition_from_mps and dataclasses.replace take plain dicts.
+    factors[v] is vertex v's tensor in the sweep's gauge, (d_v, child
+    widths..., own width) with no own axis at the root, at the compressed
+    widths.  tensors[v] is the coefficient tensor of nonleaf vertex v in the
+    canonical frame, and edge_bases[c], for each non-root vertex c, the
+    orthonormal basis of the subtree factor at the edge above c (columns,
+    subtree parties ascending); ranks and schmidt_coeffs are keyed by edge
+    label.  From decompose, tensors and edge_bases are read-only mappings
+    whose keys are known up front: the first read of a value from either
+    runs the canonical pass once and builds both.  decomposition_from_mps
+    and dataclasses.replace take plain dicts.
     """
 
     tree: RootedTree
@@ -101,6 +106,7 @@ class TreeDecomposition:
     edge_bases: Mapping[int, np.ndarray]
     ranks: dict[int, int]
     schmidt_coeffs: dict[int, np.ndarray]
+    factors: dict[int, np.ndarray]
 
     def subtree_dim(self, v: int) -> int:
         return prod(self.dims[u - 1] for u in self.tree.subtree(v))
@@ -117,8 +123,8 @@ def _check_rank_tol(rank_tol: float | None) -> float:
 
 
 def _compress(mat: np.ndarray, tol: float):
-    """Left factor U, singular values s above tol * s[0], and the
-    compressed rest (U^H M)^T = mat @ conj(U) of the cut matrix M = mat^T."""
+    """Left factor U, the singular values s kept at tol, and the compressed
+    rest (U^H M)^T = mat @ conj(U) of the cut matrix M = mat^T."""
     m, n = mat.shape
     bond = None
     if m >= 2 * n and m * n >= _QR_MIN_ENTRIES:
@@ -130,7 +136,7 @@ def _compress(mat: np.ndarray, tol: float):
     else:
         u, sing, vh = np.linalg.svd(mat.T, full_matrices=False)
         bond = vh.T
-    kept = int(np.count_nonzero(sing > tol * sing[0]))
+    kept = _numerical_rank(sing, tol)
     u, sing = u[:, :kept], sing[:kept]
     if bond is None:
         bond = mat @ np.conj(u)
@@ -142,7 +148,8 @@ def _compress(mat: np.ndarray, tol: float):
 def decompose(
     s: PureState, t: RootedTree, rank_tol: float | None = None
 ) -> TreeDecomposition:
-    """Expand a state into per-vertex coefficient tensors over the tree."""
+    """Expand a state into per-vertex factors over the tree, with the
+    ranks and Schmidt coefficients of every edge."""
     if s.dims != t.dims:
         raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
     rank_tol = _check_rank_tol(rank_tol)
@@ -167,14 +174,14 @@ def decompose(
         w = bond.reshape(rest_shape + (sing.size,))
         axes = [axes[i] for i in rest] + [-v]
         lab = t.edge_above(v).label
-        ranks[lab] = int(np.count_nonzero(sing > rank_tol * sing[0]))
+        ranks[lab] = _numerical_rank(sing, rank_tol)
         coeffs[lab] = stored[v] = sing[: ranks[lab]]
         factors[v] = u.reshape(rows + (sing.size,))
     children = t.children(t.root)
     factors[t.root] = w.transpose(
         [axes.index(a) for a in [t.root] + [-c for c in children]]
     )
-    canonical = _CanonicalPass(t, factors, stored)
+    canonical = cache(lambda: _canonical_pass(t, factors, stored))
     below = t.vertices[:0:-1]  # the non-root vertices, descending
     return TreeDecomposition(
         tree=t,
@@ -185,30 +192,19 @@ def decompose(
         edge_bases=_PassView(canonical, 1, below),
         ranks=ranks,
         schmidt_coeffs=coeffs,
+        factors=factors,
     )
-
-
-class _CanonicalPass:
-    """The canonical pass over one sweep's factors, run on first use."""
-
-    def __init__(self, *sweep):
-        self._sweep, self._built = sweep, None
-
-    def built(self) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-        if self._built is None:
-            self._built, self._sweep = _canonical_pass(*self._sweep), None
-        return self._built
 
 
 class _PassView(Mapping):
     """Read-only view of one of the canonical pass's dicts: keys known up
-    front, values built on the first read."""
+    front, values built on the first read by source, the cached pass."""
 
-    def __init__(self, source: _CanonicalPass, which: int, keys):
+    def __init__(self, source, which: int, keys):
         self._source, self._which, self._keys = source, which, tuple(keys)
 
     def __getitem__(self, v):
-        return self._source.built()[self._which][v]
+        return self._source()[self._which][v]
 
     def __contains__(self, v):
         return v in self._keys
@@ -328,20 +324,33 @@ def _contract_vertex(
     return out.reshape(-1, n_cols)
 
 
-def recompose(d: TreeDecomposition) -> PureState:
-    """Rebuild the state a decomposition describes."""
-    _check_shapes(d)
-    t = d.tree
+def _contract(t: RootedTree, dims: tuple[int, ...], tensor) -> np.ndarray:
+    """The vector of a tree network, contracted from the leaves to the root.
+
+    tensor(v) is vertex v's tensor, shaped like a factor: (d_v, child
+    widths..., own width), with no own axis at the root.  Each child's
+    subtree vectors are freed once its parent has absorbed them.
+    """
     vecs: dict[int, np.ndarray] = {}
-    for v in sorted(t.vertices, reverse=True):
+    for v in reversed(t.vertices):
+        g = tensor(v)
         if v == t.root:
-            continue
-        if t.is_leaf(v):
-            vecs[v] = d.edge_bases[v]
-        else:
-            vecs[v] = _contract_vertex(t, d.dims, v, d.tensors[v], vecs)
-    root = d.tensors[t.root][..., None]
-    amps = _contract_vertex(t, d.dims, t.root, root, vecs)[:, 0]
+            g = g[..., None]
+        vecs[v] = _contract_vertex(t, dims, v, g, vecs)
+        for c in t.children(v):
+            del vecs[c]
+    return vecs[t.root][:, 0]
+
+
+def recompose(d: TreeDecomposition) -> PureState:
+    """Rebuild the state a decomposition describes from its canonical
+    tensors and edge bases, after checking their shapes."""
+    _check_shapes(d)
+    amps = _contract(
+        d.tree,
+        d.dims,
+        lambda v: d.tensors[v] if v in d.tensors else d.edge_bases[v],
+    )
     return PureState(amps, d.dims)
 
 
@@ -476,4 +485,5 @@ def decomposition_from_mps(m: CanonicalMPS) -> TreeDecomposition:
         edge_bases=edge_bases,
         ranks={k: bonds[k - 1] for k in range(1, n)},
         schmidt_coeffs={k: m.lambdas[k - 1] for k in range(1, n)},
+        factors={**tensors, n: edge_bases[n]},
     )

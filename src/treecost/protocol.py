@@ -6,21 +6,27 @@ two endpoint parties.  Pairs supplied above the needed rank are first
 compressed deterministically.  The parties then act one at a time in vertex
 label order: each non-root party undoes the displacement its parent
 announced, a nonleaf vertex measures its share of the surrounding registers
-with a complete family of operators built from its coefficient tensor and
-broadcasts the outcome to its children, and a leaf finishes with an
-isometry into its output space.
+with a complete family of operators built from its tensor and broadcasts
+the outcome to its children, and a leaf finishes with an isometry into its
+output space.
 
-Outcome j of vertex v is one base operator B, v's coefficient tensor,
-followed by a generalized Pauli D_c = Z^z_c X^x_c on each child's half of
-its pair; j encodes the pairs (x_c, z_c) in mixed radix, so a program
-stores only B and decodes j when it needs the pairs.  The K_v = prod r_c^2
-explicit operators are a view built on demand (vertex_ops).  The walk never
-attaches the pairs either: by (M x I)|Phi> = (I x M^T)|Phi>, outcome j maps
-the register psi to (x)_c D_c^T applied to B psi, where B acts on v's own
-edge axis and its child indices become the axes of the children's pair
-halves.  D_c^T is a gather of levels plus a phase.  Every outcome has the
-norm of B psi, so each conditional probability is 1/K_v, and a measuring
-vertex makes one product B psi per batch of branches.
+A program reads the decomposition's factors, not its canonical frame: the
+bases and leaf isometries are views of the factors trimmed to the true
+ranks, and the target is that network contracted once.  A correction
+undoes the transposed Pauli in any orthonormal bond basis, and every
+outcome of v has probability 1/K_v whatever the basis.
+
+Outcome j of vertex v is one base operator B, v's factor, followed by a
+generalized Pauli D_c = Z^z_c X^x_c on each child's half of its pair; j
+encodes the pairs (x_c, z_c) in mixed radix, so a program stores only B and
+decodes j when it needs the pairs.  The K_v = prod r_c^2 explicit operators
+are a view built on demand (vertex_ops).  The walk never attaches the pairs
+either: by (M x I)|Phi> = (I x M^T)|Phi>, outcome j maps the register psi
+to (x)_c D_c^T applied to B psi, where B acts on v's own edge axis and its
+child indices become the axes of the children's pair halves.  D_c^T is a
+gather of levels plus a phase.  Every outcome has the norm of B psi, so
+each conditional probability is 1/K_v, and a measuring vertex makes one
+product B psi per batch of branches.
 
 Sampling, a forced branch and full enumeration are one walk that differs
 only in which outcomes it follows, so a branch records the same events in
@@ -53,7 +59,7 @@ from math import log2, prod
 import numpy as np
 
 from . import config
-from .decomposition import TreeDecomposition, _require_line
+from .decomposition import TreeDecomposition, _contract, _require_line
 from .errors import (
     DimensionCapExceeded,
     InsufficientResource,
@@ -177,15 +183,15 @@ class MeasurementProgram:
     """Compiled protocol: the base operator of every measuring vertex, leaf
     isometries, and resource accounting.
 
-    bases[v] is the coefficient tensor of measuring vertex v as an operator
-    from its register to its level, shape (d_v, r_own, r_1, ..., r_k): the
-    input runs over its own edge index (r_own = 1 at the root) and its
-    children's edge indices ascending, at the true ranks.  Outcome j of v is
-    bases[v] (I x Z^z_1 X^x_1 x ... x Z^z_k X^x_k) / sqrt(C), C = r_1...r_k;
-    j runs over the per-child pairs (x_c, z_c) in mixed radix, child 1 most
+    bases[v] is the factor of measuring vertex v as an operator from its
+    register to its level, shape (d_v, r_own, r_1, ..., r_k): the input runs
+    over its own edge index (r_own = 1 at the root) and its children's edge
+    indices ascending, at the true ranks.  Outcome j of v is bases[v]
+    (I x Z^z_1 X^x_1 x ... x Z^z_k X^x_k) / sqrt(C), C = r_1...r_k; j runs
+    over the per-child pairs (x_c, z_c) in mixed radix, child 1 most
     significant and each pair as x_c r_c + z_c (outcome(v, j)), so v has
-    K_v = C^2 outcomes.  vertex_ops and outcomes are views that build every
-    outcome's operator and label on first read.
+    K_v = C^2 outcomes.  vertex_ops is a view that builds every outcome's
+    operator on first read.
     """
 
     tree: RootedTree
@@ -210,15 +216,6 @@ class MeasurementProgram:
         return tuple(_announced(ranks, i, j) for i in range(len(ranks)))
 
     @cached_property
-    def outcomes(self) -> dict[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """outcomes[v][j] is outcome(v, j), for every outcome of every
-        measuring vertex."""
-        return {
-            v: tuple(self.outcome(v, j) for j in range(self.outcome_count(v)))
-            for v in self.bases
-        }
-
-    @cached_property
     def vertex_ops(self) -> dict[int, np.ndarray]:
         """Every outcome's operator, stacked per vertex as (K_v, d_v,
         in_dim); each stack is checked against the dimension cap."""
@@ -235,41 +232,13 @@ class MeasurementProgram:
             ops[v] = _operators(base, np.arange(k))
         return ops
 
-    def _pad_columns(self, a: np.ndarray, labels: list[int]) -> np.ndarray:
-        """a with its columns, mixed-radix over the true ranks of the given
-        edges, placed at the same digits over their supplied ranks; the
-        padding columns are zero."""
-        ranks = [self.ranks[lab] for lab in labels]
-        out = np.zeros(
-            (a.shape[0], *(self.resources[lab] for lab in labels)), a.dtype
-        )
-        out[(slice(None), *(slice(r) for r in ranks))] = a.reshape(
-            a.shape[0], *ranks
-        )
-        return out.reshape(a.shape[0], -1)
-
-    def resource_operator(self, v: int, index: int) -> np.ndarray:
-        """Measurement operator j of vertex v on the supplied (padded)
-        register dimensions; padding levels map to zero columns."""
-        if not 0 <= index < self.outcome_count(v):
-            raise OutOfRangeIndex(f"operator index {index} at vertex {v}")
-        t = self.tree
-        edges = [] if v == t.root else [t.edge_above(v).label]
-        edges += [t.edge_above(c).label for c in t.children(v)]
-        op = _operators(self.bases[v], np.array([index]))[0]
-        return self._pad_columns(op, edges)
-
-    def resource_isometry(self, leaf: int) -> np.ndarray:
-        lab = self.tree.edge_above(leaf).label
-        return self._pad_columns(self.leaf_isometries[leaf], [lab])
-
 
 def build_program(
     dec: TreeDecomposition,
     resources: ResourceConfig | dict[int, int] | None = None,
 ) -> MeasurementProgram:
     """Compile the measurement family for every nonleaf vertex: its base
-    operator, a view of the vertex's coefficient tensor.
+    operator, a view of the vertex's factor trimmed to the true ranks.
 
     Each supplied rank must cover the edge's Schmidt rank; anything less
     cannot carry the correlations across that cut.
@@ -288,22 +257,21 @@ def build_program(
         if m < dec.ranks[e.label]:
             raise InsufficientResource(e.label, dec.ranks[e.label], m)
 
-    bases: dict[int, np.ndarray] = {}
+    # every factor cut to the stored ranks of its bonds
+    trimmed: dict[int, np.ndarray] = {}
     for v in t.vertices:
-        if t.is_leaf(v) and v != t.root:
-            continue
-        g = dec.tensors[v]
+        bonds = list(t.children(v)) + ([] if v == t.root else [v])
+        cut = (slice(dec.ranks[t.edge_above(c).label]) for c in bonds)
+        trimmed[v] = dec.factors[v][(slice(None), *cut)]
+    bases: dict[int, np.ndarray] = {}
+    leaf_isos: dict[int, np.ndarray] = {}
+    for v, g in trimmed.items():
         if v == t.root:
-            g = g[..., None]
-        bases[v] = np.moveaxis(g, -1, 1)
-
-    leaf_isos = {
-        v: dec.edge_bases[v]
-        for v in t.vertices
-        if t.is_leaf(v) and v != t.root
-    }
-    from .decomposition import recompose
-
+            bases[v] = np.moveaxis(g[..., None], -1, 1)
+        elif t.children(v):
+            bases[v] = np.moveaxis(g, -1, 1)
+        else:
+            leaf_isos[v] = g
     return MeasurementProgram(
         tree=t,
         dims=dec.dims,
@@ -311,7 +279,7 @@ def build_program(
         resources=supplies,
         bases=bases,
         leaf_isometries=leaf_isos,
-        target=recompose(dec),
+        target=PureState(_contract(t, dec.dims, trimmed.__getitem__), dec.dims),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -173,10 +174,10 @@ def make_named_state(
             raise IncompatibleDims("dicke needs the excitation count k")
         if not 0 <= k <= n:
             raise IncompatibleDims(f"dicke k={k} outside 0..{n}")
+        # the popcount of every index, party 1 the most significant bit
+        ones = reduce(np.add.outer, [np.arange(2, dtype=np.uint8)] * n)
         amps = np.zeros(total, dtype=np.complex128)
-        for idx in range(total):
-            if bin(idx).count("1") == k:
-                amps[idx] = 1.0
+        amps[np.reshape(ones, -1) == k] = 1.0
         amps /= sqrt(comb(n, k))
     elif name == "bell":
         if n != 2:
@@ -215,6 +216,19 @@ def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
     rho = mat @ mat.conj().T
     dims = tuple(s.dims[v - 1] for v in keep)
     return DensityOperator(rho, dims)
+
+
+# Relative floor under every rank cutoff.  An SVD leaves the singular values
+# of an exactly rank-deficient cut at round-off, which reaches 11 machine
+# epsilons of s[0] on an 18-qubit Dicke(3) line; 1024 epsilons (2.3e-13)
+# keeps them out of the rank at rank_tol 0.
+RANK_FLOOR = 1024 * np.finfo(float).eps
+
+
+def _numerical_rank(sing: np.ndarray, rank_tol: float) -> int:
+    """How many of the descending singular values sing count as rank: those
+    above max(rank_tol, RANK_FLOOR) * sing[0]."""
+    return int(np.count_nonzero(sing > max(rank_tol, RANK_FLOOR) * sing[0]))
 
 
 def _canonical_frame(u: np.ndarray, sing: np.ndarray):
@@ -270,7 +284,7 @@ def schmidt_wrt_edge(
     comp = sorted(rest)
     mat = _split_axes(s, sub)
     u, sing, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(sing > rank_tol * sing[0]))
+    rank = _numerical_rank(sing, rank_tol)
     dropped = float(np.sum(sing[rank:] ** 2))
     u, vh, sing = _canonicalize_vectors(u[:, :rank], vh[:rank, :], sing[:rank].copy())
     return SchmidtData(

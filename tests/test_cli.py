@@ -147,6 +147,17 @@ def test_rank_tol_outside_zero_one_is_refused(
     assert f"rank tolerance {float(tol)!r} outside [0, 1)" in err
 
 
+def test_cost_exact_rank_tol_zero_counts_no_round_off(w4_tree_path, capsys):
+    # edge 2 of the W4 line used to report rank 3 (1.58 bits) at 0
+    code, out, _ = run_cli(
+        ["cost", "exact", "--tree", w4_tree_path, "--state", "w4",
+         "--rank-tol", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["total_bits"] == 3.0
+
+
 def test_cost_approx_threshold_file(w4_tree_path, tmp_path, capsys):
     th_path = tmp_path / "thresholds.json"
     th_path.write_text(json.dumps({"1": 0.05, "2": 0.0, "3": 0.05}))

@@ -370,6 +370,17 @@ def test_decompose_accepts_rank_tol_in_zero_one():
     assert all(r >= 2 for r in decompose(s, line_tree(4), 0.0).ranks.values())
 
 
+def test_rank_tol_zero_counts_no_round_off():
+    # W4's edge 2 has singular values (1, 1)/sqrt 2 and a third of 3.9e-17
+    # left by round-off; at rank_tol 0 the floor of _numerical_rank keeps
+    # it out of the rank, on the sweep and on the per-edge route alike
+    s = make_named_state("w", 4)
+    t = line_tree(4)
+    assert decompose(s, t, 0.0).ranks == {1: 2, 2: 2, 3: 2}
+    for e in t.edges:
+        assert schmidt_wrt_edge(s, t, e, 0.0).rank == 2
+
+
 def test_decompose_rejects_mismatched_dims():
     with pytest.raises(DimensionMismatch):
         decompose(make_named_state("ghz", 3), line_tree(4))

@@ -23,6 +23,7 @@ from treecost import (
     correction_unitary,
     decompose,
     enumerate_branches,
+    fidelity_pure,
     generalized_pauli_x,
     generalized_pauli_z,
     make_named_state,
@@ -129,9 +130,10 @@ def test_program_operator_shapes_and_outcome_order():
         per_child = [
             [(x, z) for x in range(r) for z in range(r)] for r in child_ranks
         ]
-        assert prog.outcomes[v] == tuple(itertools.product(*per_child))
         assert prog.outcome_count(v) == k
-        assert [prog.outcome(v, j) for j in range(k)] == list(prog.outcomes[v])
+        assert [prog.outcome(v, j) for j in range(k)] == list(
+            itertools.product(*per_child)
+        )
         assert prog.bases[v].shape == (t.dim_of(v), own, *child_ranks)
     assert prog.branch_count == 64
     assert set(prog.leaf_isometries) == {4}
@@ -180,7 +182,9 @@ def test_operator_stacks_respect_the_dimension_cap(monkeypatch):
 
 def test_operator_stacks_match_the_kron_construction():
     # a stack is built by one gather and one phase; operator j must equal
-    # the base operator times I x Z^z X^x x ... over the children's (x, z)
+    # the base operator times I x Z^z X^x x ... over the children's (x, z).
+    # A program's bases are views of the sweep's factors, in the sweep's
+    # gauge, and its target is the input state.
     w4 = make_named_state("w", 4)
     instances = [
         (w4, line_tree(4)), (w4, line_tree(4, root=2)), _mixed_instance(227)
@@ -188,15 +192,16 @@ def test_operator_stacks_match_the_kron_construction():
     for state, t in instances:
         dec = decompose(state, t)
         prog = build_program(dec)
+        assert fidelity_pure(prog.target, state) >= 1.0 - 1e-12
         for v, ops in prog.vertex_ops.items():
             ranks = [dec.ranks[t.edge_above(c).label] for c in t.children(v)]
-            g = dec.tensors[v][..., None] if v == t.root else dec.tensors[v]
-            gm = np.moveaxis(g, -1, 1)
+            gm = prog.bases[v]
+            assert np.shares_memory(gm, dec.factors[v])
             base = gm.reshape(gm.shape[0], -1) / np.sqrt(np.prod(ranks))
-            assert len(ops) == len(prog.outcomes[v]) == np.prod(ranks) ** 2
-            for op, pairs in zip(ops, prog.outcomes[v]):
+            assert len(ops) == prog.outcome_count(v) == np.prod(ranks) ** 2
+            for j, op in enumerate(ops):
                 factors = [np.eye(gm.shape[1], dtype=complex)]
-                for (x, z), r in zip(pairs, ranks):
+                for (x, z), r in zip(prog.outcome(v, j), ranks):
                     factors.append(
                         generalized_pauli_z(r, z) @ generalized_pauli_x(r, x)
                     )
@@ -363,6 +368,77 @@ def test_large_random_instances_sample_without_outcome_tables(shape):
     else:
         assert k_max == 2**20
         assert peak < 8 * k_max
+
+
+@pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
+def test_construct_path_stays_under_four_states(name, k):
+    # decompose, build and sample read the sweep's factors: no dense edge
+    # basis is built, and the target is one contraction of the factors.
+    # A first run on 4 qubits loads what sampling imports on first use.
+    simulate(_program(make_named_state(name, 4, k=k), line_tree(4)))
+    s = make_named_state(name, 16, k=k)
+    t = line_tree(16)
+    tracemalloc.start()
+    try:
+        tr = simulate(build_program(decompose(s, t)), mode="sample", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.fidelity >= 1 - FIDELITY_TOL
+    assert peak < 4 * s.amplitudes.nbytes
+
+
+def test_construct_and_approx_paths_never_run_the_canonical_pass(
+    monkeypatch, tmp_path, capsys
+):
+    # programs and the n-copy network read the sweep's factors; only the
+    # readers of tensors, edge_bases and EdgeProjection.basis build them
+    import json
+
+    import treecost
+    from treecost import approx_state, construct_approx, union_bound_check
+    from treecost import decomposition, verify
+    from treecost.cli import main
+
+    calls = {"_canonical_pass": 0, "recompose": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(decomposition, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (decomposition, treecost, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    state, t = _mixed_instance(239)
+    prog = build_program(decompose(state, t))
+    assert check_completeness(prog).ok
+    simulate(prog, mode="sample", seed=2)
+    simulate(prog, mode="branch", outcomes={v: 1 for v in prog.bases})
+    assert len(simulate(prog, mode="enumerate")) == prog.branch_count
+    w4, line = make_named_state("w", 4), line_tree(4)
+    shares = {1: 0.3, 2: 0.2, 3: 0.3}
+    ap = approx_state(w4, line, 2, shares)
+    ap.state
+    union_bound_check(w4, line, 2, shares)
+    construct_approx(w4, line, 2, shares)
+    construct_approx(w4, line, 2, shares, enumerate_all=True)
+    tree = tmp_path / "w4.json"
+    tree.write_text(json.dumps({
+        "parties": [{"id": str(i)} for i in range(1, 5)],
+        "edges": [[str(i), str(i + 1)] for i in range(1, 4)],
+        "root": "1",
+    }))
+    common = ["--tree", str(tree), "--state", "w4"]
+    assert main(["simulate", *common, "--enumerate"]) == 0
+    assert main(["simulate", *common, "--seed", "3"]) == 0
+    assert main(["approx", *common, "--n", "2", "--eps", "0.3"]) == 0
+    capsys.readouterr()
+    assert calls == {"_canonical_pass": 0, "recompose": 0}
+    # a projection's dense basis is built by the pass, once
+    ap.projections[0].basis
+    ap.projections[1].matrix()
+    assert calls == {"_canonical_pass": 1, "recompose": 0}
 
 
 def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
@@ -585,35 +661,6 @@ def test_exact_resources_skip_compression():
     prog = w4_program()
     tr = simulate(prog, mode="sample", seed=0)
     assert all(e.kind != "compress" for e in tr.events)
-
-
-def test_padded_operator_embeds_with_zero_padding_columns():
-    t = line_tree(3)
-    s = make_named_state("ghz", 3)
-    dec = decompose(s, t)
-    prog = build_program(dec, {1: 3, 2: 4})
-    # vertex 2 reads its own edge (rank 2 of 3) and child edge (rank 2 of 4)
-    full = prog.resource_operator(2, 1)
-    ops = prog.vertex_ops[2]
-    assert full.shape == (2, 12)
-    for own in range(3):
-        for child in range(4):
-            col = full[:, own * 4 + child]
-            if own < 2 and child < 2:
-                assert np.allclose(col, ops[1][:, own * 2 + child])
-            else:
-                assert np.allclose(col, 0.0)
-    with pytest.raises(OutOfRangeIndex):
-        prog.resource_operator(2, 99)
-
-
-def test_padded_isometry_embeds_the_leaf_basis():
-    t = line_tree(3)
-    prog = _program(make_named_state("ghz", 3), t, resources={1: 2, 2: 6})
-    iso = prog.resource_isometry(3)
-    assert iso.shape == (2, 6)
-    assert np.allclose(iso[:, :2], prog.leaf_isometries[3])
-    assert np.allclose(iso[:, 2:], 0.0)
 
 
 # ------------------------------------------------------------- corrections

@@ -130,6 +130,22 @@ def test_named_ghz_dicke_bell_product():
     assert p.amplitudes[0] == 1.0 and np.count_nonzero(p.amplitudes) == 1
 
 
+def test_named_dicke_matches_the_index_loop():
+    # the amplitudes come from a vectorized popcount; the oracle is the
+    # loop over every basis index that counts its ones
+    from math import comb, sqrt
+
+    for n in range(1, 13):
+        for k in range(n + 1):
+            want = np.zeros(2**n, dtype=np.complex128)
+            for idx in range(2**n):
+                if bin(idx).count("1") == k:
+                    want[idx] = 1.0
+            want /= sqrt(comb(n, k))
+            got = make_named_state("dicke", n, k=k).amplitudes
+            assert np.array_equal(got, want), (n, k)
+
+
 def test_named_random_is_seeded_and_normalized():
     a = make_named_state("random", 3, seed=5)
     b = make_named_state("random", 3, seed=5)
