@@ -32,8 +32,13 @@ Route rule: W holds M^T, whose rows are the rest of the tree.  When M^T is
 at least twice as tall as wide and holds at least _QR_MIN_ENTRIES entries,
 U and s come from Chan's R-SVD, an SVD of the small triangular R of
 M^T = QR, and the new bond axis is the one product M^T conj(U); the tall
-Q and gesdd's tall singular-vector factor are never formed.  Smaller or
-squarer cuts take one gesdd call, whose factors give the bond axis.
+Q and gesdd's tall singular-vector factor are never formed.  R is taken
+block by block (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+Comput. 34, A206 (2012)): each block of _QR_BLOCK_ENTRIES entries of the
+C-ordered rows of M^T is reduced to its R, and the stacked R factors are
+reduced again until one block holds them, so M^T is never copied whole.
+Smaller or squarer cuts take one gesdd call, whose factors give the bond
+axis.
 
 The canonical pass runs once, on the first read of tensors or edge_bases,
 and builds both.  Leaves to root, it expands each U in its children's
@@ -71,17 +76,26 @@ from .errors import DimensionMismatch, MalformedTensors, NotALine
 from .states import PureState, _canonical_frame, _numerical_rank
 from .tree import RootedTree
 
-# Smallest cut, in entries of M^T, that takes the R-SVD route (which also
-# needs M^T at least twice as tall as wide: squarer, R is nearly as large
-# as M and the QR pass is overhead).  On one core (OpenBLAS 0.3.31,
-# complex128) R-SVD, bond product included, draws level with gesdd near
-# 2^10 entries in a warm process (512 x 2 and 256 x 4: 0.03 ms each) and
-# takes a quarter to a half of its time from 2^14 (8192 x 2: 0.13 vs
-# 0.49 ms; 1024 x 16: 0.38 vs 0.88 ms).  But the first QR call in a fresh
-# process pays about 0.2-0.5 ms to fault the routine in, which the gain
-# covers only from about 2^14 entries (first call, gesdd already warm:
-# 1024 x 4 0.27 vs 0.32 ms, 4096 x 4 0.69 vs 1.25 ms).
+# Smallest cut, in entries of M^T, that takes the R-SVD route, which also
+# needs M^T at least twice as tall as wide.  R-SVD (blocked R, bond
+# product included) against gesdd on one core (OpenBLAS 0.3.31,
+# complex128, cuts of rank n/2): warm, the two draw level near 2^10
+# entries (256 x 4: 0.039 ms each) and R-SVD takes a third of the time
+# from 2^13 (2048 x 4: 0.098 vs 0.296 ms).  As the first call of both in a
+# freshly forked process, as each benchmark job runs, both pay about 1 ms
+# to fault their routines in; they draw level at 2^13 (2048 x 4: 1.49 vs
+# 1.55 ms) and R-SVD wins from 2^14 (4096 x 4: 1.69 vs 2.11 ms).  On full
+# rank cuts it loses when square (64 x 64: 1.11 vs 0.95 ms warm, 2.96 vs
+# 2.13 ms forked) and wins or draws from twice as tall (128 x 64: 1.82 vs
+# 2.20 ms warm, 2.96 vs 2.89 ms forked).
 _QR_MIN_ENTRIES = 2**14
+# Entries per row block of the blocked R: 128 KiB of complex128, and at
+# least 4 rows per column, so each round at least halves the stack.  The
+# first decompose(...).ranks in a forked process on GHZ / W / Dicke(2)
+# N=18 lines took 21.7 / 21.7 / 26.2 ms at 2^12, 19.7 / 19.7 / 24.1 ms at
+# 2^13 and 24.9 / 25.5 / 29.7 ms at 2^14 (whole-matrix QR: 29.5 / 30.9 /
+# 36.6 ms); warm, 2^14 reads about 10% faster than 2^13.
+_QR_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,11 +138,15 @@ def _check_rank_tol(rank_tol: float | None) -> float:
 
 def _compress(mat: np.ndarray, tol: float):
     """Left factor U, the singular values s kept at tol, and the compressed
-    rest (U^H M)^T = mat @ conj(U) of the cut matrix M = mat^T."""
+    rest (U^H M)^T = mat @ conj(U) of the cut matrix M = mat^T.
+
+    Large tall cuts take U and s from the SVD of the blocked R of mat and
+    the rest from one product with mat; the others take one gesdd call
+    (see Route rule in the module docstring)."""
     m, n = mat.shape
     bond = None
     if m >= 2 * n and m * n >= _QR_MIN_ENTRIES:
-        _, sing, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"))
+        _, sing, vh = np.linalg.svd(_blocked_r(mat))
         u = vh.T
     elif m >= n:  # gesdd runs faster on the tall one of M and M^T
         bond, sing, ut = np.linalg.svd(mat, full_matrices=False)
@@ -143,6 +161,20 @@ def _compress(mat: np.ndarray, tol: float):
     else:
         bond = bond[:, :kept] * sing
     return u, sing, bond
+
+
+def _blocked_r(mat: np.ndarray) -> np.ndarray:
+    """R of mat = QR from the QRs of row blocks of mat (TSQR): the R
+    factors of the blocks are stacked and reduced again until one block
+    holds them, so no copy of the whole of mat is made."""
+    n = mat.shape[1]
+    step = max(_QR_BLOCK_ENTRIES // n, 4 * n)
+    while mat.shape[0] > step:
+        mat = np.concatenate([
+            np.linalg.qr(mat[i : i + step], mode="r")
+            for i in range(0, mat.shape[0], step)
+        ])
+    return np.linalg.qr(mat, mode="r")
 
 
 def decompose(
