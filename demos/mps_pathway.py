@@ -50,7 +50,7 @@ print(f"  ranks from generic {dec_gen.ranks}")
 print()
 for name, dec in [("mps", dec_mps), ("generic", dec_gen)]:
     program = build_program(dec)
-    branches = simulate(program, mode="enumerate", record_events=False)
+    branches = simulate(program, mode="enumerate")
     fid = min(b.fidelity for b in branches)
     print(f"  {name:7s} pathway: {len(branches)} branches, "
           f"min fidelity {fid:.12f}")

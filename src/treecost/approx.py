@@ -380,11 +380,6 @@ def _block_amplitudes(
     network of the module docstring contracted from the leaves to the root.
     Each party register holds its n copies, copy 1 most significant."""
     big_dims = tuple(d**n for d in dec.dims)
-    cap = config.dim_cap()
-    if prod(big_dims) > cap:
-        raise DimensionCapExceeded(
-            f"block state dimension {prod(big_dims)} exceeds cap {cap}"
-        )
 
     def tensor(v):
         g = _copies(dec.factors[v], n)

@@ -14,11 +14,10 @@ import json
 import os
 import re
 import sys
-from math import log2
 
 from . import config
 from .approx import construct_approx
-from .costs import approx_bounds, figure_data, optimize_thresholds
+from .costs import approx_bounds, exact_edge_cost, figure_data, optimize_thresholds
 from .decomposition import decompose
 from .errors import IncompatibleDims, InsufficientResource, TreecostError, UnknownRoot
 from .protocol import build_program, simulate
@@ -172,12 +171,8 @@ def _cmd_cost_exact(args) -> int:
     state = _parse_state(args.state, tree)
     dec = decompose(state, tree, args.rank_tol)
     rows = [
-        {
-            "edge": lab,
-            "rank": dec.ranks[lab],
-            "bits": float(log2(dec.ranks[lab])),
-        }
-        for lab in sorted(dec.ranks)
+        {"edge": lab, "rank": dec.ranks[lab], "bits": bits}
+        for lab, bits in exact_edge_cost(dec).items()
     ]
     _emit(
         {

@@ -41,18 +41,18 @@ Smaller or squarer cuts take one gesdd call, whose factors give the bond
 axis.
 
 The canonical pass runs once, on the first read of tensors or edge_bases,
-and builds both.  Leaves to root, it expands each U in its children's
-dense edge bases (_contract_vertex), which gives the dense Schmidt basis of
-the subtree; the phase and order rules of states._canonical_frame (the
-same rules schmidt_wrt_edge applies) are computed from that basis and
-applied to U's own axis, and each child's phases and order are applied to
-its parent's U along that child's axis (and to the root tensor), as if the
-sweep had seen canonical bonds.  Edge bases and tensors therefore agree
-with per-cut Schmidt decompositions wherever the spectrum is nondegenerate.
-Ranks and Schmidt coefficients come from the sweep alone, so code that
-reads only them never builds a dense basis; the coefficients stay
-descending, also where the order rule reorders the columns of a group of
-coefficients equal to within config.SPECTRUM_MERGE_RTOL.
+and builds both.  One cascade, _subtree_bases, expands each non-root factor
+in its children's bases (_contract_vertex), leaves to root, into the dense
+Schmidt basis of its subtree in the sweep's phases.  Each vertex's frame,
+by the phase and order rules of states._canonical_frame (the rules
+schmidt_wrt_edge applies), is computed from that basis and applied once:
+to the basis's columns, in place once its parent has absorbed it, and to
+copies of the factors along its own axis and its parent's, as if the sweep
+had seen canonical bonds.  Edge bases and tensors thus agree with per-cut
+Schmidt decompositions wherever the spectrum is nondegenerate.  Ranks and
+Schmidt coefficients come from the sweep alone, so code that reads only
+them builds no dense basis; the coefficients stay descending, also where
+the order rule reorders a group equal within config.SPECTRUM_MERGE_RTOL.
 
 Truncation: W is compressed at the tighter of rank_tol and config.RANK_TOL,
 so every cut sees the spectrum of the state itself, while ranks,
@@ -72,7 +72,12 @@ from math import prod
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, MalformedTensors, NotALine
+from .errors import (
+    DimensionCapExceeded,
+    DimensionMismatch,
+    MalformedTensors,
+    NotALine,
+)
 from .states import PureState, _canonical_frame, _numerical_rank
 from .tree import RootedTree
 
@@ -108,10 +113,10 @@ class TreeDecomposition:
     canonical frame, and edge_bases[c], for each non-root vertex c, the
     orthonormal basis of the subtree factor at the edge above c (columns,
     subtree parties ascending); ranks and schmidt_coeffs are keyed by edge
-    label.  From decompose, tensors and edge_bases are read-only mappings
-    whose keys are known up front: the first read of a value from either
-    runs the canonical pass once and builds both.  decomposition_from_mps
-    and dataclasses.replace take plain dicts.
+    label.  tensors and edge_bases are read-only mappings whose keys are
+    known up front: the first read of a value from either builds both once
+    (from decompose, by the canonical pass), refused past config.dim_cap().
+    dataclasses.replace takes plain dicts.
     """
 
     tree: RootedTree
@@ -229,8 +234,8 @@ def decompose(
 
 
 class _PassView(Mapping):
-    """Read-only view of one of the canonical pass's dicts: keys known up
-    front, values built on the first read by source, the cached pass."""
+    """Read-only view of one dict of a cached pass, source: keys known up
+    front, values built on the first read of any of them."""
 
     def __init__(self, source, which: int, keys):
         self._source, self._which, self._keys = source, which, tuple(keys)
@@ -252,50 +257,39 @@ def _canonical_pass(t, factors, stored):
     """Coefficient tensors and dense edge bases in the canonical frame,
     from the sweep's factors and stored coefficients, both keyed by vertex
     (see the module docstring)."""
-    # per vertex, the (order or None for no reordering, phases) taking its
-    # sweep columns to canonical ones, and its dense basis at the
-    # compressed width
-    frames: dict[int, tuple[list[int] | None, np.ndarray]] = {}
-    bases: dict[int, np.ndarray] = {}
-    tensors: dict[int, np.ndarray] = {}
+    # per non-root vertex, the order and phases that take the sweep's
+    # columns of its basis to the stored canonical ones
+    frames: dict[int, tuple[list[int], np.ndarray]] = {}
     edge_bases: dict[int, np.ndarray] = {}
-    for v in reversed(t.vertices):
-        children = t.children(v)
-        g = factors[v]
-        for axis, c in enumerate(children, start=1):
-            order, phases = frames[c]
-            if order is not None:
-                g = np.take(g, order, axis=axis)
-            shape = [1] * g.ndim
-            shape[axis] = -1
-            g = g * phases.reshape(shape)
-        kept_rows = tuple(slice(stored[c].size) for c in children)
-        if v == t.root:
-            tensors[v] = g[(slice(None),) + kept_rows].copy()
-            break
-        sing = stored[v]
-        rank, kept = sing.size, g.shape[-1]
-        basis = _contract_vertex(t, t.dims, v, g, bases)
-        # canonical frame of the stored columns; the columns past the rank
-        # only carry the rows the parent's factor was compressed over
-        phases, order = _canonical_frame(basis[:, :rank], sing)
-        order += range(rank, kept)
-        phases = np.concatenate([phases, np.ones(kept - rank)])
-        if order != sorted(order):
-            g, basis, phases = g[..., order], basis[:, order], phases[order]
-        else:
-            order = None
-        g = g * np.conj(phases)
-        if children:
-            basis *= np.conj(phases)
-        else:
-            basis = g.reshape(basis.shape)  # a leaf's basis is its factor
-        frames[v] = (order, phases)
-        bases[v] = basis
-        edge_bases[v] = basis[:, :rank]
-        if children:
-            tensors[v] = g[(slice(None),) + kept_rows + (slice(rank),)]
+    for v, basis in _subtree_bases(t, t.dims, factors.__getitem__):
+        rank = stored[v].size
+        phases, order = _canonical_frame(basis[:, :rank], stored[v])
+        frames[v] = order, np.conj(phases[order])
+        # a leaf's basis is a view of its factor
+        edge_bases[v] = basis if t.children(v) else basis.copy()
+        for c in t.children(v):  # absorbed by v, so free to be reframed
+            edge_bases[c] = _reframe(edge_bases[c], -1, *frames[c])
+    for c in t.children(t.root):
+        edge_bases[c] = _reframe(edge_bases[c], -1, *frames[c])
+    tensors: dict[int, np.ndarray] = {}
+    for v in t.vertices:
+        if v == t.root or t.children(v):
+            g = factors[v].copy()
+            for axis, c in enumerate(t.children(v), start=1):
+                order, phases = frames[c]
+                g = _reframe(g, axis, order, np.conj(phases))
+            tensors[v] = _reframe(g, -1, *frames[v]) if v in frames else g
     return tensors, edge_bases
+
+
+def _reframe(a: np.ndarray, axis: int, order, phases) -> np.ndarray:
+    """a's entries order along axis times phases, written into a: returns
+    the view of a cut to len(order) along axis that holds them."""
+    cut = np.moveaxis(a, axis, -1)[..., : len(order)]
+    if order != sorted(order):
+        cut[...] = cut[..., order]
+    cut *= phases
+    return np.moveaxis(cut, -1, axis)
 
 
 def _check_shapes(d: TreeDecomposition) -> None:
@@ -356,22 +350,31 @@ def _contract_vertex(
     return out.reshape(-1, n_cols)
 
 
-def _contract(t: RootedTree, dims: tuple[int, ...], tensor) -> np.ndarray:
-    """The vector of a tree network, contracted from the leaves to the root.
-
-    tensor(v) is vertex v's tensor, shaped like a factor: (d_v, child
-    widths..., own width), with no own axis at the root.  Each child's
-    subtree vectors are freed once its parent has absorbed them.
-    """
+def _subtree_bases(t: RootedTree, dims: tuple[int, ...], tensor):
+    """Leaves to root, each non-root vertex v with its subtree's vectors,
+    (subtree dimension, own width): tensor(v), shaped like a factor,
+    expanded in its children's vectors (_contract_vertex), which are then
+    dropped; a leaf's are a view of its tensor.  A network past
+    config.dim_cap() is refused before anything is built."""
+    size, cap = prod(dims), config.dim_cap()
+    if size > cap:
+        raise DimensionCapExceeded(f"state dimension {size} exceeds cap {cap}")
     vecs: dict[int, np.ndarray] = {}
-    for v in reversed(t.vertices):
-        g = tensor(v)
-        if v == t.root:
-            g = g[..., None]
-        vecs[v] = _contract_vertex(t, dims, v, g, vecs)
+    for v in t.vertices[:0:-1]:
+        vecs[v] = _contract_vertex(t, dims, v, tensor(v), vecs)
         for c in t.children(v):
             del vecs[c]
-    return vecs[t.root][:, 0]
+        yield v, vecs[v]
+
+
+def _contract(t: RootedTree, dims: tuple[int, ...], tensor) -> np.ndarray:
+    """The vector of a tree network, contracted from the leaves to the root:
+    tensor(v) is vertex v's tensor, shaped like a factor, (d_v, child
+    widths..., own width), with no own axis at the root."""
+    bases = _subtree_bases(t, dims, tensor)
+    tops = {v: vecs for v, vecs in bases if t.parent(v) == t.root}
+    g = tensor(t.root)[..., None]
+    return _contract_vertex(t, dims, t.root, g, tops)[:, 0]
 
 
 def recompose(d: TreeDecomposition) -> PureState:
@@ -455,67 +458,62 @@ def mps_canonical_form(
     )
 
 
-def contract_mps(m: CanonicalMPS) -> PureState:
-    """Fold the site tensors and bond weights back into a dense state."""
-    n = len(m.dims)
-    t = m.gammas[0] * m.lambdas[0][None, :]
-    for k in range(2, n):
-        t = np.tensordot(t, m.gammas[k - 1], axes=(t.ndim - 1, 0))
-        t = t * m.lambdas[k - 1]
-    t = np.tensordot(t, m.gammas[n - 1], axes=(t.ndim - 1, 0))
-    return PureState(t.reshape(-1), m.dims)
-
-
-def decomposition_from_mps(m: CanonicalMPS) -> TreeDecomposition:
-    """Per-vertex tensors of the line tree read off a canonical form."""
-    t = m.tree
+def _mps_factors(m: CanonicalMPS) -> dict[int, np.ndarray]:
+    """The line tree's factors of a canonical form, after checking its
+    shapes: each site tensor times the weights of the bond to its right, as
+    (d_k, r_k, r_{k-1}), and the last one transposed to (d_N, r_{N-1})."""
     n = len(m.dims)
     if len(m.gammas) != n or len(m.lambdas) != n - 1:
         raise MalformedTensors(
             f"{len(m.gammas)} site tensors / {len(m.lambdas)} bonds for {n} parties"
         )
-    bonds = [lam.size for lam in m.lambdas]
-    if m.gammas[0].shape != (m.dims[0], bonds[0]):
-        raise MalformedTensors("first site tensor does not match bond 1")
-    for k in range(2, n):
-        want = (bonds[k - 2], m.dims[k - 1], bonds[k - 1])
-        if m.gammas[k - 1].shape != want:
+    bonds = tuple(lam.size for lam in m.lambdas)
+    for k, g in enumerate(m.gammas):
+        want = bonds[max(k - 1, 0) : k] + m.dims[k : k + 1] + bonds[k : k + 1]
+        if g.shape != want:
             raise MalformedTensors(
-                f"site {k} tensor shape {m.gammas[k - 1].shape}, expected {want}"
+                f"site {k + 1} tensor shape {g.shape}, expected {want}"
             )
-    if m.gammas[n - 1].shape != (bonds[n - 2], m.dims[n - 1]):
-        raise MalformedTensors("last site tensor does not match its bond")
-
-    tensors: dict[int, np.ndarray] = {}
-    tensors[1] = m.gammas[0] * m.lambdas[0][None, :]
+    factors = {1: m.gammas[0] * m.lambdas[0][None, :]}
     for k in range(2, n):
         g = np.transpose(m.gammas[k - 1], (1, 2, 0))
-        tensors[k] = g * m.lambdas[k - 1][None, :, None]
+        factors[k] = g * m.lambdas[k - 1][None, :, None]
+    factors[n] = m.gammas[n - 1].T
+    return factors
 
-    edge_bases: dict[int, np.ndarray] = {n: m.gammas[n - 1].T}
-    nxt = edge_bases[n]
-    for k in range(n - 1, 1, -1):
-        g3 = m.gammas[k - 1] * m.lambdas[k - 1][None, None, :]
-        b = np.einsum("aib,Jb->iJa", g3, nxt)
-        nxt = b.reshape(-1, b.shape[-1])
-        edge_bases[k] = nxt
+
+def contract_mps(m: CanonicalMPS) -> PureState:
+    """Fold the site tensors and bond weights back into a dense state."""
+    factors = _mps_factors(m)
+    return PureState(_contract(m.tree, m.dims, factors.__getitem__), m.dims)
+
+
+def decomposition_from_mps(m: CanonicalMPS) -> TreeDecomposition:
+    """The line tree's decomposition read off a canonical form: its
+    factors and nonleaf tensors are _mps_factors, kept as given, and each
+    non-root factor must be an isometry onto its own bond, so that, leaves
+    to root, every edge basis is orthonormal.  As from decompose, the edge
+    bases are built on the first read of tensors or edge_bases."""
+    t, n = m.tree, len(m.dims)
+    factors = _mps_factors(m)
     for k in range(2, n + 1):
-        basis = edge_bases[k]
-        defect = np.abs(
-            basis.conj().T @ basis - np.eye(basis.shape[1])
-        ).max()
+        mat = factors[k].reshape(-1, factors[k].shape[-1])
+        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
         if defect > 1e-6:
             raise MalformedTensors(
                 f"cut {k - 1} basis not orthonormal (defect {defect:.2e}); "
                 "input is not in canonical form"
             )
-
+    tensors = {k: factors[k] for k in range(1, n)}
+    views = cache(
+        lambda: (tensors, dict(_subtree_bases(t, m.dims, factors.__getitem__)))
+    )
     return TreeDecomposition(
         tree=t,
         dims=m.dims,
-        tensors=tensors,
-        edge_bases=edge_bases,
-        ranks={k: bonds[k - 1] for k in range(1, n)},
+        tensors=_PassView(views, 0, tensors),
+        edge_bases=_PassView(views, 1, t.vertices[:0:-1]),
+        ranks={k: m.lambdas[k - 1].size for k in range(1, n)},
         schmidt_coeffs={k: m.lambdas[k - 1] for k in range(1, n)},
-        factors={**tensors, n: edge_bases[n]},
+        factors=factors,
     )

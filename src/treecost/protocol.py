@@ -139,8 +139,6 @@ class Transcript:
     @cached_property
     def events(self) -> tuple[Event, ...]:
         b = self._batch
-        if b.events is None:
-            return ()
         return b.events.branch(
             b.picks[self._row].tolist(), b.conds[self._row].tolist()
         )
@@ -167,7 +165,7 @@ class _Batch:
     conds: np.ndarray
     amps: np.ndarray
     dims: tuple[int, ...]
-    events: "_EventLog | None"
+    events: "_EventLog"
 
 
 @dataclass(frozen=True)
@@ -366,7 +364,7 @@ def _front(tensor: np.ndarray, labels: list, in_labels: list):
     return flat, rest_shape, [labels[i] for i in others]
 
 
-def _walk(program, choose, every_outcome, record_events, disable_corrections):
+def _walk(program, choose, every_outcome, disable_corrections):
     """Walk the protocol over the vertices in label order, carrying the
     live branches along a leading batch axis of the register.
 
@@ -409,9 +407,7 @@ def _walk(program, choose, every_outcome, record_events, disable_corrections):
     }
     # per measuring vertex, gather and phase tables of all its outcomes
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    events = None
-    if record_events:
-        events = _EventLog(program, plan, column, disable_corrections)
+    events = _EventLog(program, plan, column, disable_corrections)
     results: list[Transcript] = []
 
     def widest(pos, size):
@@ -655,7 +651,6 @@ def simulate(
     mode: str = "sample",
     seed: int = 0,
     outcomes: dict[int, int] | None = None,
-    record_events: bool = True,
     disable_corrections: tuple[int, ...] = (),
 ):
     """Run the protocol.
@@ -668,9 +663,7 @@ def simulate(
     """
     if mode == "enumerate":
         return enumerate_branches(
-            program,
-            record_events=record_events,
-            disable_corrections=disable_corrections,
+            program, disable_corrections=disable_corrections
         )
     if mode == "sample":
         rng = np.random.default_rng(seed)
@@ -707,15 +700,12 @@ def simulate(
 
     else:
         raise MalformedProgram(f"unknown mode {mode!r}")
-    (transcript,) = _walk(
-        program, choose, False, record_events, disable_corrections
-    )
+    (transcript,) = _walk(program, choose, False, disable_corrections)
     return transcript
 
 
 def enumerate_branches(
     program: MeasurementProgram,
-    record_events: bool = True,
     disable_corrections: tuple[int, ...] = (),
 ) -> list[Transcript]:
     """Walk every measurement branch depth first, pruning branches whose
@@ -725,7 +715,7 @@ def enumerate_branches(
         live = np.flatnonzero(cond >= config.BRANCH_PRUNE_TOL)
         return np.repeat(live, k), np.tile(np.arange(k), len(live))
 
-    return _walk(program, choose, True, record_events, disable_corrections)
+    return _walk(program, choose, True, disable_corrections)
 
 
 def check_completeness(program: MeasurementProgram) -> CompletenessReport:

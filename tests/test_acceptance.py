@@ -139,7 +139,7 @@ def test_criterion_02_named_families_on_random_trees():
         costs = exact_edge_cost(dec)
         assert all(c == 1.0 for c in costs.values()), (name, costs)
         for seed in range(100):
-            t = simulate(program, mode="sample", seed=seed, record_events=False)
+            t = simulate(program, mode="sample", seed=seed)
             worst = min(worst, t.fidelity)
             assert t.fidelity >= 1 - FID_TOL
     elapsed = time.monotonic() - start
@@ -151,7 +151,7 @@ def test_criterion_02_named_families_on_random_trees():
 def test_criterion_03_random_state_determinism():
     worst = 1.0
     for state, tree, dec, program in _random_triples():
-        branches = simulate(program, mode="enumerate", record_events=False)
+        branches = simulate(program, mode="enumerate")
         fid = _min_fidelity(branches)
         worst = min(worst, fid)
         assert fid >= 1 - FID_TOL
@@ -352,9 +352,7 @@ def test_criterion_13_mps_and_generic_pathways():
         dec_mps = decomposition_from_mps(mps_canonical_form(state, tree))
         for dec in (dec_generic, dec_mps):
             program = build_program(dec)
-            branches = simulate(
-                program, mode="enumerate", record_events=False
-            )
+            branches = simulate(program, mode="enumerate")
             fid = _min_fidelity(branches)
             worst = min(worst, fid)
             assert fid >= 1 - FID_TOL

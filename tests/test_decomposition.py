@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 import tracemalloc
 from math import prod
 
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from treecost import (
     CanonicalMPS,
+    DimensionCapExceeded,
     DimensionMismatch,
     MalformedTensors,
     NotALine,
     TreeDecomposition,
     approx_bounds,
+    build_program,
     contract_mps,
     decompose,
     decomposition_from_mps,
@@ -280,9 +283,12 @@ def test_large_cuts_match_the_per_edge_dense_oracle(
 @pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
 def test_decompose_memory_stays_near_the_state_size(name, k):
     # the dense edge bases it returns take about r times the state's bytes
-    # on a line; the sweep's working tensor shrinks from the state's size
-    s = make_named_state(name, 16, k=k)
-    t = line_tree(16)
+    # on a line: 2 states on GHZ and W, 2.5 on Dicke(2).  The canonical pass
+    # puts each basis into its frame in place once its parent has absorbed
+    # it; holding the cascade's bases and canonical copies of them together
+    # reads 4.0 states on GHZ and W and 5.0 on Dicke(2)
+    s = make_named_state(name, 18, k=k)
+    t = line_tree(18)
     tracemalloc.start()
     try:
         dec = decompose(s, t)
@@ -290,7 +296,7 @@ def test_decompose_memory_stays_near_the_state_size(name, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * s.amplitudes.nbytes
+    assert peak < 3.75 * s.amplitudes.nbytes
 
 
 @st.composite
@@ -566,3 +572,86 @@ def test_decomposition_from_mps_rejects_inconsistent_tensors():
     )
     with pytest.raises(MalformedTensors):
         decomposition_from_mps(wrong_first)
+
+
+def _ghz_form(n, inner=np.sqrt(2.0)):
+    """A canonical form of the n-qubit GHZ state made by hand, bond 2 on
+    every cut: the inner site tensors are inner times delta_(a, i, b)."""
+    delta = np.zeros((2, 2, 2))
+    delta[0, 0, 0] = delta[1, 1, 1] = 1.0
+    return CanonicalMPS(
+        gammas=(np.eye(2),) + (inner * delta,) * (n - 2) + (np.eye(2),),
+        lambdas=(np.full(2, np.sqrt(0.5)),) * (n - 1),
+        dims=(2,) * n,
+        tree=line_tree(n),
+    )
+
+
+def test_hand_made_ghz_form_is_the_ghz_state():
+    m = _ghz_form(5)
+    ghz = make_named_state("ghz", 5)
+    assert np.abs(contract_mps(m).amplitudes - ghz.amplitudes).max() < 1e-15
+    assert fidelity_pure(recompose(decomposition_from_mps(m)), ghz) > 1 - 1e-15
+
+
+def test_decomposition_from_mps_refuses_a_non_canonical_form():
+    # without the sqrt 2 the inner factor is delta / sqrt 2, whose columns
+    # have norm 1/2: still the GHZ state up to norm, but not canonical
+    with pytest.raises(MalformedTensors, match=r"cut 1 .*defect 5\.00e-01"):
+        decomposition_from_mps(_ghz_form(3, inner=1.0))
+    with pytest.raises(MalformedTensors, match="not in canonical form"):
+        decomposition_from_mps(_ghz_form(6, inner=1.0))
+
+
+def test_a_1000_site_form_costs_its_ranks_without_dense_arrays():
+    m = _ghz_form(1000)
+    start = time.perf_counter()
+    costs = exact_edge_cost(decomposition_from_mps(m))
+    elapsed = time.perf_counter() - start
+    assert sum(costs.values()) == 999.0
+    assert elapsed < 0.1
+
+
+def test_a_1000_site_form_refuses_its_dense_views():
+    # 2^1000 amplitudes: every dense view is refused before it allocates
+    m = _ghz_form(1000)
+    dec = decomposition_from_mps(m)
+    reads = [
+        lambda: recompose(dec),
+        lambda: contract_mps(m),
+        lambda: build_program(dec),
+        lambda: dec.tensors[1],
+        lambda: dec.edge_bases[1000],
+    ]
+    for read in reads:
+        with pytest.raises(DimensionCapExceeded):
+            read()
+
+
+def _named_lines():
+    for n in range(4, 9):
+        yield "w", n, None
+        yield "ghz", n, None
+        for k in range(1, n):
+            yield "dicke", n, k
+
+
+@pytest.mark.parametrize("name,n,k", _named_lines())
+def test_decomposition_from_mps_keeps_decompose_s_tensors_and_bases(
+    name, n, k
+):
+    # degenerate spectra everywhere: re-canonicalizing the site tensors
+    # could reorder or rephase a degenerate group, reading them as given
+    # cannot
+    s = make_named_state(name, n, k=k)
+    t = line_tree(n)
+    direct = decompose(s, t)
+    via_mps = decomposition_from_mps(mps_canonical_form(s, t))
+    assert set(via_mps.tensors) == set(direct.tensors)
+    assert set(via_mps.edge_bases) == set(direct.edge_bases)
+    for v in direct.tensors:
+        assert np.abs(via_mps.tensors[v] - direct.tensors[v]).max() <= 1e-12
+    for c in direct.edge_bases:
+        got, want = via_mps.edge_bases[c], direct.edge_bases[c]
+        assert np.abs(got - want).max() <= 1e-12
+

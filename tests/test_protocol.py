@@ -584,7 +584,7 @@ def test_qutrit_star_protocol():
     t = star_tree(4, center_dim=3, leaf_dim=3)
     s = random_pure_state(rng, t.dims)
     prog = _program(s, t)
-    branches = enumerate_branches(prog, record_events=False)
+    branches = enumerate_branches(prog)
     assert len(branches) == prog.branch_count
     assert min(tr.fidelity for tr in branches) >= 1 - 1e-9
     assert abs(sum(tr.probability for tr in branches) - 1.0) < 1e-9
@@ -636,9 +636,9 @@ def test_protocol_scans_respect_the_dimension_cap(monkeypatch):
     assert simulate(prog, mode="sample", seed=0).fidelity >= 1 - FIDELITY_TOL
     monkeypatch.setenv("TREECOST_DIM_CAP", "255")
     with pytest.raises(DimensionCapExceeded):
-        enumerate_branches(prog, record_events=False)
+        enumerate_branches(prog)
     monkeypatch.setenv("TREECOST_DIM_CAP", "256")
-    branches = enumerate_branches(prog, record_events=False)
+    branches = enumerate_branches(prog)
     assert len(branches) == prog.branch_count
     assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
 
@@ -668,11 +668,9 @@ def test_exact_resources_skip_compression():
 
 def test_disabling_corrections_breaks_some_branch():
     prog = w4_program()
-    healthy = enumerate_branches(prog, record_events=False)
+    healthy = enumerate_branches(prog)
     assert min(tr.fidelity for tr in healthy) >= 1 - 1e-9
-    crippled = enumerate_branches(
-        prog, record_events=False, disable_corrections=(2,)
-    )
+    crippled = enumerate_branches(prog, disable_corrections=(2,))
     assert min(tr.fidelity for tr in crippled) < 1 - 1e-6
     # the all-identity branch never needed the correction
     assert max(tr.fidelity for tr in crippled) >= 1 - 1e-9
