@@ -663,3 +663,12 @@ def test_cost_exact_documents_match_the_recording(tmp_path):
     import golden_cost_exact
 
     _replay(golden_cost_exact, tmp_path)
+
+
+def test_figures_and_gaussian_documents_match_the_recording(tmp_path):
+    # both figure kinds and a cost approx run whose middle edge takes the
+    # Gaussian method, byte for byte against the documents
+    # tests/golden_figures.py recorded
+    import golden_figures
+
+    _replay(golden_figures, tmp_path)
