@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .costs import Spectrum, spectrum_entropy
+from .costs import Spectrum, _edge_shares, spectrum_entropy
 from .decomposition import (
     TreeDecomposition,
     _check_rank_tol,
@@ -419,13 +419,12 @@ class ApproxState:
     """Projected n-copy state with its distance accounting.
 
     decomposition is the one decompose sweep of the single-copy state that
-    the projections and the distances were read from, and tree its tree.
+    the projections and the distances were read from.
     The projected block itself (state) is contracted densely from the same
     masked network on first access.
     """
 
     decomposition: TreeDecomposition = field(repr=False)
-    tree: RootedTree = field(repr=False)
     n: int
     thresholds: dict[int, float]
     projections: tuple[EdgeProjection, ...]
@@ -449,14 +448,16 @@ def _truncate(
     s: PureState,
     t: RootedTree,
     n: int,
-    shares: dict[int, float],
+    thresholds: dict[int, float],
     rank_tol: float | None,
 ):
     """The decomposition of s, every edge's projection read from it, and
-    the weights their masks remove (_removed_weights)."""
+    the weights their masks remove (_removed_weights).  The shares are
+    checked and completed by costs._edge_shares."""
+    shares = _edge_shares(t, thresholds)
     dec = _decompose(s, t, rank_tol)
     projections = tuple(
-        _edge_projection(dec, e, n, float(shares.get(e.label, 0.0)), rank_tol)
+        _edge_projection(dec, e, n, shares[e.label], rank_tol)
         for e in t.edges
     )
     masks = _bond_masks(dec, projections)
@@ -473,13 +474,12 @@ def approx_state(
     """Apply every edge projection to the n-copy state, in edge label order,
     and renormalize.  The distance comes from the masked n-copy network;
     the dense block is built only when ApproxState.state is read."""
-    shares = {e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges}
-    dec, projections, removed = _truncate(s, t, n, shares, rank_tol)
+    dec, projections, removed = _truncate(s, t, n, thresholds, rank_tol)
     if _kept_weight(removed) < 1e-12:
         raise ZeroNorm("projections removed all weight")
+    shares = {p.edge: p.threshold for p in projections}
     return ApproxState(
         decomposition=dec,
-        tree=t,
         n=int(n),
         thresholds=shares,
         projections=projections,

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, inf, lgamma, log, log2, sqrt, pi
+from math import comb, erfc, inf, lgamma, log, log2, sqrt, pi
+from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
@@ -31,11 +32,22 @@ from .errors import (
     InvalidGrid,
     ThresholdBudgetExceeded,
 )
-from .quantile import inverse_normal_cdf, normal_cdf
-from .states import DensityOperator, PureState, schmidt_wrt_edge
+from .states import PureState, schmidt_wrt_edge
 from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)
+
+# the standard normal's quantile (Wichura's AS241) and density;
+# NormalDist.cdf goes through erf and reads 0 below x = -8.37, so the
+# distribution function keeps erfc for the lower tail
+_STD_NORMAL = NormalDist()
+inverse_normal_cdf = _STD_NORMAL.inv_cdf
+normal_pdf = _STD_NORMAL.pdf
+
+
+def normal_cdf(x: float) -> float:
+    """P(standard normal <= x)."""
+    return 0.5 * erfc(-x / sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -82,10 +94,6 @@ class Spectrum:
         mass = sum(v * m for v, m in zip(values, counts))
         values = [v / mass for v in values]
         return cls(values=tuple(values), multiplicities=tuple(counts))
-
-    @classmethod
-    def from_density(cls, rho: DensityOperator) -> "Spectrum":
-        return cls.from_eigenvalues(rho.eigenvalues())
 
     @classmethod
     def from_edge(
@@ -327,6 +335,18 @@ def _edge_lower(
     return max(0.0, best), float(best_eta), method
 
 
+def _edge_shares(t: RootedTree, thresholds: dict) -> dict[int, float]:
+    """Every edge's error share, in edge order, 0.0 where thresholds names
+    none; a share for an unknown edge or a negative share is refused."""
+    labels = {e.label for e in t.edges}
+    for lab, v in thresholds.items():
+        if lab not in labels:
+            raise ThresholdBudgetExceeded(f"threshold for unknown edge {lab}")
+        if v < 0:
+            raise InvalidEpsilon(f"threshold {v} at edge {lab} negative")
+    return {e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges}
+
+
 def approx_bounds(
     s: PureState,
     t: RootedTree,
@@ -356,15 +376,10 @@ def approx_bounds(
             f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})"
         )
     edges = t.edges
-    labels = {e.label for e in edges}
     if thresholds is None:
         u = eps / sqrt(len(edges))
         thresholds = {e.label: u for e in edges}
-    for lab, v in thresholds.items():
-        if lab not in labels:
-            raise ThresholdBudgetExceeded(f"threshold for unknown edge {lab}")
-        if v < 0:
-            raise InvalidEpsilon(f"threshold {v} at edge {lab} negative")
+    thresholds = _edge_shares(t, thresholds)
     budget = sqrt(sum(v * v for v in thresholds.values()))
     if budget > eps * (1.0 + 1e-12):
         raise ThresholdBudgetExceeded(
@@ -376,7 +391,7 @@ def approx_bounds(
     for e in edges:
         rank = dec.ranks[e.label]
         spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
-        epse = float(thresholds.get(e.label, 0.0))
+        epse = thresholds[e.label]
         # a share whose deficit underflows to 0, or is too small for the
         # waterline to resolve (1 - deficit rounds to 1), allows no
         # smoothing: the exact rank's bits suffice

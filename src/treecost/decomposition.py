@@ -459,9 +459,11 @@ def mps_canonical_form(
 
 
 def _mps_factors(m: CanonicalMPS) -> dict[int, np.ndarray]:
-    """The line tree's factors of a canonical form, after checking its
-    shapes: each site tensor times the weights of the bond to its right, as
-    (d_k, r_k, r_{k-1}), and the last one transposed to (d_N, r_{N-1})."""
+    """The line tree's factors of a canonical form, after checking that its
+    tree is a line rooted at site 1 and its shapes: each site tensor times
+    the weights of the bond to its right, as (d_k, r_k, r_{k-1}), and the
+    last one transposed to (d_N, r_{N-1})."""
+    _require_line(m.tree)
     n = len(m.dims)
     if len(m.gammas) != n or len(m.lambdas) != n - 1:
         raise MalformedTensors(

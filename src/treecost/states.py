@@ -18,6 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import (
+    DimensionCapExceeded,
     DimensionMismatch,
     EmptyKeepSet,
     IncompatibleDims,
@@ -154,7 +155,9 @@ def make_named_state(
     dims = tuple(int(d) for d in dims)
     if len(dims) != n:
         raise IncompatibleDims(f"{len(dims)} dims for {n} parties")
-    total = prod(dims)
+    total, cap = prod(dims), config.dim_cap()
+    if total > cap:
+        raise DimensionCapExceeded(f"state dimension {total} exceeds cap {cap}")
 
     if name in ("w", "ghz", "dicke", "bell"):
         if any(d != 2 for d in dims):
@@ -212,6 +215,12 @@ def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
     for v in keep:
         if not 1 <= v <= s.n_parties:
             raise UnknownParty(f"no party labeled {v}")
+    d_keep, cap = prod(s.dims[v - 1] for v in keep), config.dim_cap()
+    if d_keep * d_keep > cap:
+        raise DimensionCapExceeded(
+            f"density operator of parties {keep} spans {d_keep * d_keep} "
+            f"amplitudes, cap {cap}"
+        )
     mat = _split_axes(s, keep)
     rho = mat @ mat.conj().T
     dims = tuple(s.dims[v - 1] for v in keep)

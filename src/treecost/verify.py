@@ -14,6 +14,8 @@ import numpy as np
 from .approx import approx_state, construct_approx, union_bound_check
 from .costs import (
     Spectrum,
+    inverse_normal_cdf,
+    normal_cdf,
     optimize_thresholds,
     second_order,
     spectrum_entropy,
@@ -25,7 +27,6 @@ from .protocol import (
     naive_distribution_cost,
     simulate,
 )
-from .quantile import inverse_normal_cdf, normal_cdf
 from .states import (
     PureState,
     make_named_state,

@@ -15,6 +15,7 @@ from treecost import (
     InvalidEpsilon,
     PureState,
     Spectrum,
+    ThresholdBudgetExceeded,
     ZeroNorm,
     approx_bounds,
     approx_state,
@@ -109,6 +110,25 @@ def test_projection_rejects_bad_shares():
         build_projection(s, t, e, 2, -0.1)
     with pytest.raises(ValueError):
         build_projection(s, t, e, 0, 0.5)
+
+
+def test_every_share_reader_refuses_the_same_bad_shares():
+    # approx_bounds, approx_state, union_bound_check and construct_approx
+    # read shares through one check: an unknown edge and a negative share
+    # are refused alike, never dropped or clipped
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    readers = [
+        lambda th: approx_bounds(s, t, 2, 0.9, thresholds=th),
+        lambda th: approx_state(s, t, 2, th),
+        lambda th: union_bound_check(s, t, 2, th),
+        lambda th: construct_approx(s, t, 2, th),
+    ]
+    for read in readers:
+        with pytest.raises(ThresholdBudgetExceeded, match="unknown edge 7"):
+            read({1: 0.3, 7: 0.5})
+        with pytest.raises(InvalidEpsilon, match="at edge 2 negative"):
+            read({1: 0.3, 2: -0.1})
 
 
 # ------------------------------------------------------------- block state

@@ -233,6 +233,42 @@ def test_cost_approx_unresolvable_share_keeps_a_finite_upper_bound(
     assert doc["upper_total"] == 3.0
 
 
+def test_unknown_edge_share_is_refused_by_both_approx_commands(
+    w4_tree_path, tmp_path, capsys
+):
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": 0.3, "7": 0.5}))
+    args = ["--tree", w4_tree_path, "--state", "w4", "--n", "2",
+            "--eps", "0.9", "--thresholds", str(th_path)]
+    for command in (["approx"], ["cost", "approx"]):
+        code, out, err = run_cli([*command, *args], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: threshold for unknown edge 7\n"
+
+
+def test_named_state_past_the_cap_is_refused_by_cost_exact(
+    tmp_path, capsys, monkeypatch
+):
+    # cost exact and simulate refuse a 12-qubit GHZ line under a cap of
+    # 1024 alike, before its 4096 amplitudes are built
+    tree = {
+        "parties": [{"id": str(i)} for i in range(1, 13)],
+        "edges": [[str(i), str(i + 1)] for i in range(1, 12)],
+        "root": "1",
+    }
+    path = tmp_path / "line12.json"
+    path.write_text(json.dumps(tree))
+    monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
+    for command in (["cost", "exact"], ["simulate"]):
+        code, out, err = run_cli(
+            [*command, "--tree", str(path), "--state", "ghz12"], capsys
+        )
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: state dimension 4096 exceeds cap 1024\n"
+
+
 # --------------------------------------------------------------- simulate
 
 

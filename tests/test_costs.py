@@ -338,6 +338,10 @@ def test_quantile_round_trips():
         assert abs(inverse_normal_cdf(normal_cdf(x)) - x) < 1e-9
     for x in (-9.0, -7.0, -5.5):
         assert abs(inverse_normal_cdf(normal_cdf(x)) - x) < 1e-9
+    # the lower tail keeps its relative resolution down to the last normal
+    # doubles (normal_cdf(-37.5) is about 4.6e-308)
+    for x in np.linspace(-37.5, -4.5, 331):
+        assert abs(inverse_normal_cdf(normal_cdf(x)) - x) <= 1e-14 * abs(x)
 
 
 def test_quantile_symmetry_and_center():

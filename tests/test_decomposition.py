@@ -558,6 +558,14 @@ def test_mps_requires_a_line_rooted_at_an_end():
         mps_canonical_form(s, line_tree(4, root=2))
     with pytest.raises(DimensionMismatch):
         mps_canonical_form(make_named_state("ghz", 3), line_tree(4))
+    # a GHZ4 form whose tree is swapped for a star is refused as input too,
+    # before any factor is read
+    star = dataclasses.replace(mps_canonical_form(s, line_tree(4)),
+                               tree=star_tree(4))
+    with pytest.raises(NotALine):
+        decomposition_from_mps(star)
+    with pytest.raises(NotALine):
+        contract_mps(star)
 
 
 def test_decomposition_from_mps_rejects_inconsistent_tensors():

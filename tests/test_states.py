@@ -5,6 +5,7 @@ import pytest
 
 from treecost import (
     DensityOperator,
+    DimensionCapExceeded,
     DimensionMismatch,
     EmptyKeepSet,
     IncompatibleDims,
@@ -170,6 +171,30 @@ def test_named_state_rejections():
         make_named_state("nope", 3)
     with pytest.raises(IncompatibleDims):
         make_named_state("w", 2, dims=(2,))
+
+
+def test_named_states_respect_the_dimension_cap(monkeypatch):
+    # 12 qubits are 4096 amplitudes: every family is refused under a cap of
+    # 1024, and 10 qubits (exactly the cap) are still built
+    monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
+    for name, kwargs in [("random", {"seed": 0}), ("ghz", {}), ("w", {}),
+                         ("dicke", {"k": 2}), ("product", {})]:
+        with pytest.raises(DimensionCapExceeded, match="4096 exceeds cap 1024"):
+            make_named_state(name, 12, **kwargs)
+        assert make_named_state(name, 10, **kwargs).amplitudes.size == 1024
+    with pytest.raises(DimensionCapExceeded):
+        make_named_state("random", 2, dims=(33, 32), seed=0)
+
+
+def test_reduced_state_respects_the_dimension_cap(monkeypatch):
+    # keeping parties 1 and 2 of W4 forms a 4 x 4 matrix: 16 amplitudes
+    s = make_named_state("w", 4)
+    monkeypatch.setenv("TREECOST_DIM_CAP", "15")
+    with pytest.raises(DimensionCapExceeded, match="spans 16 amplitudes, cap 15"):
+        reduced_state(s, [1, 2])
+    assert reduced_state(s, [3]).dim == 2
+    monkeypatch.setenv("TREECOST_DIM_CAP", "16")
+    assert reduced_state(s, [1, 2]).dim == 4
 
 
 def test_reduced_state_matches_index_walk_oracle():
