@@ -44,10 +44,17 @@ Every branch ends in the same target state; branches differ only in
 probability bookkeeping and the recorded outcome labels.
 
 The walk computes each branch's probability and fidelity and nothing else
-per branch.  The branches a finished batch ends share one record of its
-outcome columns, conditional probabilities and normalized amplitude rows,
-and a transcript derives its events, outcomes and final state from that
-record the first time they are read.
+per branch.  A finished batch's amplitude rows are normalized, checked and
+read once for the overlaps with the target, then dropped; its branches share
+one record of their outcome columns and conditional probabilities, and a
+transcript derives its events, outcomes and final state from that record
+the first time they are read.  The first final state read from a record
+replays the record: one walk that follows only its recorded outcome rows,
+whose normalized rows the record then keeps.  The walk is independent
+across rows, so a replayed row equals the enumerated one and a forced run
+of its outcomes bit for bit.  Enumeration therefore holds O(batch)
+amplitudes plus O(branches x measuring vertices) scalars, and amplitude
+rows only for the records whose final states were read.
 """
 
 from __future__ import annotations
@@ -128,7 +135,8 @@ class Transcript:
 
     probability and fidelity are computed by the walk; events, outcomes and
     final_state are derived on first read from the record shared by the
-    branches of the walk's batch, at row _row of it.
+    branches of the walk's batch, at row _row of it.  The first final_state
+    read from a record replays the record's outcome rows once (_Batch.amps).
     """
 
     probability: float
@@ -150,22 +158,41 @@ class Transcript:
 
     @cached_property
     def final_state(self) -> PureState:
-        return PureState(self._batch.amps[self._row], self._batch.dims)
+        return PureState(self._batch.amps[self._row], self._batch.program.dims)
 
 
 @dataclass(frozen=True)
 class _Batch:
-    """What the branches one _transcripts call finishes share: per branch
-    (row), the outcome index and its conditional probability at each
-    measuring vertex (columns in the order of measuring) and the normalized
-    amplitudes of its final register in party order."""
+    """What the branches of one finished batch share: per branch (row), the
+    outcome index and its conditional probability at each measuring vertex
+    (columns in the order of measuring), and what replays them.  The rows
+    are distinct and in depth-first order, as the walk finished them."""
 
+    program: MeasurementProgram
+    disable_corrections: tuple[int, ...]
     measuring: list[int]
     picks: np.ndarray
     conds: np.ndarray
-    amps: np.ndarray
-    dims: tuple[int, ...]
     events: "_EventLog"
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """The normalized amplitudes of every row's final register in party
+        order, rebuilt by one walk that follows only the recorded outcome
+        rows: at each measuring vertex, each live branch takes the distinct
+        outcomes recorded after its prefix.  A record of one row follows
+        one outcome per branch, as sampling and a forced branch did."""
+        recorded = self.picks
+
+        def choose(v, cond, k, live):
+            c = self.measuring.index(v)
+            same = live[:, None, :c] == recorded[None, :, :c]
+            rows, match = np.nonzero(same.all(axis=2))
+            return np.divmod(np.unique(rows * k + recorded[match, c]), k)
+
+        walk = _walk(self.program, choose, len(recorded) > 1,
+                     self.disable_corrections)
+        return np.concatenate([amps for amps, *_ in walk])
 
 
 @dataclass(frozen=True)
@@ -364,35 +391,49 @@ def _front(tensor: np.ndarray, labels: list, in_labels: list):
     return flat, rest_shape, [labels[i] for i in others]
 
 
+def _plan(program):
+    """The walk's order: the measuring vertices in label order, their
+    outcome columns, and per vertex (vertex, own edge label, parent's
+    outcome column, position among the parent's children); the root has no
+    edge above it."""
+    t = program.tree
+    measuring = [v for v in t.vertices if v in program.bases]
+    column = {v: i for i, v in enumerate(measuring)}
+    plan = [(t.root, None, None, None)]
+    for v in t.vertices[1:]:
+        u = t.parent(v)
+        plan.append(
+            (v, t.edge_above(v).label, column[u], t.children(u).index(v))
+        )
+    return measuring, column, plan
+
+
 def _walk(program, choose, every_outcome, disable_corrections):
     """Walk the protocol over the vertices in label order, carrying the
     live branches along a leading batch axis of the register.
 
-    choose(v, cond, k) gets, per live branch at measuring vertex v, the
-    conditional probability of each of v's k outcomes (they are equally
+    choose(v, cond, k, picks) gets, per live branch at measuring vertex v,
+    the conditional probability of each of v's k outcomes (they are equally
     likely: 1/k, or 0 when the base annihilates the branch's register) and
-    returns the (branch rows, outcome columns) to follow in row-major
-    order, so the walk returns one transcript per followed branch in
-    depth-first outcome order.  every_outcome says whether it may follow
-    every outcome of a branch (enumeration) or at most one, which sets the
-    largest array a step builds.  A measuring vertex applies its base to
-    its own edge axis, and the base's child indices become the axes of the
-    children's pair halves.  Besides its register a branch carries its
-    probability and, per measuring vertex, its outcome index and that
-    outcome's conditional probability; a child reads the displacement it
-    corrects from its parent's outcome.
+    the branch's outcome columns so far, and returns the (branch rows,
+    outcome columns) to follow in row-major order, so the walk finishes the
+    followed branches in depth-first outcome order.  every_outcome says
+    whether it may follow every outcome of a branch (enumeration) or at
+    most one, which sets the largest array a step builds.  A measuring
+    vertex applies its base to its own edge axis, and the base's child
+    indices become the axes of the children's pair halves.  Besides its
+    register a branch carries its probability and, per measuring vertex,
+    its outcome index and that outcome's conditional probability; a child
+    reads the displacement it corrects from its parent's outcome.
+
+    Yields each finished batch as (amps, prob, picks, conds): its
+    branches' normalized final amplitude rows in party order, which nothing
+    else reads, their probabilities, outcome columns and conditional
+    probabilities.
     """
     t = program.tree
     cap = config.dim_cap()
-    measuring = [v for v in t.vertices if v in program.bases]
-    column = {v: i for i, v in enumerate(measuring)}
-    # per vertex: (vertex, own edge label, parent's outcome column, position
-    # among the parent's children); the root has no edge above it
-    plan = [(t.root, None, None, None)]
-    for v in t.vertices[1:]:
-        u = t.parent(v)
-        place = t.children(u).index(v)
-        plan.append((v, t.edge_above(v).label, column[u], place))
+    measuring, column, plan = _plan(program)
     # per measuring vertex: its base as a (levels x child levels, own
     # levels) matrix, its child ranks, outcome count and the labels of its
     # children's pair halves
@@ -407,8 +448,6 @@ def _walk(program, choose, every_outcome, disable_corrections):
     }
     # per measuring vertex, gather and phase tables of all its outcomes
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    events = _EventLog(program, plan, column, disable_corrections)
-    results: list[Transcript] = []
 
     def widest(pos, size):
         """Amplitudes per branch of the largest array the step at pos
@@ -469,13 +508,11 @@ def _walk(program, choose, every_outcome, disable_corrections):
                 n = max(1, _BATCH_AMPLITUDES // need)
                 for s in range(0, b, n):
                     part = slice(s, s + n)
-                    step(pos, tensor[part], labels, prob[part], picks[part],
-                         conds[part])
+                    yield from step(pos, tensor[part], labels, prob[part],
+                                    picks[part], conds[part])
                 return
             if pos == len(plan):
-                results.extend(_transcripts(program, measuring, tensor,
-                                            labels, prob, picks, conds,
-                                            events))
+                yield _final_rows(tensor, labels), prob, picks, conds
                 return
             v, lab, pcol, place = plan[pos]
             pos += 1
@@ -500,7 +537,7 @@ def _walk(program, choose, every_outcome, disable_corrections):
             del flat
             norms = _row_norms(y.reshape(b, -1))
             cond = np.where(norms > 0.0, 1.0 / k, 0.0)
-            rows, cols = choose(v, cond, k)
+            rows, cols = choose(v, cond, k, picks)
             if not len(rows):
                 return
             if every_outcome:
@@ -525,34 +562,47 @@ def _walk(program, choose, every_outcome, disable_corrections):
             labels = halves + [("t", v)] + rem
 
     m = len(measuring)
-    step(0, np.ones(1, dtype=complex), [], np.ones(1),
-         np.zeros((1, m), dtype=np.intp), np.zeros((1, m)))
-    return results
+    yield from step(0, np.ones(1, dtype=complex), [], np.ones(1),
+                    np.zeros((1, m), dtype=np.intp), np.zeros((1, m)))
 
 
-def _transcripts(program, measuring, tensor, labels, prob, picks, conds,
-                 events):
-    """Finish a batch of branches: register axes into party order, then one
-    norm and one overlap with the target for the whole batch.  The final
-    states are checked here, once for the batch, and built only when read."""
-    b = len(prob)
+def _final_rows(tensor, labels):
+    """A finished batch's registers as amplitude rows in party order, each
+    normalized and its norm checked.  The rows are the walk's last register
+    or a copy of it, which nothing else reads, so they are normalized in
+    place."""
+    b = len(tensor)
     perm = sorted(range(len(labels)), key=labels.__getitem__)
-    # the rows are the walk's last register or a copy of it, which nothing
-    # else reads, so they are normalized and conjugated in place
     amps = tensor.transpose([0] + [1 + i for i in perm]).reshape(b, -1)
     amps /= _row_norms(amps)[:, None]
     norms = _row_norms(amps)
     bad = np.flatnonzero(np.abs(norms - 1.0) > config.NORM_TOL)
     if len(bad):
         raise ValueError(f"state norm {norms[bad[0]]} is not 1")
-    np.conjugate(amps, out=amps)
-    fids = np.abs(amps @ program.target.amplitudes) ** 2
-    np.conjugate(amps, out=amps)
-    batch = _Batch(measuring, picks, conds, amps, program.dims, events)
-    return [
-        Transcript(p, fid, batch, row)
-        for row, (p, fid) in enumerate(zip(prob.tolist(), fids.tolist()))
-    ]
+    return amps
+
+
+def _transcripts(program, choose, every_outcome, disable_corrections):
+    """Walk the protocol and finish every followed branch with its
+    probability and fidelity: one overlap with the target per batch, on the
+    batch's rows conjugated in place, after which the rows are dropped.
+    The branches of a batch share one record, which replays their final
+    states when one is read."""
+    measuring, column, plan = _plan(program)
+    events = _EventLog(program, plan, column, disable_corrections)
+    out: list[Transcript] = []
+    for amps, prob, picks, conds in _walk(program, choose, every_outcome,
+                                          disable_corrections):
+        np.conjugate(amps, out=amps)
+        fids = np.abs(amps @ program.target.amplitudes) ** 2
+        del amps
+        batch = _Batch(program, disable_corrections, measuring, picks, conds,
+                       events)
+        out += [
+            Transcript(p, fid, batch, row)
+            for row, (p, fid) in enumerate(zip(prob.tolist(), fids.tolist()))
+        ]
+    return out
 
 
 class _EventLog:
@@ -668,7 +718,7 @@ def simulate(
     if mode == "sample":
         rng = np.random.default_rng(seed)
 
-        def choose(v, cond, k):
+        def choose(v, cond, k, picks):
             if cond[0] < config.BRANCH_PRUNE_TOL:
                 raise ZeroProbabilityBranch(
                     f"every outcome at vertex {v} has probability "
@@ -689,7 +739,7 @@ def simulate(
             if not 0 <= j < program.outcome_count(v):
                 raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
 
-        def choose(v, cond, k):
+        def choose(v, cond, k, picks):
             j = outcomes[v]
             if cond[0] < config.BRANCH_PRUNE_TOL:
                 raise ZeroProbabilityBranch(
@@ -700,7 +750,7 @@ def simulate(
 
     else:
         raise MalformedProgram(f"unknown mode {mode!r}")
-    (transcript,) = _walk(program, choose, False, disable_corrections)
+    (transcript,) = _transcripts(program, choose, False, disable_corrections)
     return transcript
 
 
@@ -711,11 +761,11 @@ def enumerate_branches(
     """Walk every measurement branch depth first, pruning branches whose
     conditional probability at some step falls below the zero threshold."""
 
-    def choose(v, cond, k):
+    def choose(v, cond, k, picks):
         live = np.flatnonzero(cond >= config.BRANCH_PRUNE_TOL)
         return np.repeat(live, k), np.tile(np.arange(k), len(live))
 
-    return _walk(program, choose, True, disable_corrections)
+    return _transcripts(program, choose, True, disable_corrections)
 
 
 def check_completeness(program: MeasurementProgram) -> CompletenessReport:

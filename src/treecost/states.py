@@ -360,6 +360,12 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
         )
     try:
         dims = tuple(int(d) for d in doc["dims"])
+        # refused before the amplitude list is parsed
+        total, cap = prod(dims), config.dim_cap()
+        if total > cap:
+            raise DimensionCapExceeded(
+                f"state dimension {total} exceeds cap {cap}"
+            )
         amps = np.array(
             [complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128
         )

@@ -269,6 +269,38 @@ def test_named_state_past_the_cap_is_refused_by_cost_exact(
         assert err == "error: state dimension 4096 exceeds cap 1024\n"
 
 
+def test_state_file_past_the_cap_is_refused_by_every_command(
+    tmp_path, capsys, monkeypatch
+):
+    # a 12-qubit amplitudes file under a cap of 1024 is refused by the
+    # cost commands as by simulate, before its amplitude list is parsed
+    from treecost import dump_state_json, make_named_state
+    from treecost.errors import DimensionCapExceeded
+    from treecost.states import load_state_json
+
+    tree = {
+        "parties": [{"id": str(i)} for i in range(1, 13)],
+        "edges": [[str(i), str(i + 1)] for i in range(1, 12)],
+        "root": "1",
+    }
+    tree_path = tmp_path / "line12.json"
+    tree_path.write_text(json.dumps(tree))
+    state = make_named_state("random", 12, seed=5)
+    state_path = tmp_path / "state12.json"
+    state_path.write_text(json.dumps(dump_state_json(state)))
+    monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
+    with pytest.raises(DimensionCapExceeded):
+        load_state_json({"dims": [2] * 12, "amplitudes": None})
+    common = ["--tree", str(tree_path), "--state", str(state_path)]
+    for command in (["cost", "exact"],
+                    ["cost", "approx", "--n", "2", "--eps", "0.5"],
+                    ["simulate"]):
+        code, out, err = run_cli([*command, *common], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: state dimension 4096 exceeds cap 1024\n"
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -395,6 +427,56 @@ def test_transcripts_are_written_branch_by_branch_with_the_same_bytes(
     result, _ = construct_approx(bell, pair, 2, {1: 0.3}, enumerate_all=True)
     big = dataclasses.replace(pair, dims=(4, 4))
     assert path.read_bytes() == _transcripts_bytes(result, big)
+
+
+def test_enumerated_transcripts_equal_forced_runs(tmp_path, capsys):
+    # the final states an enumerated transcripts document writes are
+    # replayed from the walk's records; the bytes equal the document of
+    # forced runs of the same outcomes, on the W3 line and its n = 2 block
+    import dataclasses
+    import itertools
+
+    from treecost import (
+        approx_state,
+        build_program,
+        decompose,
+        load_tree_json,
+        make_named_state,
+        simulate,
+    )
+    from treecost.cli import _emit_transcripts
+
+    tree_path = tmp_path / "w3.json"
+    tree_path.write_text(json.dumps({
+        "parties": [{"id": "1"}, {"id": "2"}, {"id": "3"}],
+        "edges": [["1", "2"], ["2", "3"]], "root": "1",
+    }))
+    tree = load_tree_json(str(tree_path))
+    w3 = make_named_state("w", 3)
+    shares = {e.label: 0.3 / math.sqrt(2) for e in tree.edges}
+    ap = approx_state(w3, tree, 2, shares)
+    big = dataclasses.replace(tree, dims=ap.state.dims)
+    common = ["--tree", str(tree_path), "--state", "w3", "--enumerate"]
+    cases = [
+        (["simulate", *common], tree, w3),
+        (["approx", *common, "--n", "2", "--eps", "0.3"], big, ap.state),
+    ]
+    for argv, t, state in cases:
+        path = tmp_path / "enumerated.json"
+        code, _, _ = run_cli([*argv, "--transcript", str(path)], capsys)
+        assert code == 0
+        program = build_program(decompose(state, t))
+        measuring = sorted(program.bases)
+        forced = [
+            simulate(program, mode="branch", outcomes=dict(zip(measuring, c)))
+            for c in itertools.product(
+                *(range(program.outcome_count(v)) for v in measuring)
+            )
+        ]
+        assert len(forced) >= 16
+        want = tmp_path / "forced.json"
+        _emit_transcripts(forced, t, str(want))
+        assert path.read_bytes() == want.read_bytes()
 
 
 def test_simulate_forced_branch(w4_tree_path, capsys):

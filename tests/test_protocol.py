@@ -443,43 +443,55 @@ def test_construct_and_approx_paths_never_run_the_canonical_pass(
 
 def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
     # a batch bound of one amplitude splits every batch into single
-    # branches; the walk must give the same transcripts bit for bit
+    # branches, and one of 192 splits the W4 line's into records whose
+    # rows are no product of outcome sets (one holds vertex 1's outcome 0
+    # followed by vertex 2's outcome 3 and its outcome 1 followed by 0 and
+    # 1); the walk and the replay of its records must give the same
+    # transcripts bit for bit
     import treecost.protocol as protocol_mod
 
     programs = [w4_program(), w4_program(root=2), _mixed_program(229)]
     batched = [enumerate_branches(prog) for prog in programs]
-    monkeypatch.setattr(protocol_mod, "_BATCH_AMPLITUDES", 1)
-    for prog, want in zip(programs, batched):
-        got = enumerate_branches(prog)
-        assert len(got) == len(want) == prog.branch_count
-        for a, b in zip(got, want):
-            assert a.outcomes == b.outcomes
-            assert a.events == b.events
-            assert a.probability == b.probability
-            assert np.array_equal(
-                a.final_state.amplitudes, b.final_state.amplitudes
-            )
+    want_states = [[tr.final_state for tr in want] for want in batched]
+    for bound in (1, 192):
+        monkeypatch.setattr(protocol_mod, "_BATCH_AMPLITUDES", bound)
+        for prog, want, states in zip(programs, batched, want_states):
+            got = enumerate_branches(prog)
+            assert len(got) == len(want) == prog.branch_count
+            for a, b, state in zip(got, want, states):
+                assert a.outcomes == b.outcomes
+                assert a.events == b.events
+                assert a.probability == b.probability
+                assert np.array_equal(
+                    a.final_state.amplitudes, state.amplitudes
+                )
 
 
 def test_batch_records_survive_the_rest_of_the_walk(monkeypatch):
     # single-branch batches give every branch a record of its own while
     # the walk goes on; events and final states read only after the whole
     # walk must still equal forced runs taken before it, so no later step
-    # wrote into the arrays an earlier record holds
+    # wrote into the arrays an earlier record holds.  A final state is
+    # replayed from its record, with the record's corrections disabled too.
     import treecost.protocol as protocol_mod
 
     monkeypatch.setattr(protocol_mod, "_BATCH_AMPLITUDES", 1)
-    for prog in (w4_program(), w4_program(root=2), _mixed_program(233)):
+    cases = [(w4_program(), ()), (w4_program(root=2), ()),
+             (_mixed_program(233), ()), (w4_program(), (2,)),
+             (_mixed_program(233), (3,))]
+    for prog, disabled in cases:
         measuring = sorted(prog.vertex_ops)
         combos = itertools.product(
             *(range(prog.vertex_ops[v].shape[0]) for v in measuring)
         )
         want = []
         for c in combos:
-            tr = simulate(prog, mode="branch", outcomes=dict(zip(measuring, c)))
+            tr = simulate(prog, mode="branch",
+                          outcomes=dict(zip(measuring, c)),
+                          disable_corrections=disabled)
             want.append((tr.events, tr.outcomes, tr.probability,
                          tr.final_state.amplitudes.tobytes()))
-        branches = enumerate_branches(prog)
+        branches = enumerate_branches(prog, disable_corrections=disabled)
         assert len(branches) == len(want) == prog.branch_count
         got = [
             (tr.events, tr.outcomes, tr.probability,
@@ -532,10 +544,9 @@ def test_transcript_attributes_cannot_be_assigned():
     assert tr.fidelity >= 1 - FIDELITY_TOL
 
 
-def test_enumeration_transient_memory_stays_small():
-    # 4096 branches of a 256-amplitude block state: everything the walk
-    # holds beyond the transcripts it returns is a few batches of at most
-    # _BATCH_AMPLITUDES amplitudes
+def _w4_block_program():
+    # the W4 line at n = 2 with nothing truncated: 4096 branches of a
+    # 256-amplitude block state
     from treecost import approx_state
 
     t = line_tree(4)
@@ -543,6 +554,15 @@ def test_enumeration_transient_memory_stays_small():
     big = dataclasses.replace(t, dims=ap.state.dims)
     prog = build_program(decompose(ap.state, big))
     assert prog.branch_count == 4096
+    return prog
+
+
+def test_enumeration_transient_memory_stays_small():
+    # everything the walk holds beyond the transcripts it returns is a few
+    # batches of at most _BATCH_AMPLITUDES amplitudes, and the transcripts
+    # hold no amplitudes: the whole enumeration stays under 4 MiB where the
+    # 4096 final states alone take 16 MiB
+    prog = _w4_block_program()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -553,6 +573,37 @@ def test_enumeration_transient_memory_stays_small():
     assert len(branches) == 4096
     assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
     assert peak - retained < 2 * 2**20
+    assert peak < 4 * 2**20
+
+
+def test_final_states_are_replayed_once_per_record(monkeypatch):
+    # no record holds amplitudes until a final state is read from it; then
+    # one walk that follows the record's rows rebuilds all of them, equal
+    # to forced runs of the same outcomes
+    import treecost.protocol as protocol_mod
+
+    prog = _w4_block_program()
+    branches = enumerate_branches(prog)
+    records = {id(tr._batch): tr._batch for tr in branches}
+    assert 1 < len(records) < len(branches)
+    assert not any(
+        isinstance(value, np.ndarray) and np.iscomplexobj(value)
+        for record in records.values() for value in vars(record).values()
+    )
+    walks = []
+    walk = protocol_mod._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(protocol_mod, "_walk", counted)
+    states = [tr.final_state.amplitudes.tobytes() for tr in branches]
+    assert len(walks) == len(records)
+    monkeypatch.undo()
+    for i in range(0, len(branches), 97):
+        forced = simulate(prog, mode="branch", outcomes=branches[i].outcomes)
+        assert forced.final_state.amplitudes.tobytes() == states[i]
 
 
 def test_branch_mode_validates_the_outcome_map():
