@@ -31,17 +31,19 @@ product B psi per batch of branches.
 Sampling, a forced branch and full enumeration are one walk that differs
 only in which outcomes it follows, so a branch records the same events in
 the same order in every mode.  The walk carries the live branches along a
-leading batch axis of the register.  Sampling and a forced branch gather
-only the followed outcome; enumeration gathers every outcome of every live
-branch in one fancy index from per-vertex (K_v, C) gather and phase tables,
-C = prod r_c, and the followed (branch, outcome) pairs, in depth-first
-order, form the next batch.  A child's correction is a gather of its own
-edge's levels plus a phase, read from per-rank tables, not a matrix
-product.  A batch whose next step would build more than _BATCH_AMPLITUDES
-(2^13) amplitudes is split depth first into contiguous chunks, which bounds
-the working memory of enumeration without changing the branch order.
-Every branch ends in the same target state; branches differ only in
-probability bookkeeping and the recorded outcome labels.
+leading batch axis of the register.  In every mode a measuring vertex
+builds gather and phase tables of just the (branch, outcome) pairs it
+follows, shape (followed, C) with C = prod r_c, and applies them in one
+fancy index; the followed pairs, in depth-first order, form the next batch.
+The order of the walk, the outcome columns and each measuring vertex's base
+matrix are one plan built once per program, which every walk, replay and
+event log reads.  A child's correction is a gather of its own edge's levels
+plus a phase, read from per-rank tables, not a matrix product.  A batch
+whose next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes
+is split depth first into contiguous chunks, which bounds the working
+memory of enumeration without changing the branch order.  Every branch ends
+in the same target state; branches differ only in probability bookkeeping
+and the recorded outcome labels.
 
 The walk computes each branch's probability and fidelity and nothing else
 per branch.  A finished batch's amplitude rows are normalized, checked and
@@ -147,51 +149,54 @@ class Transcript:
     @cached_property
     def events(self) -> tuple[Event, ...]:
         b = self._batch
-        return b.events.branch(
+        return b.log.branch(
             b.picks[self._row].tolist(), b.conds[self._row].tolist()
         )
 
     @cached_property
     def outcomes(self) -> dict[int, int]:
         b = self._batch
-        return dict(zip(b.measuring, b.picks[self._row].tolist()))
+        measuring = b.log.program._walk_plan[0]
+        return dict(zip(measuring, b.picks[self._row].tolist()))
 
     @cached_property
     def final_state(self) -> PureState:
-        return PureState(self._batch.amps[self._row], self._batch.program.dims)
+        b = self._batch
+        return PureState(b.amps[self._row], b.log.program.dims)
 
 
 @dataclass(frozen=True)
 class _Batch:
-    """What the branches of one finished batch share: per branch (row), the
-    outcome index and its conditional probability at each measuring vertex
-    (columns in the order of measuring), and what replays them.  The rows
-    are distinct and in depth-first order, as the walk finished them."""
+    """What the branches of one finished batch share: the walk's event log,
+    which holds the program and the disabled corrections, and per branch
+    (row) the outcome index and its conditional probability at each
+    measuring vertex (columns in the order of the measuring vertices).  The
+    rows are distinct and in depth-first order, as the walk finished them."""
 
-    program: MeasurementProgram
-    disable_corrections: tuple[int, ...]
-    measuring: list[int]
+    log: "_EventLog"
     picks: np.ndarray
     conds: np.ndarray
-    events: "_EventLog"
 
     @cached_property
     def amps(self) -> np.ndarray:
         """The normalized amplitudes of every row's final register in party
         order, rebuilt by one walk that follows only the recorded outcome
         rows: at each measuring vertex, each live branch takes the distinct
-        outcomes recorded after its prefix.  A record of one row follows
-        one outcome per branch, as sampling and a forced branch did."""
+        outcomes recorded after its prefix, so the walk gathers no outcome
+        the record lacks.  A record of one row follows one outcome per
+        branch, as sampling and a forced branch did."""
         recorded = self.picks
+        program = self.log.program
+        measuring = program._walk_plan[0]
 
         def choose(v, cond, k, live):
-            c = self.measuring.index(v)
+            c = measuring.index(v)
             same = live[:, None, :c] == recorded[None, :, :c]
             rows, match = np.nonzero(same.all(axis=2))
             return np.divmod(np.unique(rows * k + recorded[match, c]), k)
 
-        walk = _walk(self.program, choose, len(recorded) > 1,
-                     self.disable_corrections)
+        walk = _walk(program, choose, len(recorded) > 1,
+                     self.log.disable_corrections)
         return np.concatenate([amps for amps, *_ in walk])
 
 
@@ -256,6 +261,35 @@ class MeasurementProgram:
                 )
             ops[v] = _operators(base, np.arange(k))
         return ops
+
+    @cached_property
+    def _walk_plan(self):
+        """The walk's order, built once per program and read by every walk,
+        replay and event log: the measuring vertices in label order (the
+        outcome columns); per vertex in label order (vertex, own edge
+        label, parent's outcome column, place among the parent's children,
+        own outcome column), with None for the root's edge and a leaf's
+        column; and per measuring vertex its base as a (levels x child
+        levels, own levels) matrix, its child ranks, outcome count and the
+        labels of its children's pair halves."""
+        t = self.tree
+        measuring = [v for v in t.vertices if v in self.bases]
+        column = {v: i for i, v in enumerate(measuring)}
+        order = [(t.root, None, None, None, column[t.root])]
+        for v in t.vertices[1:]:
+            u = t.parent(v)
+            order.append((v, t.edge_above(v).label, column[u],
+                          t.children(u).index(v), column.get(v)))
+        ops = {
+            v: (
+                np.moveaxis(base, 1, -1).reshape(-1, base.shape[1]),
+                base.shape[2:],
+                self.outcome_count(v),
+                [("r", t.edge_above(c).label, "c") for c in t.children(v)],
+            )
+            for v, base in self.bases.items()
+        }
+        return measuring, order, ops
 
 
 def build_program(
@@ -391,25 +425,8 @@ def _front(tensor: np.ndarray, labels: list, in_labels: list):
     return flat, rest_shape, [labels[i] for i in others]
 
 
-def _plan(program):
-    """The walk's order: the measuring vertices in label order, their
-    outcome columns, and per vertex (vertex, own edge label, parent's
-    outcome column, position among the parent's children); the root has no
-    edge above it."""
-    t = program.tree
-    measuring = [v for v in t.vertices if v in program.bases]
-    column = {v: i for i, v in enumerate(measuring)}
-    plan = [(t.root, None, None, None)]
-    for v in t.vertices[1:]:
-        u = t.parent(v)
-        plan.append(
-            (v, t.edge_above(v).label, column[u], t.children(u).index(v))
-        )
-    return measuring, column, plan
-
-
 def _walk(program, choose, every_outcome, disable_corrections):
-    """Walk the protocol over the vertices in label order, carrying the
+    """Walk the protocol in the order of the program's plan, carrying the
     live branches along a leading batch axis of the register.
 
     choose(v, cond, k, picks) gets, per live branch at measuring vertex v,
@@ -420,11 +437,12 @@ def _walk(program, choose, every_outcome, disable_corrections):
     followed branches in depth-first outcome order.  every_outcome says
     whether it may follow every outcome of a branch (enumeration) or at
     most one, which sets the largest array a step builds.  A measuring
-    vertex applies its base to its own edge axis, and the base's child
-    indices become the axes of the children's pair halves.  Besides its
-    register a branch carries its probability and, per measuring vertex,
-    its outcome index and that outcome's conditional probability; a child
-    reads the displacement it corrects from its parent's outcome.
+    vertex applies its base to its own edge axis, gathers and phases only
+    the followed outcomes, and the base's child indices become the axes of
+    the children's pair halves.  Besides its register a branch carries its
+    probability and, per measuring vertex, its outcome index and that
+    outcome's conditional probability; a child reads the displacement it
+    corrects from its parent's outcome.
 
     Yields each finished batch as (amps, prob, picks, conds): its
     branches' normalized final amplitude rows in party order, which nothing
@@ -433,21 +451,7 @@ def _walk(program, choose, every_outcome, disable_corrections):
     """
     t = program.tree
     cap = config.dim_cap()
-    measuring, column, plan = _plan(program)
-    # per measuring vertex: its base as a (levels x child levels, own
-    # levels) matrix, its child ranks, outcome count and the labels of its
-    # children's pair halves
-    ops = {
-        v: (
-            np.moveaxis(base, 1, -1).reshape(-1, base.shape[1]),
-            base.shape[2:],
-            program.outcome_count(v),
-            [("r", t.edge_above(c).label, "c") for c in t.children(v)],
-        )
-        for v, base in program.bases.items()
-    }
-    # per measuring vertex, gather and phase tables of all its outcomes
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    measuring, plan, ops = program._walk_plan
 
     def widest(pos, size):
         """Amplitudes per branch of the largest array the step at pos
@@ -514,7 +518,7 @@ def _walk(program, choose, every_outcome, disable_corrections):
             if pos == len(plan):
                 yield _final_rows(tensor, labels), prob, picks, conds
                 return
-            v, lab, pcol, place = plan[pos]
+            v, lab, pcol, place, col = plan[pos]
             pos += 1
             in_labels = []
             if lab is not None:
@@ -540,19 +544,13 @@ def _walk(program, choose, every_outcome, disable_corrections):
             rows, cols = choose(v, cond, k, picks)
             if not len(rows):
                 return
-            if every_outcome:
-                if v not in tables:
-                    tables[v] = _outcome_gather(child_ranks, np.arange(k))
-                src, phase = (a[cols] for a in tables[v])
-            else:
-                src, phase = _outcome_gather(child_ranks, cols)
+            src, phase = _outcome_gather(child_ranks, cols)
             # the branch and level indices, split by the slice over v's
             # level, put their broadcast axes (followed, children's levels)
             # in front
             tensor = y[rows[:, None], :, src]
             del y
             tensor *= (phase / norms[rows, None])[:, :, None, None]
-            col = column[v]
             picks = picks[rows]
             picks[:, col] = cols
             conds = conds[rows]
@@ -588,16 +586,14 @@ def _transcripts(program, choose, every_outcome, disable_corrections):
     batch's rows conjugated in place, after which the rows are dropped.
     The branches of a batch share one record, which replays their final
     states when one is read."""
-    measuring, column, plan = _plan(program)
-    events = _EventLog(program, plan, column, disable_corrections)
+    log = _EventLog(program, disable_corrections)
     out: list[Transcript] = []
     for amps, prob, picks, conds in _walk(program, choose, every_outcome,
                                           disable_corrections):
         np.conjugate(amps, out=amps)
         fids = np.abs(amps @ program.target.amplitudes) ** 2
         del amps
-        batch = _Batch(program, disable_corrections, measuring, picks, conds,
-                       events)
+        batch = _Batch(log, picks, conds)
         out += [
             Transcript(p, fid, batch, row)
             for row, (p, fid) in enumerate(zip(prob.tolist(), fids.tolist()))
@@ -611,36 +607,29 @@ class _EventLog:
     by every branch with the same outcome at its vertex; a measurement
     event is shared by the branches that also agree on its probability."""
 
-    def __init__(self, program, plan, column, disable_corrections):
+    def __init__(self, program, disable_corrections):
         self.program = program
-        # per vertex: (vertex, own edge label, parent's outcome column,
-        # position among the parent's children, own outcome column, its
-        # correction events by parent outcome or None when nothing is
-        # corrected, and its own step's events: the isometry event of a
-        # leaf, or a measuring vertex's events by (outcome, probability))
+        self.disable_corrections = disable_corrections
+        # per vertex: its entry of the walk's plan, its correction events by
+        # parent outcome or None when nothing is corrected, and its own
+        # step's events: the isometry event of a leaf, or a measuring
+        # vertex's events by (outcome, probability)
         self.steps = []
-        for v, lab, pcol, place in plan:
+        for v, lab, pcol, place, col in program._walk_plan[1]:
             corrects = lab is not None and lab not in disable_corrections
-            col = column.get(v)
             own = {}
             if col is None:
                 own = (Event(kind="isometry", vertex=v, edge=lab),)
             self.steps.append(
                 (v, lab, pcol, place, col, {} if corrects else None, own)
             )
-        compress = []
-        for e in program.tree.edges:
-            m = program.resources[e.label]
-            r = program.ranks[e.label]
-            if m > r:
-                compress.append(
-                    Event(
-                        kind="compress",
-                        edge=e.label,
-                        info=f"rank {m} pair compressed to rank {r}",
-                    )
-                )
-        self.prefix = tuple(compress)
+        self.prefix = tuple(
+            Event(kind="compress", edge=e.label,
+                  info=f"rank {m} pair compressed to rank {r}")
+            for e in program.tree.edges
+            for m, r in [(program.resources[e.label], program.ranks[e.label])]
+            if m > r
+        )
         self.messages: dict[tuple[int, int], tuple[Event, ...]] = {}
 
     def branch(self, row: list[int], cond: list[float]) -> tuple[Event, ...]:
@@ -772,10 +761,9 @@ def check_completeness(program: MeasurementProgram) -> CompletenessReport:
     """Verify each vertex's operator family resolves the identity and each
     leaf map is an isometry, at the true ranks."""
     vertex_defects: dict[int, float] = {}
-    for v, base in program.bases.items():
+    for v, (a, *_) in program._walk_plan[2].items():
         # by the Pauli twirl, sum_j op_j^H op_j = A (x) I_C, where A is the
         # Gram matrix of the base over its (level, child levels) rows
-        a = np.moveaxis(base, 1, -1).reshape(-1, base.shape[1])
         eigs = np.linalg.eigvalsh(a.conj().T @ a)
         vertex_defects[v] = float(np.abs(eigs - 1.0).max())
     iso_defects: dict[int, float] = {}

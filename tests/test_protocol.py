@@ -447,10 +447,12 @@ def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
     # rows are no product of outcome sets (one holds vertex 1's outcome 0
     # followed by vertex 2's outcome 3 and its outcome 1 followed by 0 and
     # 1); the walk and the replay of its records must give the same
-    # transcripts bit for bit
+    # transcripts bit for bit.  The qutrit star replays records of 22 and
+    # 101 rows at the default bound, far fewer than its 729 outcomes
     import treecost.protocol as protocol_mod
 
-    programs = [w4_program(), w4_program(root=2), _mixed_program(229)]
+    programs = [w4_program(), w4_program(root=2), _mixed_program(229),
+                _qutrit_star_program()]
     batched = [enumerate_branches(prog) for prog in programs]
     want_states = [[tr.final_state for tr in want] for want in batched]
     for bound in (1, 192):
@@ -606,6 +608,55 @@ def test_final_states_are_replayed_once_per_record(monkeypatch):
         assert forced.final_state.amplitudes.tobytes() == states[i]
 
 
+def test_a_replay_gathers_only_the_outcomes_its_record_holds(monkeypatch):
+    # the walk builds the gather and phase of just the outcomes it follows,
+    # in every mode: a record's replay asks for no more outcomes than the
+    # record has rows, though the star's centre has 729 of them
+    import treecost.protocol as protocol_mod
+
+    prog = _qutrit_star_program()
+    branches = enumerate_branches(prog)
+    records = {id(tr._batch): tr for tr in branches}
+    rows = sorted({len(tr._batch.picks) for tr in records.values()})
+    assert rows == [22, 101]
+    asked = []
+    gather = protocol_mod._outcome_gather
+
+    def counted(child_ranks, js):
+        asked.append(len(js))
+        return gather(child_ranks, js)
+
+    monkeypatch.setattr(protocol_mod, "_outcome_gather", counted)
+    for tr in records.values():
+        asked.clear()
+        tr.final_state
+        assert asked and max(asked) <= len(tr._batch.picks)
+
+
+def test_the_walk_plan_is_built_once_per_program(monkeypatch):
+    # enumeration, the replay of every record and a later sample all read
+    # the one plan of the program
+    from treecost.protocol import MeasurementProgram
+
+    built = []
+    plan = MeasurementProgram._walk_plan
+    build = plan.func
+
+    def counted(program):
+        built.append(program)
+        return build(program)
+
+    monkeypatch.setattr(plan, "func", counted)
+    prog = _qutrit_star_program()
+    branches = enumerate_branches(prog)
+    states = [tr.final_state for tr in branches]
+    tr = simulate(prog, mode="sample", seed=2)
+    (want,) = (s for b, s in zip(branches, states)
+               if b.outcomes == tr.outcomes)
+    assert tr.final_state.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert built == [prog]
+
+
 def test_branch_mode_validates_the_outcome_map():
     prog = w4_program()
     with pytest.raises(MalformedProgram):
@@ -630,11 +681,16 @@ def test_forced_zero_probability_branch_raises():
     assert enumerate_branches(broken) == []
 
 
-def test_qutrit_star_protocol():
+def _qutrit_star_program():
+    # a qutrit star whose centre has K_v = 729 outcomes; its enumeration
+    # finishes in records of 22 and 101 rows
     rng = np.random.default_rng(223)
     t = star_tree(4, center_dim=3, leaf_dim=3)
-    s = random_pure_state(rng, t.dims)
-    prog = _program(s, t)
+    return _program(random_pure_state(rng, t.dims), t)
+
+
+def test_qutrit_star_protocol():
+    prog = _qutrit_star_program()
     branches = enumerate_branches(prog)
     assert len(branches) == prog.branch_count
     assert min(tr.fidelity for tr in branches) >= 1 - 1e-9
