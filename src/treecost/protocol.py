@@ -80,29 +80,6 @@ from .states import PureState
 from .tree import RootedTree
 
 
-def generalized_pauli_x(d: int, x: int) -> np.ndarray:
-    """Cyclic shift by x on d levels: maps level l to level (l + x) mod d."""
-    if not 0 <= x < d:
-        raise OutOfRangeIndex(f"shift {x} out of range for dimension {d}")
-    return np.roll(np.eye(d, dtype=complex), x, axis=0)
-
-
-def generalized_pauli_z(d: int, z: int) -> np.ndarray:
-    """Phase gradient: level l picks up exp(2 pi i z l / d)."""
-    if not 0 <= z < d:
-        raise OutOfRangeIndex(f"phase index {z} out of range for dimension {d}")
-    phases = np.exp(2j * np.pi * z * np.arange(d) / d)
-    return np.diag(phases)
-
-
-def correction_unitary(d: int, x: int, z: int) -> np.ndarray:
-    """Inverse transpose of the outcome displacement; undoes what a remote
-    measurement imprints on the far half of a shared pair."""
-    if not 0 <= z < d:
-        raise OutOfRangeIndex(f"phase index {z} out of range for dimension {d}")
-    return generalized_pauli_z(d, (d - z) % d) @ generalized_pauli_x(d, x)
-
-
 @dataclass(frozen=True)
 class ResourceConfig:
     """Supplied entangled ranks per edge label."""
@@ -396,9 +373,9 @@ _ONE_ROW = np.zeros(1, dtype=np.intp)
 
 @lru_cache(maxsize=None)
 def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather and phase tables of correction_unitary(r, x, z): level l of
-    the corrected register is phases[z, l] times level sources[x, l] of
-    the uncorrected one."""
+    """Gather and phase tables of the correction Z^-z X^x on r levels:
+    level l of the corrected register is phases[z, l] times level
+    sources[x, l] of the uncorrected one."""
     levels = np.arange(r)
     sources = (levels[None, :] - levels[:, None]) % r
     phases = np.exp(2j * np.pi * ((r - levels[:, None]) % r) * levels / r)

@@ -14,6 +14,7 @@ import numpy as np
 
 from treecost import (
     EnumerationCapExceeded,
+    OutOfRangeIndex,
     PureState,
     RootedTree,
     config,
@@ -446,6 +447,29 @@ def product_block_amps(amps, dims, n):
     return out
 
 
+def generalized_pauli_x(d, x):
+    """Cyclic shift by x on d levels: maps level l to level (l + x) mod d."""
+    if not 0 <= x < d:
+        raise OutOfRangeIndex(f"shift {x} out of range for dimension {d}")
+    return np.roll(np.eye(d, dtype=complex), x, axis=0)
+
+
+def generalized_pauli_z(d, z):
+    """Phase gradient: level l picks up exp(2 pi i z l / d)."""
+    if not 0 <= z < d:
+        raise OutOfRangeIndex(f"phase index {z} out of range for dimension {d}")
+    return np.diag(np.exp(2j * np.pi * z * np.arange(d) / d))
+
+
+def correction_unitary(d, x, z):
+    """Inverse transpose of the outcome displacement Z^z X^x as a dense
+    matrix; undoes what a remote measurement imprints on the far half of a
+    shared pair."""
+    if not 0 <= z < d:
+        raise OutOfRangeIndex(f"phase index {z} out of range for dimension {d}")
+    return generalized_pauli_z(d, (d - z) % d) @ generalized_pauli_x(d, x)
+
+
 def dense_forced_branch(program, outcomes, disable_corrections=()):
     """One forced branch of the protocol by the explicit route: in vertex
     label order, each child pair is attached as a dense maximally entangled
@@ -456,12 +480,6 @@ def dense_forced_branch(program, outcomes, disable_corrections=()):
     matrix.  Returns (amplitudes in party order, branch probability), the
     probability being the product of the squared norms of the measured
     registers."""
-    from treecost import (
-        correction_unitary,
-        generalized_pauli_x,
-        generalized_pauli_z,
-    )
-
     t = program.tree
     state = {"tensor": np.ones((), dtype=complex), "labels": []}
 

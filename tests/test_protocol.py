@@ -20,12 +20,9 @@ from treecost import (
     ZeroProbabilityBranch,
     build_program,
     check_completeness,
-    correction_unitary,
     decompose,
     enumerate_branches,
     fidelity_pure,
-    generalized_pauli_x,
-    generalized_pauli_z,
     make_named_state,
     naive_distribution_cost,
     root_and_relabel,
@@ -35,7 +32,10 @@ from treecost.config import FIDELITY_TOL
 
 from helpers import (
     all_transcript_outcomes,
+    correction_unitary,
     dense_forced_branch,
+    generalized_pauli_x,
+    generalized_pauli_z,
     line_tree,
     random_pure_state,
     random_tree,
