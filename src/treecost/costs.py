@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, erfc, inf, lgamma, log, log2, sqrt, pi
 from statistics import NormalDist
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -221,18 +221,19 @@ class _SpectrumTable:
             mu_next = np.append(self.log_mu[1:], -np.inf)
         self.boundary = self.cum_mass - np.exp(self.log_cum_cnt + mu_next)
 
-    def waterline_bits(self, deficit: float) -> float:
-        """-log2 of the threshold t at which the clipped mass equals the
-        deficit; the cost exponent of keeping the levels above t."""
-        target = 1.0 - deficit
-        k = int(np.searchsorted(self.boundary, target, side="left"))
-        if k >= self.log_mu.size:
-            k = self.log_mu.size - 1
+    def waterline_bits(self, deficits: list[float]) -> list[float]:
+        """-log2 of the threshold t at which the clipped mass equals each
+        deficit (infinite where 1 - deficit rounds to 1): one search places
+        them all, and each log is math.log, which np.log can miss by a bit."""
+        target = 1.0 - np.asarray(deficits, dtype=float)
+        k = np.searchsorted(self.boundary, target, side="left")
+        k = np.minimum(k, self.log_mu.size - 1)
         excess = self.cum_mass[k] - target
-        if excess <= 0.0:
-            return inf
-        log_t = log(excess) - self.log_cum_cnt[k]
-        return -log_t / _LN2
+        return [
+            -(log(x) - c) / _LN2 if x > 0.0 else inf
+            for x, c in zip(excess.tolist(), self.log_cum_cnt[k].tolist())
+        ]
+
 
 @lru_cache(maxsize=64)
 def _table(spectrum: Spectrum, n: int) -> _SpectrumTable:
@@ -246,7 +247,7 @@ def spectrum_entropy(spectrum: Spectrum, n: int, eps: float) -> float:
         raise ValueError(f"block size {n} must be a positive integer")
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"deficit {eps} outside (0, 1)")
-    return _table(spectrum, int(n)).waterline_bits(eps)
+    return _table(spectrum, int(n)).waterline_bits([eps])[0]
 
 
 @dataclass(frozen=True)
@@ -270,14 +271,15 @@ def second_order(spectrum: Spectrum, eps: float) -> SecondOrderCoeffs:
     return SecondOrderCoeffs(a=a, s=s, b=b)
 
 
-def _block_bits(spectrum: Spectrum, n: int, deficit: float) -> tuple[float, str]:
-    """Waterline bits for the n-fold spectrum, exact when the type classes
-    fit, Gaussian otherwise."""
+def _waterline(spectrum: Spectrum, n: int) -> tuple[Callable, str]:
+    """The waterline bits of the n-fold spectrum at a list of deficits, and
+    the method: the cached type-class table where the classes fit, else the
+    two-term Gaussian value.  Deciding once spares each deficit a lookup."""
     try:
-        return spectrum_entropy(spectrum, n, deficit), "type-class"
+        return _table(spectrum, n).waterline_bits, "type-class"
     except EnumerationCapExceeded:
-        z = inverse_normal_cdf(deficit)
-        return n * spectrum.entropy - sqrt(n) * spectrum.std_log * z, "gaussian"
+        a, s = n * spectrum.entropy, sqrt(n) * spectrum.std_log
+        return (lambda ds: [a - s * inverse_normal_cdf(d) for d in ds]), "gaussian"
 
 
 @dataclass(frozen=True)
@@ -308,31 +310,22 @@ def exact_edge_cost(dec) -> dict[int, float]:
     return {lab: float(log2(r)) for lab, r in sorted(dec.ranks.items())}
 
 
-def _eta_grid(eps: float) -> np.ndarray:
-    hi = 1.0 - eps * eps / 4.0
-    return np.geomspace(1e-12, hi, 202)[1:-1]
-
-
 def _edge_lower(
-    spectrum: Spectrum, n: int, eps: float, delta: float, eta: float | None
-) -> tuple[float, float, str]:
+    bits_at, n: int, eps: float, delta: float, eta: float | None
+) -> tuple[float, float]:
+    """The best lower bound over a log grid of slacks h (plus eta, if
+    given), and its slack: h pays the waterline at eps^2/4 + h, and one
+    bits_at call reads every candidate's waterline."""
     deficit0 = eps * eps / 4.0
-    candidates = list(_eta_grid(eps))
+    slacks = list(np.geomspace(1e-12, 1.0 - deficit0, 202)[1:-1])
     if eta is not None:
-        candidates.append(eta)
-    best = -inf
-    best_eta = candidates[0]
-    method = "type-class"
-    for h in candidates:
-        bits, meth = _block_bits(spectrum, n, deficit0 + h)
-        if bits == inf:
-            continue
+        slacks.append(eta)
+    best, best_eta = -inf, slacks[0]
+    for h, bits in zip(slacks, bits_at([deficit0 + h for h in slacks])):
         cand = (bits - delta + log2(h)) / n
-        if cand > best:
-            best = cand
-            best_eta = h
-            method = meth
-    return max(0.0, best), float(best_eta), method
+        if bits != inf and cand > best:
+            best, best_eta = cand, h
+    return max(0.0, best), float(best_eta)
 
 
 def _edge_shares(t: RootedTree, thresholds: dict) -> dict[int, float]:
@@ -372,9 +365,7 @@ def approx_bounds(
     if delta <= 0.0:
         raise ValueError(f"slack {delta} must be positive")
     if eta is not None and not 0.0 < eta < 1.0 - eps * eps / 4.0:
-        raise InvalidEta(
-            f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})"
-        )
+        raise InvalidEta(f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})")
     edges = t.edges
     if thresholds is None:
         u = eps / sqrt(len(edges))
@@ -392,19 +383,17 @@ def approx_bounds(
         rank = dec.ranks[e.label]
         spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
         epse = thresholds[e.label]
+        bits_at, method = _waterline(spectrum, int(n))
         # a share whose deficit underflows to 0, or is too small for the
         # waterline to resolve (1 - deficit rounds to 1), allows no
         # smoothing: the exact rank's bits suffice
         deficit = epse * epse / 4.0
-        bits = inf
-        if deficit > 0.0:
-            bits, upper_method = _block_bits(spectrum, n, deficit)
+        bits = bits_at([deficit])[0] if deficit > 0.0 else inf
         if bits == inf:
-            upper = float(log2(rank))
-            upper_method = "exact-rank"
+            upper, upper_method = float(log2(rank)), "exact-rank"
         else:
-            upper = bits / n
-        lower, best_eta, lower_method = _edge_lower(spectrum, n, eps, delta, eta)
+            upper, upper_method = bits / n, method
+        lower, best_eta = _edge_lower(bits_at, n, eps, delta, eta)
         rows.append(
             EdgeCostRow(
                 edge=e.label,
@@ -415,7 +404,7 @@ def approx_bounds(
                 upper_method=upper_method,
                 lower=float(lower),
                 lower_eta=best_eta,
-                lower_method=lower_method,
+                lower_method=method,
             )
         )
     return CostReport(

@@ -8,7 +8,7 @@ expansions) so tests compare two independent derivations.
 import itertools
 import string
 from functools import reduce
-from math import comb, erf, exp, lgamma, log2, pi, sqrt
+from math import comb, erf, exp, inf, lgamma, log2, pi, sqrt
 
 import numpy as np
 
@@ -18,7 +18,9 @@ from treecost import (
     PureState,
     RootedTree,
     config,
+    inverse_normal_cdf,
     root_and_relabel,
+    spectrum_entropy,
 )
 
 
@@ -323,6 +325,49 @@ def loop_spectrum_table(spectrum, n):
         mu_next = np.append(log_mu[1:], -np.inf)
     boundary = cum_mass - np.exp(log_cum_cnt + mu_next)
     return log_mu, log_cnt, cum_mass, log_cum_cnt, boundary
+
+
+def scalar_block_bits(spectrum, n, deficit):
+    """Waterline bits of the n-fold spectrum at one deficit, and the method:
+    one spectrum_entropy call, or the two-term Gaussian value
+    n H - sqrt(n) s z(deficit) when the type classes exceed the cap."""
+    try:
+        return spectrum_entropy(spectrum, n, deficit), "type-class"
+    except EnumerationCapExceeded:
+        z = inverse_normal_cdf(deficit)
+        return n * spectrum.entropy - sqrt(n) * spectrum.std_log * z, "gaussian"
+
+
+def scalar_edge_bounds(spectrum, rank, n, eps, share, delta=1e-9, eta=None):
+    """One edge's (upper, upper_method, lower, lower_eta, lower_method) of
+    approx_bounds, one scalar_block_bits call per deficit: the upper bound
+    at the share's deficit (the exact rank's bits where it allows no
+    smoothing), and the lower bound walked over the slack grid point by
+    point, the first best slack kept."""
+    deficit = share * share / 4.0
+    bits, upper_method = inf, "exact-rank"
+    if deficit > 0.0:
+        bits, upper_method = scalar_block_bits(spectrum, n, deficit)
+    if bits == inf:
+        upper, upper_method = float(log2(rank)), "exact-rank"
+    else:
+        upper = bits / n
+    deficit0 = eps * eps / 4.0
+    slacks = list(np.geomspace(1e-12, 1.0 - deficit0, 202)[1:-1])
+    if eta is not None:
+        slacks.append(eta)
+    best, best_eta, lower_method = -inf, slacks[0], "type-class"
+    for h in slacks:
+        bits, method = scalar_block_bits(spectrum, n, deficit0 + h)
+        if bits == inf:
+            continue
+        cand = (bits - delta + log2(h)) / n
+        if cand > best:
+            best, best_eta, lower_method = cand, h, method
+    return (
+        float(upper), upper_method, float(max(0.0, best)), float(best_eta),
+        lower_method,
+    )
 
 
 def _project_block(block, dims, t, proj, dtype=complex):

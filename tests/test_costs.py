@@ -39,6 +39,7 @@ from helpers import (
     loop_compositions,
     loop_spectrum_table,
     random_pure_state,
+    scalar_edge_bounds,
     series_inverse_cdf,
     series_normal_cdf,
     std_log_longdouble,
@@ -475,6 +476,70 @@ def test_approx_bounds_gaussian_fallback_for_huge_blocks():
     spectrum = Spectrum.from_edge(s, t, t.edge_by_label(1))
     so_a = spectrum.entropy
     assert abs(rep.rows[0].upper - so_a) < 0.05  # near the entropy per copy
+
+
+def _assert_rows_equal_the_scalar_oracle(s, t, rep, eta=None):
+    dec = decompose(s, t)
+    for row in rep.rows:
+        spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[row.edge] ** 2)
+        want = scalar_edge_bounds(
+            spectrum, row.rank, rep.n, rep.eps, row.threshold, eta=eta
+        )
+        got = (row.upper, row.upper_method, row.lower, row.lower_eta,
+               row.lower_method)
+        assert got == want, row.edge
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_approx_bounds_rows_equal_the_scalar_oracle_on_both_tiers(n):
+    # a random 14-qubit line puts some edges on the type-class table and
+    # some past its cap; every value equals one evaluation per deficit
+    rng = np.random.default_rng(1414)
+    t = line_tree(14)
+    s = random_pure_state(rng, t.dims)
+    rep = approx_bounds(s, t, n=n, eps=0.1)
+    assert {r.upper_method for r in rep.rows} == {"type-class", "gaussian"}
+    assert {r.lower_method for r in rep.rows} == {"type-class", "gaussian"}
+    _assert_rows_equal_the_scalar_oracle(s, t, rep)
+
+
+def test_approx_bounds_rows_equal_the_scalar_oracle_with_eta_and_a_zero_share():
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    rep = approx_bounds(
+        s, t, n=20, eps=0.1, thresholds={1: 0.08, 2: 0.0}, eta=1e-3
+    )
+    assert [r.upper_method for r in rep.rows] == [
+        "type-class", "exact-rank", "exact-rank"
+    ]
+    _assert_rows_equal_the_scalar_oracle(s, t, rep, eta=1e-3)
+
+
+def test_each_edge_decides_its_tier_with_one_table_attempt(monkeypatch):
+    # the upper bound and every slack of the lower bound read one decision:
+    # the 3x3 pair's one edge, past the class cap, makes one attempt where
+    # a table request per deficit makes 202
+    compositions = costs_mod._compositions
+    calls = []
+
+    def counted(n, d):
+        calls.append((n, d))
+        return compositions(n, d)
+
+    monkeypatch.setattr(costs_mod, "_compositions", counted)
+    t = line_tree(2, dims=(3, 3))
+    s = make_named_state("random", 2, dims=(3, 3), seed=7)
+    rep = approx_bounds(s, t, n=200_000, eps=0.1, eta=1e-3)
+    assert rep.rows[0].lower_method == "gaussian"
+    assert len(calls) == 1
+    # with no table cached, each edge of the 14-qubit line tries at most once
+    costs_mod._table.cache_clear()
+    calls.clear()
+    t = line_tree(14)
+    s = random_pure_state(np.random.default_rng(1414), t.dims)
+    rep = approx_bounds(s, t, n=10, eps=0.1)
+    assert "gaussian" in {r.upper_method for r in rep.rows}
+    assert 0 < len(calls) <= len(t.edges)
 
 
 def test_lower_bound_approaches_entropy_for_long_blocks():
