@@ -106,7 +106,14 @@ class EdgeProjection:
 
     def matrix(self) -> np.ndarray:
         """Explicit projector on the n-copy subtree factor, copy 1 most
-        significant.  Meant for small checks; grows fast."""
+        significant.  Meant for small checks; grows fast, so its sub^n x
+        sub^n entries (sub the subtree dimension) are capped by
+        config.dim_cap()."""
+        size, cap = self.basis.shape[0] ** (2 * self.n), config.dim_cap()
+        if size > cap:
+            raise DimensionCapExceeded(
+                f"projector of edge {self.edge} spans {size} amplitudes, cap {cap}"
+            )
         w_n = reduce(np.kron, [self.basis] * self.n)
         cols = w_n[:, self.keep_mask.reshape(-1)]
         return cols @ cols.conj().T

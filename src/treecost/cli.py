@@ -19,7 +19,13 @@ from . import config
 from .approx import construct_approx
 from .costs import approx_bounds, exact_edge_cost, figure_data, optimize_thresholds
 from .decomposition import decompose
-from .errors import IncompatibleDims, InsufficientResource, TreecostError, UnknownRoot
+from .errors import (
+    IncompatibleDims,
+    InsufficientResource,
+    InvalidEpsilon,
+    TreecostError,
+    UnknownRoot,
+)
 from .protocol import build_program, simulate
 from .states import load_state_json, make_named_state
 from .tree import load_tree_json
@@ -117,7 +123,14 @@ def _resolve_thresholds(args, state, tree):
         )
     with open(mode, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return {int(k): float(v) for k, v in doc.items()}, mode
+    if not isinstance(doc, dict):
+        raise InvalidEpsilon(f"thresholds file {mode} is not an object of shares")
+    try:
+        return {int(k): float(v) for k, v in doc.items()}, mode
+    except TypeError:
+        raise InvalidEpsilon(
+            f"thresholds file {mode} holds a share that is not a number"
+        ) from None
 
 
 def _event_doc(ev) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, erfc, inf, lgamma, log, log2, sqrt, pi
+from math import comb, erfc, inf, isfinite, lgamma, log, log2, sqrt, pi
 from statistics import NormalDist
 from typing import Callable, Iterable
 
@@ -330,11 +330,14 @@ def _edge_lower(
 
 def _edge_shares(t: RootedTree, thresholds: dict) -> dict[int, float]:
     """Every edge's error share, in edge order, 0.0 where thresholds names
-    none; a share for an unknown edge or a negative share is refused."""
+    none; a share for an unknown edge, a NaN or infinite share and a
+    negative share are refused."""
     labels = {e.label for e in t.edges}
     for lab, v in thresholds.items():
         if lab not in labels:
             raise ThresholdBudgetExceeded(f"threshold for unknown edge {lab}")
+        if not isfinite(v):
+            raise InvalidEpsilon(f"threshold {v} at edge {lab} not finite")
         if v < 0:
             raise InvalidEpsilon(f"threshold {v} at edge {lab} negative")
     return {e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges}
@@ -362,8 +365,8 @@ def approx_bounds(
         raise ValueError(f"block size {n} must be a positive integer")
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"error budget {eps} outside (0, 1)")
-    if delta <= 0.0:
-        raise ValueError(f"slack {delta} must be positive")
+    if not 0.0 < delta < inf:
+        raise ValueError(f"slack {delta} must be finite and positive")
     if eta is not None and not 0.0 < eta < 1.0 - eps * eps / 4.0:
         raise InvalidEta(f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})")
     edges = t.edges

@@ -349,15 +349,21 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     if "named" in doc:
+        name, k, seed = doc["named"], doc.get("k"), doc.get("seed")
+        if not isinstance(name, str) or not all(
+            v is None or isinstance(v, int) for v in (k, seed)
+        ):
+            raise DimensionMismatch(
+                "malformed state document: named must be a string, "
+                "k and seed integers"
+            )
         dims = doc.get("dims")
         if dims is None and tree is not None:
             dims = tree.dims
         n = int(doc.get("n", len(dims) if dims is not None else 0))
         if n == 0:
             raise IncompatibleDims("named state needs a party count")
-        return make_named_state(
-            doc["named"], n, dims, k=doc.get("k"), seed=doc.get("seed")
-        )
+        return make_named_state(name, n, dims, k=k, seed=seed)
     try:
         dims = tuple(int(d) for d in doc["dims"])
         # refused before the amplitude list is parsed

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -232,18 +233,19 @@ def load_tree_json(source, root_override=None) -> RootedTree:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    try:
-        parties = doc["parties"]
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
-        raise NotATree(f"tree document is missing {exc}") from exc
     party_dims = {}
-    for entry in parties:
-        pid = entry["id"]
-        if pid in party_dims:
-            raise NotATree(f"duplicate party id {pid!r}")
-        party_dims[pid] = int(entry.get("dim", 2))
+    try:
+        for entry in doc["parties"]:
+            pid = entry["id"]
+            if pid in party_dims:
+                raise NotATree(f"duplicate party id {pid!r}")
+            party_dims[pid] = int(entry.get("dim", 2))
+        edge_list = [tuple(e) for e in doc["edges"]]
+    except (KeyError, TypeError) as exc:
+        raise NotATree(f"malformed tree document: {exc!r}") from exc
     root = root_override if root_override is not None else doc.get("root")
     if root is None:
         raise UnknownRoot("tree document has no root and none was given")
-    return root_and_relabel([tuple(e) for e in edges], party_dims, root)
+    if not isinstance(root, Hashable):
+        raise UnknownRoot(f"root {root!r} is not a party id")
+    return root_and_relabel(edge_list, party_dims, root)

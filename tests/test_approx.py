@@ -100,6 +100,19 @@ def test_projection_matrix_is_an_orthogonal_projector():
     assert np.linalg.matrix_rank(P) == proj.kept
 
 
+def test_projection_matrix_respects_the_dimension_cap(monkeypatch):
+    # edge 1 of W4 splits off an 8-dimensional subtree: at n=3 its
+    # projector has 8^6 = 262,144 entries, refused under a cap of 1024
+    # before any Kronecker product is taken; at n=1 it has 64
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
+    proj = build_projection(s, t, t.edge_by_label(1), 3, 0.1)
+    with pytest.raises(DimensionCapExceeded, match="262144 amplitudes, cap 1024"):
+        proj.matrix()
+    assert build_projection(s, t, t.edge_by_label(1), 1, 0.1).matrix().shape == (8, 8)
+
+
 def test_projection_rejects_bad_shares():
     t = line_tree(3)
     s = skewed_ghz()
@@ -129,6 +142,10 @@ def test_every_share_reader_refuses_the_same_bad_shares():
             read({1: 0.3, 7: 0.5})
         with pytest.raises(InvalidEpsilon, match="at edge 2 negative"):
             read({1: 0.3, 2: -0.1})
+        # NaN passes a "negative" test, so it is refused by name
+        for share in (float("nan"), float("inf")):
+            with pytest.raises(InvalidEpsilon, match="at edge 1 not finite"):
+                read({1: share, 2: 0.01})
 
 
 # ------------------------------------------------------------- block state

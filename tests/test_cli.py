@@ -684,6 +684,78 @@ def test_malformed_tree_json_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+TWO_PARTY_TREE = {
+    "parties": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]], "root": "a"
+}
+
+
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        ("tree", {**W4_TREE, "parties": [{"id": "1"}, {"dim": 2},
+                                         {"id": "3"}, {"id": "4"}]}),
+        ("tree", {**W4_TREE, "parties": [{"id": "1", "dim": None}, {"id": "2"},
+                                         {"id": "3"}, {"id": "4"}]}),
+        ("tree", {**W4_TREE, "parties": ["1", "2", "3", "4"]}),
+        ("tree", {**W4_TREE, "edges": [["1", "2"], ["2", "3"], 3]}),
+        ("tree", {**W4_TREE, "root": ["a"]}),
+        ("state", {"named": 5, "n": 2}),
+        ("state", {"named": "dicke", "n": 2, "k": "1"}),
+        ("state", {"named": "random", "n": 2, "seed": "x"}),
+        ("thresholds", [0.1, 0.2]),
+        ("thresholds", {"1": None}),
+    ],
+)
+def test_malformed_documents_are_usage_errors(kind, doc, tmp_path, capsys):
+    # each document used to escape main as a KeyError, TypeError or
+    # AttributeError; its reader refuses it with a TreecostError instead
+    path = tmp_path / f"malformed_{kind}.json"
+    path.write_text(json.dumps(doc))
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(W4_TREE))
+    argv = ["cost", "approx", "--tree", str(tree_path), "--state", "w4",
+            "--n", "2", "--eps", "0.1"]
+    if kind == "tree":
+        argv[3] = str(path)
+    elif kind == "state":
+        tree_path.write_text(json.dumps(TWO_PARTY_TREE))
+        argv[5] = str(path)
+    else:
+        argv += ["--thresholds", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_a_nan_share_is_refused_by_both_approx_commands(
+    w4_tree_path, tmp_path, capsys
+):
+    # NaN is not negative, so it used to pass as a share: cost approx
+    # reported edge 1 as exact-rank and wrote "threshold": NaN
+    th_path = tmp_path / "thresholds.json"
+    th_path.write_text(json.dumps({"1": float("nan"), "2": 0.01}))
+    args = ["--tree", w4_tree_path, "--state", "w4", "--n", "2",
+            "--eps", "0.1", "--thresholds", str(th_path)]
+    for command in (["approx"], ["cost", "approx"]):
+        code, out, err = run_cli([*command, *args], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: threshold nan at edge 1 not finite\n"
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])
+def test_cost_approx_refuses_a_bad_delta(delta, w4_tree_path, capsys):
+    code, out, err = run_cli(
+        ["cost", "approx", "--tree", w4_tree_path, "--state", "w4",
+         "--n", "10", "--eps", "0.1", "--delta", delta],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be finite and positive" in err
+
+
 def test_out_flag_redirects_the_document(w4_tree_path, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -542,6 +542,15 @@ def test_each_edge_decides_its_tier_with_one_table_attempt(monkeypatch):
     assert 0 < len(calls) <= len(t.edges)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_approx_bounds_refuses_a_slack_that_is_not_finite_and_positive(delta):
+    # NaN passed a "not positive" test and turned every lower bound to 0.0
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    with pytest.raises(ValueError, match="finite and positive"):
+        approx_bounds(s, t, n=10, eps=0.1, delta=delta)
+
+
 def test_lower_bound_approaches_entropy_for_long_blocks():
     t = line_tree(2, dims=(4, 4))
     s = make_named_state("random", 2, dims=(4, 4), seed=3)
