@@ -10,7 +10,9 @@ classes in log space, in whole-array operations (stars-and-bars rows, one
 sort, a vectorized merge of levels within the merge tolerance); when the
 class count exceeds TYPE_CLASS_CAP, a Gaussian two-term expansion takes
 over and is labeled as such.  Bounds and threshold optimization read every
-edge's cut spectrum from one decompose sweep.
+edge's cut spectrum from one decompose sweep, and each edge's tier is
+decided once: its upper bound and every slack of its lower bound read
+their waterlines from that one table (or refusal) in one pass.
 """
 
 from __future__ import annotations
