@@ -350,17 +350,18 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
             doc = json.load(fh)
     if "named" in doc:
         name, k, seed = doc["named"], doc.get("k"), doc.get("seed")
-        if not isinstance(name, str) or not all(
-            v is None or isinstance(v, int) for v in (k, seed)
-        ):
-            raise DimensionMismatch(
-                "malformed state document: named must be a string, "
-                "k and seed integers"
-            )
         dims = doc.get("dims")
         if dims is None and tree is not None:
             dims = tree.dims
-        n = int(doc.get("n", len(dims) if dims is not None else 0))
+        try:
+            if not isinstance(name, str) or not all(
+                v is None or isinstance(v, int) for v in (k, seed)
+            ):
+                raise TypeError("named must be a string, k and seed integers")
+            n = int(doc.get("n", len(dims) if dims is not None else 0))
+            dims = None if dims is None else tuple(int(d) for d in dims)
+        except TypeError as exc:
+            raise DimensionMismatch(f"malformed state document: {exc}") from exc
         if n == 0:
             raise IncompatibleDims("named state needs a party count")
         return make_named_state(name, n, dims, k=k, seed=seed)

@@ -702,6 +702,9 @@ TWO_PARTY_TREE = {
         ("state", {"named": 5, "n": 2}),
         ("state", {"named": "dicke", "n": 2, "k": "1"}),
         ("state", {"named": "random", "n": 2, "seed": "x"}),
+        ("state", {"named": "w", "n": None}),
+        ("state", {"named": "w", "dims": 5}),
+        ("state", {"named": "w", "n": 2, "dims": [2, None]}),
         ("thresholds", [0.1, 0.2]),
         ("thresholds", {"1": None}),
     ],
