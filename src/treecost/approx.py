@@ -54,7 +54,6 @@ from .decomposition import (
 )
 from .errors import (
     DegenerateDenominator,
-    DimensionCapExceeded,
     InvalidEpsilon,
     ZeroNorm,
 )
@@ -108,12 +107,10 @@ class EdgeProjection:
         """Explicit projector on the n-copy subtree factor, copy 1 most
         significant.  Meant for small checks; grows fast, so its sub^n x
         sub^n entries (sub the subtree dimension) are capped by
-        config.dim_cap()."""
-        size, cap = self.basis.shape[0] ** (2 * self.n), config.dim_cap()
-        if size > cap:
-            raise DimensionCapExceeded(
-                f"projector of edge {self.edge} spans {size} amplitudes, cap {cap}"
-            )
+        config.dim_cap() before the basis is built."""
+        dec = self._dec
+        sub = dec.subtree_dim(dec.tree.edge_by_label(self.edge).child)
+        config.check_dim(f"projector of edge {self.edge}", sub, 2 * self.n)
         w_n = reduce(np.kron, [self.basis] * self.n)
         cols = w_n[:, self.keep_mask.reshape(-1)]
         return cols @ cols.conj().T
@@ -140,11 +137,7 @@ def _edge_projection(
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
     coeffs = dec.schmidt_coeffs[e.label]
     rank = _numerical_rank(coeffs, _check_rank_tol(rank_tol))
-    cap = config.dim_cap()
-    if rank**n > cap:
-        raise DimensionCapExceeded(
-            f"keep mask of edge {e.label} spans {rank**n} levels, cap {cap}"
-        )
+    config.check_dim(f"keep mask of edge {e.label}", rank, n, "levels")
     probs = coeffs[:rank] ** 2
     # a share below about 3e-162 squares to a zero deficit, which allows no
     # truncation: the same projection as a zero share
@@ -217,13 +210,7 @@ def _transfer(g: np.ndarray, envs: list, n: int, v: int) -> _Env:
     bra = [0, *range(1, own + 1)]
     phi = np.einsum(g.conj(), bra, g, ket + [own_ket], rows + [own, own_ket])
     phi = phi.reshape(-1, g.shape[-1] ** 2)
-    widest = max(phi.shape) ** n
-    cap = config.dim_cap()
-    if widest > cap:
-        raise DimensionCapExceeded(
-            f"bond environment at vertex {v} spans {widest} amplitudes, "
-            f"cap {cap}"
-        )
+    config.check_dim(f"bond environment at vertex {v}", max(phi.shape), n)
     # one axis per (child, copy), regrouped copy major
     x = reduce(np.multiply.outer, legs)
     x = x.transpose([i * n + a for a in range(n) for i in range(len(legs))])
@@ -316,17 +303,13 @@ def _bond_masks(
     """keep_mask of each nontrivial projection, zero-padded to its bond's
     width on every copy, keyed by the vertex below its edge."""
     t = dec.tree
-    cap = config.dim_cap()
     masks = {}
     for proj in projections:
         if proj.trivial:
             continue
         v, n = t.edge_by_label(proj.edge).child, proj.n
         width = dec.factors[v].shape[-1]
-        if width**n > cap:
-            raise DimensionCapExceeded(
-                f"mask on edge {proj.edge} spans {width**n} levels, cap {cap}"
-            )
+        config.check_dim(f"mask on edge {proj.edge}", width, n, "levels")
         masks[v] = np.zeros((width,) * n, dtype=bool)
         masks[v][(slice(proj.rank),) * n] = proj.keep_mask
     return masks

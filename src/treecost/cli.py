@@ -338,8 +338,7 @@ def _cmd_approx(args) -> int:
         )
         ok = min_fid >= 1.0 - tol
         if args.transcript:
-            big = dataclasses.replace(tree, dims=tuple(d**report.n for d in tree.dims))
-            _emit_transcripts(result, big, args.transcript)
+            _emit_transcripts(result, tree, args.transcript)
     else:
         doc.update(
             {
@@ -351,8 +350,7 @@ def _cmd_approx(args) -> int:
         )
         ok = result.fidelity >= 1.0 - tol
         if args.transcript:
-            big = dataclasses.replace(tree, dims=tuple(d**report.n for d in tree.dims))
-            _emit(_transcript_doc(result, big), args.transcript)
+            _emit(_transcript_doc(result, tree), args.transcript)
     doc["deterministic"] = ok
     ok = ok and doc["within_budget"] and doc["distance_ok"]
     _emit(doc, args.out)

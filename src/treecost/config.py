@@ -1,11 +1,13 @@
 """Numerical tolerances and size caps shared across the library.
 
 Values are module-level constants so call sites can override per call where a
-function exposes the knob; the total-dimension cap can also be overridden via
-the TREECOST_DIM_CAP environment variable.
+function exposes the knob; the dimension cap (TREECOST_DIM_CAP overrides it)
+is applied by check_dim to every allocation that grows with N, n or a rank.
 """
 
 import os
+
+from .errors import DimensionCapExceeded
 
 # Relative singular-value cutoff deciding Schmidt ranks.
 RANK_TOL = 1e-9
@@ -43,3 +45,25 @@ def dim_cap() -> int:
     if raw is None:
         return DEFAULT_DIM_CAP
     return int(raw)
+
+
+def size_past(base: int, power: int, cap: int) -> str | None:
+    """base**power as text if it exceeds cap, else None.  It is at least 2^k
+    for k = power * (bit_length(base) - 1): once k passes both the cap's bit
+    length and 128 it is past the cap unbuilt, "at least 2^k"; below that
+    it is built and compared exactly, so a size equal to the cap fits."""
+    base, power = int(base), int(power)
+    k = power * (base.bit_length() - 1)
+    if k > max(cap.bit_length(), 128):
+        return f"at least 2^{k}"
+    size = base**power
+    return str(size) if size > cap else None
+
+
+def check_dim(what: str, base: int, power=1, unit="amplitudes", cap=None):
+    """Refuse a `what` of base**power `unit` past the cap (dim_cap() unless
+    given) before it is built: "<what> spans <size> <unit>, cap <cap>"."""
+    cap = dim_cap() if cap is None else cap
+    size = size_past(base, power, cap)
+    if size is not None:
+        raise DimensionCapExceeded(f"{what} spans {size} {unit}, cap {cap}")

@@ -132,9 +132,10 @@ def _compositions(n: int, d: int) -> np.ndarray:
     Stars and bars, one part at a time: every row so far with r copies left
     is repeated r + 1 times, once for each value 0..r of its next part.
     """
-    if comb(n + d - 1, d - 1) > config.TYPE_CLASS_CAP:
+    count = config.size_past(comb(n + d - 1, d - 1), 1, config.TYPE_CLASS_CAP)
+    if count is not None:
         raise EnumerationCapExceeded(
-            f"{comb(n + d - 1, d - 1)} type classes for n={n}, d={d} "
+            f"{count} type classes for n={n}, d={d} "
             f"exceed cap {config.TYPE_CLASS_CAP}"
         )
     left = np.array([n], dtype=np.int64)
@@ -199,9 +200,14 @@ class _SpectrumTable:
         comps = _compositions(n, len(spectrum.values))
         log_vals = np.log(np.asarray(spectrum.values))
         log_mults = np.log(np.asarray(spectrum.multiplicities, dtype=float))
-        lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
         log_mu = comps @ log_vals
-        log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+        if comps.shape[1] > 1:
+            # every part count 0..n occurs, so the row is read throughout
+            lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+            log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+        else:
+            # one class, (n,): its lgamma(n + 1) - lgamma(n + 1) is 0
+            log_cnt = comps @ log_mults
         # arrays here grow with the class count; freeing the spent ones
         # lowers the peak of the build
         del comps

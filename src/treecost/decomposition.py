@@ -73,7 +73,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    DimensionCapExceeded,
     DimensionMismatch,
     MalformedTensors,
     NotALine,
@@ -356,9 +355,7 @@ def _subtree_bases(t: RootedTree, dims: tuple[int, ...], tensor):
     expanded in its children's vectors (_contract_vertex), which are then
     dropped; a leaf's are a view of its tensor.  A network past
     config.dim_cap() is refused before anything is built."""
-    size, cap = prod(dims), config.dim_cap()
-    if size > cap:
-        raise DimensionCapExceeded(f"state dimension {size} exceeds cap {cap}")
+    config.check_dim("state", prod(dims))
     vecs: dict[int, np.ndarray] = {}
     for v in t.vertices[:0:-1]:
         vecs[v] = _contract_vertex(t, dims, v, tensor(v), vecs)

@@ -70,7 +70,6 @@ import numpy as np
 from . import config
 from .decomposition import TreeDecomposition, _contract, _require_line
 from .errors import (
-    DimensionCapExceeded,
     InsufficientResource,
     MalformedProgram,
     OutOfRangeIndex,
@@ -226,16 +225,10 @@ class MeasurementProgram:
     def vertex_ops(self) -> dict[int, np.ndarray]:
         """Every outcome's operator, stacked per vertex as (K_v, d_v,
         in_dim); each stack is checked against the dimension cap."""
-        cap = config.dim_cap()
         ops = {}
         for v, base in self.bases.items():
             k = self.outcome_count(v)
-            size = k * base.size
-            if size > cap:
-                raise DimensionCapExceeded(
-                    f"operator stack at vertex {v} spans {size} amplitudes, "
-                    f"cap {cap}"
-                )
+            config.check_dim(f"operator stack at vertex {v}", k * base.size)
             ops[v] = _operators(base, np.arange(k))
         return ops
 
@@ -443,11 +436,7 @@ def _walk(program, choose, every_outcome, disable_corrections):
         need = mat.shape[0] * (size // mat.shape[1])
         if every_outcome:
             need *= k
-        if need > cap:
-            raise DimensionCapExceeded(
-                f"measurement at vertex {v} spans {need} amplitudes, "
-                f"cap {cap}"
-            )
+        config.check_dim(f"measurement at vertex {v}", need, cap=cap)
         return need
 
     def correct(v, lab, place, pcol, tensor, labels, picks):

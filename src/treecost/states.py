@@ -18,7 +18,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    DimensionCapExceeded,
     DimensionMismatch,
     EmptyKeepSet,
     IncompatibleDims,
@@ -155,9 +154,8 @@ def make_named_state(
     dims = tuple(int(d) for d in dims)
     if len(dims) != n:
         raise IncompatibleDims(f"{len(dims)} dims for {n} parties")
-    total, cap = prod(dims), config.dim_cap()
-    if total > cap:
-        raise DimensionCapExceeded(f"state dimension {total} exceeds cap {cap}")
+    total = prod(dims)
+    config.check_dim("state", total)
 
     if name in ("w", "ghz", "dicke", "bell"):
         if any(d != 2 for d in dims):
@@ -215,12 +213,8 @@ def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
     for v in keep:
         if not 1 <= v <= s.n_parties:
             raise UnknownParty(f"no party labeled {v}")
-    d_keep, cap = prod(s.dims[v - 1] for v in keep), config.dim_cap()
-    if d_keep * d_keep > cap:
-        raise DimensionCapExceeded(
-            f"density operator of parties {keep} spans {d_keep * d_keep} "
-            f"amplitudes, cap {cap}"
-        )
+    d_keep = prod(s.dims[v - 1] for v in keep)
+    config.check_dim(f"density operator of parties {keep}", d_keep, 2)
     mat = _split_axes(s, keep)
     rho = mat @ mat.conj().T
     dims = tuple(s.dims[v - 1] for v in keep)
@@ -339,7 +333,7 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
 
     Either {"named": "w", "n": 4, ...} (optional "dims", "k", "seed") or
     {"dims": [...], "amplitudes": [[re, im], ...]}.  A tree supplies default
-    dims and party count for the named form.
+    dims and party count for the named form, whose seed defaults to 0.
     """
     if isinstance(source, dict):
         doc = source
@@ -364,15 +358,12 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
             raise DimensionMismatch(f"malformed state document: {exc}") from exc
         if n == 0:
             raise IncompatibleDims("named state needs a party count")
+        seed = 0 if seed is None else seed
         return make_named_state(name, n, dims, k=k, seed=seed)
     try:
         dims = tuple(int(d) for d in doc["dims"])
         # refused before the amplitude list is parsed
-        total, cap = prod(dims), config.dim_cap()
-        if total > cap:
-            raise DimensionCapExceeded(
-                f"state dimension {total} exceeds cap {cap}"
-            )
+        config.check_dim("state", prod(dims))
         amps = np.array(
             [complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128
         )

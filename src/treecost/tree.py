@@ -243,6 +243,12 @@ def load_tree_json(source, root_override=None) -> RootedTree:
         edge_list = [tuple(e) for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise NotATree(f"malformed tree document: {exc!r}") from exc
+    for e in edge_list:
+        if len(e) != 2 or not all(isinstance(p, Hashable) for p in e):
+            raise NotATree(
+                f"malformed tree document: edge {list(e)!r} is not a pair "
+                "of party ids"
+            )
     root = root_override if root_override is not None else doc.get("root")
     if root is None:
         raise UnknownRoot("tree document has no root and none was given")

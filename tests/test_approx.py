@@ -100,6 +100,18 @@ def test_projection_matrix_is_an_orthogonal_projector():
     assert np.linalg.matrix_rank(P) == proj.kept
 
 
+def test_approx_state_far_past_the_cap_is_refused_without_its_size():
+    # W4's first cut has rank 2, so its keep mask at n=20000 spans 2^20000
+    # levels, a count with more digits than Python prints
+    t = line_tree(4)
+    with pytest.raises(DimensionCapExceeded) as exc:
+        approx_state(make_named_state("w", 4), t, 20000, {1: 0.1})
+    assert str(exc.value).startswith(
+        "keep mask of edge 1 spans at least 2^20000 levels, cap "
+    )
+    assert len(str(exc.value)) < 200
+
+
 def test_projection_matrix_respects_the_dimension_cap(monkeypatch):
     # edge 1 of W4 splits off an 8-dimensional subtree: at n=3 its
     # projector has 8^6 = 262,144 entries, refused under a cap of 1024

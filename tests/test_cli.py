@@ -266,7 +266,7 @@ def test_named_state_past_the_cap_is_refused_by_cost_exact(
         )
         assert code == 2, command
         assert out == ""
-        assert err == "error: state dimension 4096 exceeds cap 1024\n"
+        assert err == "error: state spans 4096 amplitudes, cap 1024\n"
 
 
 def test_state_file_past_the_cap_is_refused_by_every_command(
@@ -298,7 +298,7 @@ def test_state_file_past_the_cap_is_refused_by_every_command(
         code, out, err = run_cli([*command, *common], capsys)
         assert code == 2, command
         assert out == ""
-        assert err == "error: state dimension 4096 exceeds cap 1024\n"
+        assert err == "error: state spans 4096 amplitudes, cap 1024\n"
 
 
 # --------------------------------------------------------------- simulate
@@ -729,6 +729,33 @@ def test_malformed_documents_are_usage_errors(kind, doc, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edges", [[["a", ["b"]]], [["a", "b", "c"]]])
+def test_an_edge_that_is_not_a_pair_of_ids_is_refused(edges, tmp_path, capsys):
+    # an unhashable id used to escape main as a TypeError, and a third id
+    # to be reported as "too many values to unpack"
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({**TWO_PARTY_TREE, "edges": edges}))
+    code, out, err = run_cli(
+        ["cost", "exact", "--tree", str(path), "--state", "bell2"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed tree document: edge ")
+
+
+def test_a_random_state_document_without_a_seed_reads_seed_0(
+    w4_tree_path, tmp_path, capsys
+):
+    # like the random4 token, so reruns of the document are byte-identical
+    path = tmp_path / "random4.json"
+    path.write_text(json.dumps({"named": "random", "n": 4}))
+    argv = ["cost", "approx", "--tree", w4_tree_path, "--n", "2", "--eps",
+            "0.1", "--state"]
+    document = run_cli([*argv, str(path)], capsys)
+    assert document == run_cli([*argv, "random4"], capsys)
+    assert document[0] == 0
 
 
 def test_a_nan_share_is_refused_by_both_approx_commands(

@@ -1,12 +1,13 @@
 """Block-length cost accounting: waterline exponents, second-order
 coefficients, per-edge bounds, budget optimization, and chart data."""
 
+import time
 import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treecost.costs as costs_mod
@@ -184,6 +185,26 @@ def test_type_class_enumeration_cap():
         spectrum_entropy(wide, 50_000, 0.5)
 
 
+def test_type_class_count_far_past_the_cap_is_refused_without_its_digits():
+    # 1024 levels at n = 10^7 have about 2^15029 classes; printing the
+    # count used to raise ValueError, which escaped the Gaussian fallback
+    levels = Spectrum.from_eigenvalues(np.linspace(1.0, 2.0, 1024))
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        spectrum_entropy(levels, 10**7, 0.01)
+    assert str(exc.value).startswith("at least 2^")
+    assert len(str(exc.value)) < 200
+
+
+def test_w4_bounds_at_n_1e8_finish_within_a_second():
+    # edge 2's cut spectrum is one level (1/2 twice), whose one class
+    # needs no lgamma row; edges 1 and 3 are past the class cap
+    start = time.perf_counter()
+    report = approx_bounds(make_named_state("w", 4), line_tree(4), 10**8, 0.1)
+    assert time.perf_counter() - start < 1.0
+    methods = [r.upper_method for r in report.rows]
+    assert methods == ["gaussian", "type-class", "gaussian"]
+
+
 TABLE_ARRAYS = ("log_mu", "log_cnt", "cum_mass", "log_cum_cnt", "boundary")
 
 
@@ -220,6 +241,7 @@ def _spectra(draw):
 # n=32 (58,905 classes) to keep the test's run time down
 @settings(max_examples=80)
 @given(_spectra(), st.integers(1, 60))
+@example(Spectrum(values=(0.25,), multiplicities=(4,)), 9)
 def test_table_matches_the_sequential_merge_oracle(spectrum, n):
     if len(spectrum.values) == 5:
         n = min(n, 32)

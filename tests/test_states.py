@@ -179,11 +179,25 @@ def test_named_states_respect_the_dimension_cap(monkeypatch):
     monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
     for name, kwargs in [("random", {"seed": 0}), ("ghz", {}), ("w", {}),
                          ("dicke", {"k": 2}), ("product", {})]:
-        with pytest.raises(DimensionCapExceeded, match="4096 exceeds cap 1024"):
+        with pytest.raises(
+            DimensionCapExceeded, match="^state spans 4096 amplitudes, cap 1024$"
+        ):
             make_named_state(name, 12, **kwargs)
         assert make_named_state(name, 10, **kwargs).amplitudes.size == 1024
     with pytest.raises(DimensionCapExceeded):
         make_named_state("random", 2, dims=(33, 32), seed=0)
+
+
+def test_states_far_past_the_cap_are_refused_without_their_size():
+    # 2^20000 amplitudes: the refusal reads a bound where the count has
+    # 6,021 digits, past Python's limit for printing an integer
+    with pytest.raises(DimensionCapExceeded) as named:
+        make_named_state("ghz", 20000)
+    with pytest.raises(DimensionCapExceeded) as document:
+        load_state_json({"dims": [2] * 20000, "amplitudes": []})
+    for exc in (named, document):
+        assert str(exc.value).startswith("state spans at least 2^20000 ")
+        assert len(str(exc.value)) < 200
 
 
 def test_reduced_state_respects_the_dimension_cap(monkeypatch):
