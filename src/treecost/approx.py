@@ -70,7 +70,8 @@ class EdgeProjection:
 
     weights holds the cut's eigenvalues above the rank cutoff, the squared
     Schmidt coefficients, and dropped_weight the weight below it.  keep_mask
-    flags the kept product levels over n copies, shape (rank,) * n.  gamma
+    flags the kept product levels over n copies, flat with rank**n entries
+    and copy 1 most significant.  gamma
     is the budgeted exponent in bits for the whole block (infinite when the
     share allows no truncation and the projection is onto the exact
     support).  basis, the matching single-copy cut eigenvectors in the
@@ -109,10 +110,11 @@ class EdgeProjection:
         sub^n entries (sub the subtree dimension) are capped by
         config.dim_cap() before the basis is built."""
         dec = self._dec
-        sub = dec.subtree_dim(dec.tree.edge_by_label(self.edge).child)
+        child = dec.tree.edge_by_label(self.edge).child
+        sub = [dec.dims[u - 1] for u in dec.tree.subtree(child)]
         config.check_dim(f"projector of edge {self.edge}", sub, 2 * self.n)
         w_n = reduce(np.kron, [self.basis] * self.n)
-        cols = w_n[:, self.keep_mask.reshape(-1)]
+        cols = w_n[:, self.keep_mask]
         return cols @ cols.conj().T
 
 
@@ -144,12 +146,14 @@ def _edge_projection(
     deficit = threshold * threshold / 4.0
     if deficit == 0.0:
         gamma = inf
-        mask = np.ones((rank,) * n, dtype=bool)
+        mask = np.ones(rank**n, dtype=bool)
     else:
         spectrum = Spectrum.from_eigenvalues(probs)
         gamma = spectrum_entropy(spectrum, int(n), deficit)
-        log_p = np.log(probs)
-        total = reduce(np.add.outer, [log_p] * n) if n > 1 else log_p
+        # the log product of every level sequence, summed copy by copy
+        log_p = total = np.log(probs)
+        for _ in range(n - 1):
+            total = np.add.outer(total, log_p).reshape(-1)
         mask = total >= -gamma * _LN2 - 1e-9
     return EdgeProjection(
         edge=e.label,
@@ -158,7 +162,7 @@ def _edge_projection(
         gamma=gamma,
         weights=probs,
         dropped_weight=float(np.sum(coeffs[rank:] ** 2)),
-        keep_mask=np.asarray(mask).reshape((rank,) * n),
+        keep_mask=mask,
         _dec=dec,
     )
 
@@ -311,7 +315,9 @@ def _bond_masks(
         width = dec.factors[v].shape[-1]
         config.check_dim(f"mask on edge {proj.edge}", width, n, "levels")
         masks[v] = np.zeros((width,) * n, dtype=bool)
-        masks[v][(slice(proj.rank),) * n] = proj.keep_mask
+        masks[v][(slice(proj.rank),) * n] = proj.keep_mask.reshape(
+            (proj.rank,) * n
+        )
     return masks
 
 
@@ -614,7 +620,8 @@ def union_bound_check(
         stored = float(proj.weights.sum())
         block_nsq = (stored + proj.dropped_weight) ** n
         products = reduce(np.multiply.outer, [proj.weights] * n)
-        clipped = products[~proj.keep_mask].sum() + (block_nsq - stored**n)
+        clipped = products.reshape(-1)[~proj.keep_mask].sum()
+        clipped += block_nsq - stored**n
         deficits[proj.edge] = float(max(0.0, clipped / block_nsq))
     rhs = 2.0 * sqrt(sum(deficits.values()))
     return UnionBoundReport(

@@ -96,7 +96,7 @@ def _parse_resources(entries):
             raise TreecostError(
                 f"resource {entry!r} is not of the form EDGE=RANK"
             ) from None
-    return supplies or None
+    return supplies
 
 
 def _parse_branch(text):
@@ -234,15 +234,7 @@ def _cmd_simulate(args) -> int:
     tree = _load_tree(args)
     state = _parse_state(args.state, tree)
     dec = decompose(state, tree, args.rank_tol)
-    overrides = _parse_resources(args.resource)
-    supplies = None
-    if overrides:
-        unknown = set(overrides) - set(dec.ranks)
-        if unknown:
-            raise TreecostError(
-                f"resource override names unknown edge {sorted(unknown)[0]}"
-            )
-        supplies = {**dec.ranks, **overrides}
+    supplies = {**dec.ranks, **_parse_resources(args.resource)}
     program = build_program(dec, supplies)
     doc = {
         "schema": "treecost-simulate/1",

@@ -6,6 +6,7 @@ is applied by check_dim to every allocation that grows with N, n or a rank.
 """
 
 import os
+from math import prod
 
 from .errors import DimensionCapExceeded
 
@@ -47,23 +48,28 @@ def dim_cap() -> int:
     return int(raw)
 
 
-def size_past(base: int, power: int, cap: int) -> str | None:
-    """base**power as text if it exceeds cap, else None.  It is at least 2^k
-    for k = power * (bit_length(base) - 1): once k passes both the cap's bit
-    length and 128 it is past the cap unbuilt, "at least 2^k"; below that
-    it is built and compared exactly, so a size equal to the cap fits."""
-    base, power = int(base), int(power)
-    k = power * (base.bit_length() - 1)
-    if k > max(cap.bit_length(), 128):
+def size_past(factors, power: int, cap: int) -> str | None:
+    """The product of factors (an int or a sequence of them) to the power,
+    as text if it exceeds cap, else None.  It is at least 2^k for k =
+    power * sum(bit_length(f) - 1): once k passes both the cap's bit length
+    and 128 it is past the cap unbuilt, "at least 2^k" (unless a factor is
+    0); below that it is built and compared exactly, so a size equal to the
+    cap fits."""
+    if not isinstance(factors, (list, tuple)):
+        factors = (factors,)
+    factors, power = list(map(int, factors)), int(power)
+    k = power * (sum(map(int.bit_length, factors)) - len(factors))
+    if k > max(cap.bit_length(), 128) and all(factors):
         return f"at least 2^{k}"
-    size = base**power
+    size = prod(factors) ** power
     return str(size) if size > cap else None
 
 
-def check_dim(what: str, base: int, power=1, unit="amplitudes", cap=None):
-    """Refuse a `what` of base**power `unit` past the cap (dim_cap() unless
-    given) before it is built: "<what> spans <size> <unit>, cap <cap>"."""
+def check_dim(what: str, factors, power=1, unit="amplitudes", cap=None):
+    """Refuse a `what` of prod(factors)**power `unit` past the cap
+    (dim_cap() unless given) before it is built: "<what> spans <size>
+    <unit>, cap <cap>"."""
     cap = dim_cap() if cap is None else cap
-    size = size_past(base, power, cap)
+    size = size_past(factors, power, cap)
     if size is not None:
         raise DimensionCapExceeded(f"{what} spans {size} {unit}, cap {cap}")

@@ -355,7 +355,7 @@ def _subtree_bases(t: RootedTree, dims: tuple[int, ...], tensor):
     expanded in its children's vectors (_contract_vertex), which are then
     dropped; a leaf's are a view of its tensor.  A network past
     config.dim_cap() is refused before anything is built."""
-    config.check_dim("state", prod(dims))
+    config.check_dim("state", dims)
     vecs: dict[int, np.ndarray] = {}
     for v in t.vertices[:0:-1]:
         vecs[v] = _contract_vertex(t, dims, v, tensor(v), vecs)

@@ -80,21 +80,6 @@ from .tree import RootedTree
 
 
 @dataclass(frozen=True)
-class ResourceConfig:
-    """Supplied entangled ranks per edge label."""
-
-    supplies: dict[int, int]
-
-    @classmethod
-    def optimal(cls, dec: TreeDecomposition) -> "ResourceConfig":
-        return cls(supplies=dict(dec.ranks))
-
-    @classmethod
-    def uniform(cls, t: RootedTree, m: int) -> "ResourceConfig":
-        return cls(supplies={e.label: m for e in t.edges})
-
-
-@dataclass(frozen=True)
 class Event:
     """One recorded protocol step."""
 
@@ -264,21 +249,21 @@ class MeasurementProgram:
 
 def build_program(
     dec: TreeDecomposition,
-    resources: ResourceConfig | dict[int, int] | None = None,
+    resources: dict[int, int] | None = None,
 ) -> MeasurementProgram:
     """Compile the measurement family for every nonleaf vertex: its base
     operator, a view of the vertex's factor trimmed to the true ranks.
 
-    Each supplied rank must cover the edge's Schmidt rank; anything less
-    cannot carry the correlations across that cut.
+    resources maps every edge label to its supplied rank (the Schmidt ranks
+    when None).  Each must cover the edge's Schmidt rank; anything less
+    cannot carry the correlations across that cut.  A rank for an edge the
+    tree lacks is refused.
     """
     t = dec.tree
-    if resources is None:
-        supplies = dict(dec.ranks)
-    elif isinstance(resources, ResourceConfig):
-        supplies = dict(resources.supplies)
-    else:
-        supplies = dict(resources)
+    supplies = dict(dec.ranks if resources is None else resources)
+    unknown = sorted(set(supplies) - set(dec.ranks))
+    if unknown:
+        raise MalformedProgram(f"supplied rank for unknown edge {unknown[0]}")
     for e in t.edges:
         m = supplies.get(e.label)
         if m is None:
@@ -360,10 +345,6 @@ def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
 # contiguous chunks of branches.
 _BATCH_AMPLITUDES = 2**13
 
-# Row index of the single branch that sampling and a forced branch follow.
-_ONE_ROW = np.zeros(1, dtype=np.intp)
-
-
 @lru_cache(maxsize=None)
 def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather and phase tables of the correction Z^-z X^x on r levels:
@@ -442,25 +423,14 @@ def _walk(program, choose, every_outcome, disable_corrections):
     def correct(v, lab, place, pcol, tensor, labels, picks):
         """Undo on every branch the displacement (x, z) that v's parent
         announced: Z^-z X^x on v's own edge axis as one gather and one
-        phase, with one (x, z) for a single branch."""
-        ranks = ops[t.parent(v)][1]
-        if len(picks) == 1:
-            x, z = _announced(ranks, place, int(picks[0, pcol]))
-            if not (x or z):
-                return tensor, labels
-        else:
-            x, z = _announced(ranks, place, picks[:, pcol])
-            if not (x.any() or z.any()):
-                return tensor, labels
+        phase."""
+        x, z = _announced(ops[t.parent(v)][1], place, picks[:, pcol])
+        if not (x.any() or z.any()):
+            return tensor, labels
         sources, phases = _correction_tables(program.ranks[lab])
         flat, rest_shape, rem = _front(tensor, labels, [("r", lab, "c")])
-        if np.ndim(x):
-            rows = np.arange(len(flat))[:, None]
-            out = flat[rows, sources[x]]
-            out *= phases[z][:, :, None]
-        else:
-            out = flat[:, sources[x]]
-            out *= phases[z][:, None]
+        out = flat[np.arange(len(flat))[:, None], sources[x]]
+        out *= phases[z][:, :, None]
         return (
             out.reshape(out.shape[:2] + rest_shape),
             [("r", lab, "c")] + rem,
@@ -660,51 +630,47 @@ def simulate(
 ):
     """Run the protocol.
 
-    mode "sample" draws one random branch with the given seed; "branch"
-    follows the forced outcome index per nonleaf vertex; "enumerate" walks
-    every branch and returns a list of transcripts in depth-first outcome
-    order.  Probabilities are exact conditional products, and every
-    transcript carries the resulting state and its fidelity with the target.
+    mode "sample" draws one random branch with the given seed and follows
+    it as a forced branch; "branch" follows the forced outcome index per
+    nonleaf vertex; "enumerate" walks every branch and returns a list of
+    transcripts in depth-first outcome order.  Probabilities are exact
+    conditional products, and every transcript carries the resulting state
+    and its fidelity with the target.
     """
     if mode == "enumerate":
         return enumerate_branches(
             program, disable_corrections=disable_corrections
         )
+    measuring, _, ops = program._walk_plan
     if mode == "sample":
+        # every outcome of v has probability 1/K_v, so the draw
+        # rng.choice(K_v, p=...) makes, one uniform double against the
+        # cumulative probabilities (j + 1) / K_v, is made up front
         rng = np.random.default_rng(seed)
-
-        def choose(v, cond, k, picks):
-            if cond[0] < config.BRANCH_PRUNE_TOL:
-                raise ZeroProbabilityBranch(
-                    f"every outcome at vertex {v} has probability "
-                    f"{cond[0]:.3e}"
-                )
-            # the draw rng.choice(k, p=cond[0]) makes: one uniform double
-            # against the cumulative probabilities, here (j + 1) / k
-            return _ONE_ROW, np.array([min(int(rng.random() * k), k - 1)])
-
-    elif mode == "branch":
-        if outcomes is None:
-            raise MalformedProgram("branch mode needs forced outcomes")
-        if sorted(outcomes) != sorted(program.bases):
-            raise MalformedProgram(
-                "forced outcomes must cover exactly the measuring vertices"
-            )
-        for v, j in outcomes.items():
-            if not 0 <= j < program.outcome_count(v):
-                raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
-
-        def choose(v, cond, k, picks):
-            j = outcomes[v]
-            if cond[0] < config.BRANCH_PRUNE_TOL:
-                raise ZeroProbabilityBranch(
-                    f"outcome {j} at vertex {v} has probability "
-                    f"{cond[0]:.3e}"
-                )
-            return _ONE_ROW, np.array([j])
-
-    else:
+        outcomes = {}
+        for v in measuring:
+            k = ops[v][2]
+            outcomes[v] = min(int(rng.random() * k), k - 1)
+    elif mode != "branch":
         raise MalformedProgram(f"unknown mode {mode!r}")
+    elif outcomes is None:
+        raise MalformedProgram("branch mode needs forced outcomes")
+    elif sorted(outcomes) != measuring:
+        raise MalformedProgram(
+            "forced outcomes must cover exactly the measuring vertices"
+        )
+    for v, j in outcomes.items():
+        if not 0 <= j < ops[v][2]:
+            raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
+
+    def choose(v, cond, k, picks):
+        j = outcomes[v]
+        if cond[0] < config.BRANCH_PRUNE_TOL:
+            raise ZeroProbabilityBranch(
+                f"outcome {j} at vertex {v} has probability {cond[0]:.3e}"
+            )
+        return np.zeros(1, dtype=np.intp), np.array([j])
+
     (transcript,) = _transcripts(program, choose, False, disable_corrections)
     return transcript
 

@@ -154,8 +154,8 @@ def make_named_state(
     dims = tuple(int(d) for d in dims)
     if len(dims) != n:
         raise IncompatibleDims(f"{len(dims)} dims for {n} parties")
+    config.check_dim("state", dims)
     total = prod(dims)
-    config.check_dim("state", total)
 
     if name in ("w", "ghz", "dicke", "bell"):
         if any(d != 2 for d in dims):
@@ -213,11 +213,10 @@ def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
     for v in keep:
         if not 1 <= v <= s.n_parties:
             raise UnknownParty(f"no party labeled {v}")
-    d_keep = prod(s.dims[v - 1] for v in keep)
-    config.check_dim(f"density operator of parties {keep}", d_keep, 2)
+    dims = tuple(s.dims[v - 1] for v in keep)
+    config.check_dim(f"density operator of parties {keep}", dims, 2)
     mat = _split_axes(s, keep)
     rho = mat @ mat.conj().T
-    dims = tuple(s.dims[v - 1] for v in keep)
     return DensityOperator(rho, dims)
 
 
@@ -363,7 +362,7 @@ def load_state_json(source, tree: RootedTree | None = None) -> PureState:
     try:
         dims = tuple(int(d) for d in doc["dims"])
         # refused before the amplitude list is parsed
-        config.check_dim("state", prod(dims))
+        config.check_dim("state", dims)
         amps = np.array(
             [complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128
         )

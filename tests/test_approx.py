@@ -62,7 +62,7 @@ def test_projection_gamma_is_the_waterline_exponent():
             spectrum_entropy(spectrum, n, th * th / 4.0), abs=1e-12
         )
         assert proj.edge == 1
-        assert proj.keep_mask.shape == (2,) * n
+        assert proj.keep_mask.shape == (2**n,)
 
 
 def test_projection_mask_keeps_exactly_the_heavy_products():
@@ -73,11 +73,11 @@ def test_projection_mask_keeps_exactly_the_heavy_products():
     proj = build_projection(s, t, e, n, th)
     probs = schmidt_wrt_edge(s, t, e).coefficients ** 2
     cut = 2.0 ** (-proj.gamma)
-    for idx in np.ndindex(*proj.keep_mask.shape):
+    for idx in np.ndindex((2,) * n):
         weight = np.prod([probs[i] for i in idx])
-        assert proj.keep_mask[idx] == (weight >= cut * (1 - 1e-6))
+        assert proj.keep_mask.reshape((2,) * n)[idx] == (weight >= cut * (1 - 1e-6))
     # the heaviest level always survives
-    assert proj.keep_mask[(0,) * n]
+    assert proj.keep_mask[0]
     assert 0 < proj.kept < proj.keep_mask.size
 
 
@@ -423,7 +423,7 @@ def test_closed_form_deficits_keep_the_weight_beyond_the_stored_rank():
     # the clipped products inside the stored rank fall short by the dropped
     # weight on either copy, about 1.8e-11
     products = np.multiply.outer(proj.weights, proj.weights)
-    inside = products[~proj.keep_mask].sum() / (
+    inside = products.reshape(-1)[~proj.keep_mask].sum() / (
         proj.weights.sum() + proj.dropped_weight
     ) ** 2
     assert rep.deficits[1] - inside > 1e-11
@@ -443,7 +443,7 @@ def test_closed_form_deficits_are_at_least_as_accurate_as_the_dense_route():
             assert proj.dropped_weight < 1e-30
             w = proj.weights.astype(np.longdouble)
             products = reduce(np.multiply.outer, [w] * n)
-            want = products[~proj.keep_mask].sum() / w.sum() ** n
+            want = products.reshape(-1)[~proj.keep_mask].sum() / w.sum() ** n
             closed = abs(np.longdouble(rep.deficits[e.label]) - want)
             dense_err = abs(np.longdouble(dense[e.label]) - want)
             assert closed <= dense_err

@@ -502,6 +502,23 @@ def test_simulate_insufficient_resources_exit_code(w4_tree_path, capsys):
     assert "rank-2" in err
 
 
+def test_simulate_refuses_a_resource_for_an_unknown_edge(tmp_path, capsys):
+    path = tmp_path / "line3.json"
+    path.write_text(json.dumps({
+        "parties": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "edges": [["a", "b"], ["b", "c"]],
+        "root": "a",
+    }))
+    code, out, err = run_cli(
+        ["simulate", "--tree", str(path), "--state", "ghz3",
+         "--resource", "7=3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: supplied rank for unknown edge 7\n"
+
+
 def test_simulate_padded_resources(w4_tree_path, capsys):
     code, out, _ = run_cli(
         ["simulate", "--tree", w4_tree_path, "--state", "w4",

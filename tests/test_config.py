@@ -16,6 +16,15 @@ from treecost import DimensionCapExceeded, config
         (2, 128, 2**22, str(2**128)),
         (2, 129, 2**22, "at least 2^129"),
         (5, 10**9, 2**22, "at least 2^2000000000"),
+        # factors are read as their product: exact near the cap, and far
+        # past it the floor sums each factor's, so 3^200 from 200 factors
+        # reads 2^200 where the one base 3^200 reads 2^316
+        ([3, 3, 2], 2, 324, None),
+        ([3, 3, 2], 2, 323, "324"),
+        ([3] * 200, 1, 2**22, "at least 2^200"),
+        (3**200, 1, 2**22, "at least 2^316"),
+        # a zero factor makes the size zero, however many others there are
+        ([0] + [2] * 200, 1, 2**22, None),
     ],
 )
 def test_sizes_are_compared_exactly_near_the_cap_and_bounded_far_past_it(

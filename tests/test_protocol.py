@@ -16,7 +16,6 @@ from treecost import (
     MalformedProgram,
     NotALine,
     OutOfRangeIndex,
-    ResourceConfig,
     ZeroProbabilityBranch,
     build_program,
     check_completeness,
@@ -159,10 +158,16 @@ def test_insufficient_resource_reports_edge_and_ranks():
 def test_resource_config_helpers():
     t = line_tree(3)
     dec = decompose(make_named_state("ghz", 3), t)
-    assert ResourceConfig.optimal(dec).supplies == {1: 2, 2: 2}
-    assert ResourceConfig.uniform(t, 5).supplies == {1: 5, 2: 5}
-    prog = build_program(dec, ResourceConfig.uniform(t, 3))
+    prog = build_program(dec, {e.label: 3 for e in t.edges})
     assert prog.resources == {1: 3, 2: 3}
+
+
+def test_a_supplied_rank_for_an_unknown_edge_is_refused():
+    dec = decompose(make_named_state("w", 4), line_tree(4))
+    with pytest.raises(
+        MalformedProgram, match=r"^supplied rank for unknown edge 99$"
+    ):
+        build_program(dec, {1: 2, 2: 2, 3: 2, 99: 5})
 
 
 def test_operator_stacks_respect_the_dimension_cap(monkeypatch):
@@ -340,6 +345,23 @@ def test_sampling_makes_the_draw_of_a_uniform_choice():
                 for k in [prog.outcome_count(v)]
             }
             assert simulate(prog, mode="sample", seed=seed).outcomes == want
+
+
+def test_a_sampled_run_is_the_forced_run_of_its_outcomes():
+    # sampling draws its outcomes and follows them as a forced branch, so
+    # the two agree bit for bit, also on a branch a disabled correction
+    # keeps from the target
+    prog = _mixed_program(227)
+    for disabled in [(), (2,), (3,)]:
+        for seed in range(12):
+            tr = simulate(prog, mode="sample", seed=seed,
+                          disable_corrections=disabled)
+            forced = simulate(prog, mode="branch", outcomes=tr.outcomes,
+                              disable_corrections=disabled)
+            assert forced.events == tr.events
+            assert forced.probability == tr.probability
+            assert (forced.final_state.amplitudes.tobytes()
+                    == tr.final_state.amplitudes.tobytes())
 
 
 @pytest.mark.parametrize("shape", ["line14", "tree12"])
@@ -679,6 +701,16 @@ def test_forced_zero_probability_branch_raises():
     with pytest.raises(ZeroProbabilityBranch):
         simulate(broken, mode="sample", seed=0)
     assert enumerate_branches(broken) == []
+    # a sampled run is the forced run of its draws, refused in the same words
+    for seed in range(6):
+        drawn = simulate(prog, mode="sample", seed=seed).outcomes
+        with pytest.raises(ZeroProbabilityBranch) as sampled:
+            simulate(broken, mode="sample", seed=seed)
+        with pytest.raises(ZeroProbabilityBranch) as forced:
+            simulate(broken, mode="branch", outcomes=drawn)
+        assert str(sampled.value) == str(forced.value) == (
+            f"outcome {drawn[2]} at vertex 2 has probability 0.000e+00"
+        )
 
 
 def _qutrit_star_program():

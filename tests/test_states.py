@@ -1,5 +1,7 @@
 """State construction, partial trace, Schmidt data, and distance measures."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,19 @@ def test_states_far_past_the_cap_are_refused_without_their_size():
     for exc in (named, document):
         assert str(exc.value).startswith("state spans at least 2^20000 ")
         assert len(str(exc.value)) < 200
+
+
+def test_long_dims_are_refused_without_their_product():
+    # the product of 400,000 dims alone took over 4 s to build
+    calls = [
+        lambda: make_named_state("ghz", 400000),
+        lambda: load_state_json({"dims": [2] * 400000, "amplitudes": []}),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapExceeded, match=r"at least 2\^400000 "):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_reduced_state_respects_the_dimension_cap(monkeypatch):
