@@ -9,10 +9,10 @@ the waterline exponents.  The final distance to the true n-copy state is
 checked against the root-sum-square of the shares.
 
 Everything here reads the factors of one decompose sweep of psi,
-compressed at the tighter of rank_tol and config.RANK_TOL; the canonical
-pass runs only for EdgeProjection.basis, which EdgeProjection.matrix()
-reads.  The sweep's edge basis B_e above vertex v is the cut's Schmidt
-basis down to that tolerance, in the sweep's phases; the first rank columns
+compressed at the tighter of rank_tol and config.RANK_TOL, and nothing
+here runs the canonical pass.  The sweep's edge basis B_e above vertex v
+is the cut's Schmidt basis down to that tolerance, in the sweep's phases;
+the first rank columns
 (those above rank_tol) and their weights make projection e, and the columns
 beyond carry the rest of psi.  v's factor A_v holds the coefficients of B_e
 in |level> x the children's bases (at the root, of psi itself; at a leaf,
@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .costs import Spectrum, _edge_shares, spectrum_entropy
+from .costs import Spectrum, _check_block_size, _edge_shares, spectrum_entropy
 from .decomposition import (
     TreeDecomposition,
     _check_rank_tol,
@@ -74,8 +74,7 @@ class EdgeProjection:
     and copy 1 most significant.  gamma
     is the budgeted exponent in bits for the whole block (infinite when the
     share allows no truncation and the projection is onto the exact
-    support).  basis, the matching single-copy cut eigenvectors in the
-    canonical frame, is built from the decomposition on first read.
+    support).
     """
 
     edge: int
@@ -85,37 +84,14 @@ class EdgeProjection:
     weights: np.ndarray
     dropped_weight: float
     keep_mask: np.ndarray
-    _dec: TreeDecomposition = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.weights.size
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        child = self._dec.tree.edge_by_label(self.edge).child
-        return self._dec.edge_bases[child][:, : self.rank]
-
-    @property
-    def kept(self) -> int:
-        return int(self.keep_mask.sum())
-
     @property
     def trivial(self) -> bool:
         return bool(self.keep_mask.all())
-
-    def matrix(self) -> np.ndarray:
-        """Explicit projector on the n-copy subtree factor, copy 1 most
-        significant.  Meant for small checks; grows fast, so its sub^n x
-        sub^n entries (sub the subtree dimension) are capped by
-        config.dim_cap() before the basis is built."""
-        dec = self._dec
-        child = dec.tree.edge_by_label(self.edge).child
-        sub = [dec.dims[u - 1] for u in dec.tree.subtree(child)]
-        config.check_dim(f"projector of edge {self.edge}", sub, 2 * self.n)
-        w_n = reduce(np.kron, [self.basis] * self.n)
-        cols = w_n[:, self.keep_mask]
-        return cols @ cols.conj().T
 
 
 def _decompose(s: PureState, t: RootedTree, rank_tol: float | None):
@@ -133,8 +109,7 @@ def _edge_projection(
 ) -> EdgeProjection:
     """Projection of edge e's cut from a decomposition made by _decompose:
     the cut's Schmidt levels above rank_tol, and the weight of the rest."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"block size {n} must be a positive integer")
+    n = _check_block_size(n)
     if not 0.0 <= threshold < 1.0:
         raise InvalidEpsilon(f"share {threshold} outside [0, 1)")
     coeffs = dec.schmidt_coeffs[e.label]
@@ -149,35 +124,26 @@ def _edge_projection(
         mask = np.ones(rank**n, dtype=bool)
     else:
         spectrum = Spectrum.from_eigenvalues(probs)
-        gamma = spectrum_entropy(spectrum, int(n), deficit)
-        # the log product of every level sequence, summed copy by copy
-        log_p = total = np.log(probs)
-        for _ in range(n - 1):
-            total = np.add.outer(total, log_p).reshape(-1)
-        mask = total >= -gamma * _LN2 - 1e-9
+        gamma = spectrum_entropy(spectrum, n, deficit)
+        if rank == 1:
+            # one level sequence, of weight 1 in the normalized spectrum
+            # that gamma reads: above every waterline
+            mask = np.ones(1, dtype=bool)
+        else:
+            # the log product of every level sequence, summed copy by copy
+            log_p = total = np.log(probs)
+            for _ in range(n - 1):
+                total = np.add.outer(total, log_p).reshape(-1)
+            mask = total >= -gamma * _LN2 - 1e-9
     return EdgeProjection(
         edge=e.label,
-        n=int(n),
+        n=n,
         threshold=float(threshold),
         gamma=gamma,
         weights=probs,
         dropped_weight=float(np.sum(coeffs[rank:] ** 2)),
         keep_mask=mask,
-        _dec=dec,
     )
-
-
-def build_projection(
-    s: PureState,
-    t: RootedTree,
-    e: Edge,
-    n: int,
-    threshold: float,
-    rank_tol: float | None = None,
-) -> EdgeProjection:
-    """Projection of edge e's cut for one error share."""
-    dec = _decompose(s, t, rank_tol)
-    return _edge_projection(dec, e, n, threshold, rank_tol)
 
 
 class _Env(NamedTuple):

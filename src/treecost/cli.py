@@ -17,7 +17,13 @@ import sys
 
 from . import config
 from .approx import construct_approx
-from .costs import approx_bounds, exact_edge_cost, figure_data, optimize_thresholds
+from .costs import (
+    _budget_shares,
+    approx_bounds,
+    exact_edge_cost,
+    figure_data,
+    optimize_thresholds,
+)
 from .decomposition import decompose
 from .errors import (
     IncompatibleDims,
@@ -289,11 +295,7 @@ def _cmd_approx(args) -> int:
     tree = _load_tree(args)
     state = _parse_state(args.state, tree)
     thresholds, mode = _resolve_thresholds(args, state, tree)
-    if thresholds is None:
-        n_edges = len(tree.edges)
-        thresholds = {
-            e.label: args.eps / n_edges**0.5 for e in tree.edges
-        }
+    thresholds = _budget_shares(tree, args.n, args.eps, thresholds)
     result, report = construct_approx(
         state,
         tree,

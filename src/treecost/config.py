@@ -13,10 +13,8 @@ from .errors import DimensionCapExceeded
 # Relative singular-value cutoff deciding Schmidt ranks.
 RANK_TOL = 1e-9
 
-# Pure-state norm / trace checks.
+# Pure-state norm check.
 NORM_TOL = 1e-9
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-10
 
 # Measurement-set completeness deviation allowed at any vertex.
 COMPLETENESS_TOL = 1e-10

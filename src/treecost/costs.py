@@ -120,10 +120,6 @@ class Spectrum:
         )
         return sqrt(max(0.0, second - a * a))
 
-    @property
-    def support_size(self) -> int:
-        return sum(self.multiplicities)
-
 
 def _compositions(n: int, d: int) -> np.ndarray:
     """All ways to split n copies among d distinct eigenvalues, one row per
@@ -248,14 +244,20 @@ def _table(spectrum: Spectrum, n: int) -> _SpectrumTable:
     return _SpectrumTable(spectrum, n)
 
 
+def _check_block_size(n) -> int:
+    """n as an int, refused unless it is a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"block size {n} must be a positive integer")
+    return int(n)
+
+
 def spectrum_entropy(spectrum: Spectrum, n: int, eps: float) -> float:
     """Waterline exponent of the n-fold product spectrum at mass deficit eps,
     in bits (total over the block, not per copy)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"block size {n} must be a positive integer")
+    n = _check_block_size(n)
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"deficit {eps} outside (0, 1)")
-    return _table(spectrum, int(n)).waterline_bits([eps])[0]
+    return _table(spectrum, n).waterline_bits([eps])[0]
 
 
 @dataclass(frozen=True)
@@ -351,6 +353,33 @@ def _edge_shares(t: RootedTree, thresholds: dict) -> dict[int, float]:
     return {e.label: float(thresholds.get(e.label, 0.0)) for e in t.edges}
 
 
+def _budget_shares(
+    t: RootedTree, n: int, eps: float, thresholds=None, delta=1e-9, eta=None
+) -> dict[int, float]:
+    """Every edge's share of the error budget eps of an n-copy block, eps /
+    sqrt(#edges) each unless thresholds gives them.  Refused, in this
+    order: a bad block size, eps outside (0, 1), a bad slack delta or eta
+    of the lower bound, a bad share (_edge_shares), and shares whose
+    root-sum-square exceeds eps."""
+    _check_block_size(n)
+    if not 0.0 < eps < 1.0:
+        raise InvalidEpsilon(f"error budget {eps} outside (0, 1)")
+    if not 0.0 < delta < inf:
+        raise ValueError(f"slack {delta} must be finite and positive")
+    if eta is not None and not 0.0 < eta < 1.0 - eps * eps / 4.0:
+        raise InvalidEta(f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})")
+    if thresholds is None:
+        u = eps / sqrt(len(t.edges))
+        thresholds = {e.label: u for e in t.edges}
+    shares = _edge_shares(t, thresholds)
+    budget = sqrt(sum(v * v for v in shares.values()))
+    if budget > eps * (1.0 + 1e-12):
+        raise ThresholdBudgetExceeded(
+            f"thresholds spend {budget:.6g} of an {eps:.6g} budget"
+        )
+    return shares
+
+
 def approx_bounds(
     s: PureState,
     t: RootedTree,
@@ -369,28 +398,10 @@ def approx_bounds(
     maximized over the slack parameter on a log grid (plus the explicitly
     requested value, if any).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"block size {n} must be a positive integer")
-    if not 0.0 < eps < 1.0:
-        raise InvalidEpsilon(f"error budget {eps} outside (0, 1)")
-    if not 0.0 < delta < inf:
-        raise ValueError(f"slack {delta} must be finite and positive")
-    if eta is not None and not 0.0 < eta < 1.0 - eps * eps / 4.0:
-        raise InvalidEta(f"eta {eta} outside (0, {1.0 - eps * eps / 4.0})")
-    edges = t.edges
-    if thresholds is None:
-        u = eps / sqrt(len(edges))
-        thresholds = {e.label: u for e in edges}
-    thresholds = _edge_shares(t, thresholds)
-    budget = sqrt(sum(v * v for v in thresholds.values()))
-    if budget > eps * (1.0 + 1e-12):
-        raise ThresholdBudgetExceeded(
-            f"thresholds spend {budget:.6g} of an {eps:.6g} budget"
-        )
-
+    thresholds = _budget_shares(t, n, eps, thresholds, delta, eta)
     dec = decompose(s, t, rank_tol)
     rows = []
-    for e in edges:
+    for e in t.edges:
         rank = dec.ranks[e.label]
         spectrum = Spectrum.from_eigenvalues(dec.schmidt_coeffs[e.label] ** 2)
         epse = thresholds[e.label]

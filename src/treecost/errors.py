@@ -25,10 +25,6 @@ class IncompatibleDims(TreecostError):
     """Named state family is undefined for the requested dimensions."""
 
 
-class EmptyKeepSet(TreecostError):
-    """Partial trace asked to keep no subsystem at all."""
-
-
 class DimensionMismatch(TreecostError):
     """Operands live on different or incompatible dimensions."""
 

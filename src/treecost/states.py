@@ -1,4 +1,4 @@
-"""Dense pure states: construction, partial trace, Schmidt data, distances.
+"""Dense pure states: construction, Schmidt data, distances.
 
 Amplitude vectors use mixed-radix indexing with vertex 1 as the most
 significant digit, i.e. reshaping to the per-party dimension tuple in label
@@ -9,21 +9,15 @@ one factor, its parties appear in ascending label order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import comb, prod, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import config
-from .errors import (
-    DimensionMismatch,
-    EmptyKeepSet,
-    IncompatibleDims,
-    UnknownParty,
-    ZeroNorm,
-)
+from .errors import DimensionMismatch, IncompatibleDims, ZeroNorm
 from .tree import Edge, RootedTree, bipartition
 
 
@@ -78,38 +72,6 @@ def normalized_state(amplitudes: np.ndarray, dims: Sequence[int]) -> PureState:
     if norm < 1e-12:
         raise ZeroNorm("amplitude vector has numerically zero norm")
     return PureState(amps / norm, tuple(dims))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on a party subset."""
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
-        d = prod(dims)
-        if mat.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {mat.shape} vs dims {dims}")
-        if np.abs(mat - mat.conj().T).max() > config.HERMITIAN_TOL:
-            raise ValueError("operator is not Hermitian")
-        tr = mat.trace().real
-        if abs(tr - 1.0) > config.NORM_TOL:
-            raise ValueError(f"trace {tr} is not 1")
-        if np.linalg.eigvalsh(mat).min() < -config.PSD_TOL:
-            raise ValueError("operator has a significantly negative eigenvalue")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues, descending."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,21 +167,6 @@ def _split_axes(state: PureState, front: Sequence[int]) -> np.ndarray:
     return state.tensor.transpose(perm).reshape(d_front, -1)
 
 
-def reduced_state(s: PureState, keep: Iterable[int]) -> DensityOperator:
-    """Partial trace keeping the given parties (ascending label order)."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise EmptyKeepSet("must keep at least one party")
-    for v in keep:
-        if not 1 <= v <= s.n_parties:
-            raise UnknownParty(f"no party labeled {v}")
-    dims = tuple(s.dims[v - 1] for v in keep)
-    config.check_dim(f"density operator of parties {keep}", dims, 2)
-    mat = _split_axes(s, keep)
-    rho = mat @ mat.conj().T
-    return DensityOperator(rho, dims)
-
-
 # Relative floor under every rank cutoff.  An SVD leaves the singular values
 # of an exactly rank-deficient cut at round-off, which reaches 11 machine
 # epsilons of s[0] on an 18-qubit Dicke(3) line; 1024 epsilons (2.3e-13)
@@ -307,13 +254,6 @@ def schmidt_reconstruct(sd: SchmidtData, dims: tuple[int, ...]) -> PureState:
     shaped = mat.reshape([dims[v - 1] for v in order])
     inv = np.argsort([v - 1 for v in order])
     return PureState(shaped.transpose(inv).reshape(-1), dims)
-
-
-def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """One-norm of the difference: sum of absolute eigenvalues."""
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
-    return float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
 
 
 def trace_distance_pure(a: PureState, b: PureState) -> float:

@@ -202,11 +202,6 @@ def root_and_relabel(
     return RootedTree(dims=dims, edges=edges, original_ids=tuple(order))
 
 
-def descendants_closure(t: RootedTree, v: int) -> frozenset[int]:
-    """Vertex v together with every descendant."""
-    return frozenset(t.subtree(v))
-
-
 def bipartition(t: RootedTree, e: Edge) -> tuple[frozenset[int], frozenset[int]]:
     """The two connected vertex sets obtained by removing edge e.
 
@@ -214,7 +209,7 @@ def bipartition(t: RootedTree, e: Edge) -> tuple[frozenset[int], frozenset[int]]
     vertex set.
     """
     t._check_edge(e)
-    below = descendants_closure(t, e.child)
+    below = frozenset(t.subtree(e.child))
     rest = frozenset(v for v in t.vertices if v not in below)
     return below, rest
 

@@ -7,21 +7,27 @@ expansions) so tests compare two independent derivations.
 
 import itertools
 import string
+from dataclasses import dataclass
 from functools import reduce
-from math import comb, erf, exp, inf, lgamma, log2, pi, sqrt
+from math import comb, erf, exp, inf, lgamma, log2, pi, prod, sqrt
 
 import numpy as np
 
 from treecost import (
+    DimensionMismatch,
     EnumerationCapExceeded,
     OutOfRangeIndex,
     PureState,
     RootedTree,
+    TreecostError,
+    UnknownParty,
     config,
     inverse_normal_cdf,
     root_and_relabel,
     spectrum_entropy,
 )
+from treecost.approx import _decompose, _edge_projection
+from treecost.states import _split_axes
 
 
 def line_edges(n):
@@ -89,6 +95,11 @@ def reachability_split(n_parties, edge_pairs, cut_pair):
     side = sorted(seen)
     rest = sorted(set(range(1, n_parties + 1)) - seen)
     return side, rest
+
+
+def descendants_closure(t, v):
+    """Vertex v together with every descendant."""
+    return frozenset(t.subtree(v))
 
 
 def cut_matrix(amps, dims, front_parties):
@@ -238,6 +249,67 @@ def partial_trace_walk(amps, dims, keep):
     return rho
 
 
+class EmptyKeepSet(TreecostError):
+    """Partial trace asked to keep no subsystem at all."""
+
+
+@dataclass(frozen=True, eq=False)
+class DensityOperator:
+    """Hermitian, unit-trace, positive-semidefinite operator on a party
+    subset, checked to within 1e-10 (trace to config.NORM_TOL)."""
+
+    matrix: np.ndarray
+    dims: tuple
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=np.complex128)
+        dims = tuple(int(d) for d in self.dims)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "dims", dims)
+        d = prod(dims)
+        if mat.shape != (d, d):
+            raise DimensionMismatch(f"matrix shape {mat.shape} vs dims {dims}")
+        if np.abs(mat - mat.conj().T).max() > 1e-10:
+            raise ValueError("operator is not Hermitian")
+        tr = mat.trace().real
+        if abs(tr - 1.0) > config.NORM_TOL:
+            raise ValueError(f"trace {tr} is not 1")
+        if np.linalg.eigvalsh(mat).min() < -1e-10:
+            raise ValueError("operator has a significantly negative eigenvalue")
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+    def eigenvalues(self):
+        """Real eigenvalues, descending."""
+        return np.linalg.eigvalsh(self.matrix)[::-1]
+
+
+def reduced_state(s, keep):
+    """Partial trace keeping the given parties (ascending label order), as
+    the product of the state's cut matrix with its adjoint; its d x d
+    entries are capped by config.dim_cap() before it is formed."""
+    keep = sorted(set(keep))
+    if not keep:
+        raise EmptyKeepSet("must keep at least one party")
+    for v in keep:
+        if not 1 <= v <= s.n_parties:
+            raise UnknownParty(f"no party labeled {v}")
+    dims = tuple(s.dims[v - 1] for v in keep)
+    config.check_dim(f"density operator of parties {keep}", dims, 2)
+    mat = _split_axes(s, keep)
+    return DensityOperator(mat @ mat.conj().T, dims)
+
+
+def trace_distance(a, b):
+    """One-norm of the difference of two density operators: the sum of the
+    absolute eigenvalues."""
+    if a.dims != b.dims:
+        raise DimensionMismatch(f"dims {a.dims} vs {b.dims}")
+    return float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
 def brute_waterline_bits(probs, n, eps):
     """Waterline exponent over the raw n-fold product distribution.
 
@@ -370,20 +442,47 @@ def scalar_edge_bounds(spectrum, rank, n, eps, share, delta=1e-9, eta=None):
     )
 
 
-def _project_block(block, dims, t, proj, dtype=complex):
+def build_projection(s, t, e, n, threshold, rank_tol=None):
+    """Projection of edge e's cut for one error share, made by the library's
+    _edge_projection from the sweep approx_state would read."""
+    return _edge_projection(_decompose(s, t, rank_tol), e, n, threshold, rank_tol)
+
+
+def projection_basis(dec, proj):
+    """The single-copy cut eigenvectors of a projection read from dec, in
+    the canonical frame (the first rank columns of the edge basis, which
+    runs the canonical pass)."""
+    child = dec.tree.edge_by_label(proj.edge).child
+    return dec.edge_bases[child][:, : proj.rank]
+
+
+def projection_matrix(dec, proj):
+    """Explicit projector of a projection read from dec, on the n-copy
+    subtree factor, copy 1 most significant.  Its sub^n x sub^n entries
+    (sub the subtree dimension) are capped by config.dim_cap() before the
+    basis is built."""
+    child = dec.tree.edge_by_label(proj.edge).child
+    sub = [dec.dims[u - 1] for u in dec.tree.subtree(child)]
+    config.check_dim(f"projector of edge {proj.edge}", sub, 2 * proj.n)
+    w_n = reduce(np.kron, [projection_basis(dec, proj)] * proj.n)
+    cols = w_n[:, proj.keep_mask]
+    return cols @ cols.conj().T
+
+
+def _project_block(block, dims, dec, proj, dtype=complex):
     """An n-copy block (product_block_amps layout) with one projection
-    applied as its explicit EdgeProjection.matrix(), the Kronecker projector
-    on the subtree factor of the n copies, in the given precision: the
+    applied as its explicit projection_matrix, the Kronecker projector on
+    the subtree factor of the n copies, in the given precision: the
     factor's axes (copy major, parties ascending) are moved to the front,
     multiplied and moved back."""
-    n = proj.n
+    n, t = proj.n, dec.tree
     # block axis (p - 1) * n + c is copy c + 1 of party p
     shape = [d for d in dims for _ in range(n)]
     sub = t.subtree(t.edge_by_label(proj.edge).child)
     front = [(p - 1) * n + c for c in range(n) for p in sub]
     order = front + [i for i in range(len(shape)) if i not in front]
     moved = block.reshape(shape).transpose(order)
-    P = proj.matrix().astype(dtype)
+    P = projection_matrix(dec, proj).astype(dtype)
     moved = (P @ moved.reshape(P.shape[0], -1)).reshape(moved.shape)
     return moved.transpose(np.argsort(order)).reshape(-1)
 
@@ -393,35 +492,35 @@ def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
     precision: each nontrivial projection applied alone to the explicit
     n-copy block, and the deficit read as one minus its kept weight over
     the block's."""
-    from treecost.approx import build_projection
-
     block = product_block_amps(s.amplitudes, s.dims, n)
     block_nsq = float(np.vdot(block, block).real)
+    dec = _decompose(s, t, rank_tol)
     deficits = {}
     for e in t.edges:
-        proj = build_projection(
-            s, t, e, n, float(thresholds.get(e.label, 0.0)), rank_tol
-        )
+        share = float(thresholds.get(e.label, 0.0))
+        proj = _edge_projection(dec, e, n, share, rank_tol)
         if proj.trivial:
             deficits[proj.edge] = 0.0
             continue
-        kept = _project_block(block, s.dims, t, proj)
+        kept = _project_block(block, s.dims, dec, proj)
         deficits[proj.edge] = float(
             max(0.0, 1.0 - np.vdot(kept, kept).real / block_nsq)
         )
     return deficits
 
 
-def dense_block_overlaps(s, t, projections):
+def dense_block_overlaps(s, ap):
     """(<psi^(x)n|M psi^(x)n>, ||M psi^(x)n||^2, ||psi^(x)n||^2, M psi^(x)n)
-    on the explicit n-copy block, M being the nontrivial projections
-    applied in label order, in extended precision."""
-    block = product_block_amps(s.amplitudes, s.dims, projections[0].n)
+    on the explicit n-copy block, M being the nontrivial projections of the
+    ApproxState ap applied in label order, in extended precision."""
+    block = product_block_amps(s.amplitudes, s.dims, ap.n)
     block = block.astype(np.clongdouble)
     seq = block
-    for proj in projections:
+    for proj in ap.projections:
         if not proj.trivial:
-            seq = _project_block(seq, s.dims, t, proj, np.clongdouble)
+            seq = _project_block(
+                seq, s.dims, ap.decomposition, proj, np.clongdouble
+            )
     return (
         np.vdot(block, seq),
         np.vdot(seq, seq).real,

@@ -1,8 +1,10 @@
 """Per-cut spectral truncation of block states and the projected protocol."""
 
+import re
+import time
 import tracemalloc
 from functools import reduce
-from math import prod, sqrt
+from math import log, prod, sqrt
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from treecost import (
     ZeroNorm,
     approx_bounds,
     approx_state,
-    build_projection,
     construct_approx,
     decompose,
     make_named_state,
@@ -31,10 +32,12 @@ from treecost import (
 )
 
 from helpers import (
+    build_projection,
     dense_block_overlaps,
     dense_union_deficits,
     line_tree,
     product_block_amps,
+    projection_matrix,
     random_pure_state,
     random_tree,
     skewed_pure_state,
@@ -78,7 +81,7 @@ def test_projection_mask_keeps_exactly_the_heavy_products():
         assert proj.keep_mask.reshape((2,) * n)[idx] == (weight >= cut * (1 - 1e-6))
     # the heaviest level always survives
     assert proj.keep_mask[0]
-    assert 0 < proj.kept < proj.keep_mask.size
+    assert 0 < proj.keep_mask.sum() < proj.keep_mask.size
 
 
 def test_zero_share_projection_is_trivial():
@@ -87,17 +90,17 @@ def test_zero_share_projection_is_trivial():
     proj = build_projection(s, t, t.edge_by_label(1), 2, 0.0)
     assert proj.trivial
     assert proj.gamma == np.inf
-    assert proj.kept == proj.keep_mask.size == 4
+    assert proj.keep_mask.sum() == proj.keep_mask.size == 4
 
 
 def test_projection_matrix_is_an_orthogonal_projector():
     t = line_tree(3)
     s = skewed_ghz()
     proj = build_projection(s, t, t.edge_by_label(2), 2, 0.5)
-    P = proj.matrix()
+    P = projection_matrix(decompose(s, t), proj)
     assert np.allclose(P, P.conj().T)
     assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.linalg.matrix_rank(P) == proj.kept
+    assert np.linalg.matrix_rank(P) == proj.keep_mask.sum()
 
 
 def test_approx_state_far_past_the_cap_is_refused_without_its_size():
@@ -112,6 +115,58 @@ def test_approx_state_far_past_the_cap_is_refused_without_its_size():
     assert len(str(exc.value)) < 200
 
 
+def _loop_mask(proj):
+    """A projection's keep mask by summing the log of every level sequence
+    copy by copy, n - 1 outer sums."""
+    log_p = total = np.log(proj.weights)
+    for _ in range(proj.n - 1):
+        total = np.add.outer(total, log_p).reshape(-1)
+    return total >= -proj.gamma * log(2.0) - 1e-9
+
+
+def test_a_rank_one_mask_equals_the_loop_without_running_it():
+    # product4's cuts have rank 1; the second state's norm is 1 - 5e-10,
+    # so its one level has a log weight of -1e-9, which the loop would sum
+    # below the waterline of a 0.1 share near n = 10^10
+    t = line_tree(4)
+    short = np.zeros(16)
+    short[0] = 1.0 - 5e-10
+    states = [make_named_state("product", 4), PureState(short, (2,) * 4)]
+    for s in states:
+        for n in (1, 2, 3, 10, 1000, 5000):
+            for e in t.edges:
+                proj = build_projection(s, t, e, n, 0.1)
+                assert proj.rank == 1
+                assert np.array_equal(proj.keep_mask, _loop_mask(proj))
+                assert proj.keep_mask.tolist() == [True]
+    # the loop's n - 1 steps would run for hours at n = 10^10
+    shares = {e.label: 0.1 / sqrt(3) for e in t.edges}
+    start = time.perf_counter()
+    ap = approx_state(states[1], t, 10**10, shares)
+    rep = union_bound_check(states[1], t, 10**10, shares)
+    assert time.perf_counter() - start < 1.0
+    assert all(p.trivial for p in ap.projections)
+    assert ap.achieved_distance == rep.lhs == rep.rhs == 0.0
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, "2"])
+def test_every_block_size_reader_refuses_the_same_bad_size(n):
+    t = line_tree(4)
+    s = make_named_state("w", 4)
+    spectrum = Spectrum(values=(0.75, 0.25), multiplicities=(1, 1))
+    readers = [
+        lambda: spectrum_entropy(spectrum, n, 0.01),
+        lambda: approx_bounds(s, t, n, 0.1),
+        lambda: approx_state(s, t, n, {}),
+        lambda: union_bound_check(s, t, n, {}),
+        lambda: construct_approx(s, t, n, {}),
+    ]
+    message = f"^block size {re.escape(str(n))} must be a positive integer$"
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
 def test_projection_matrix_respects_the_dimension_cap(monkeypatch):
     # edge 1 of W4 splits off an 8-dimensional subtree: at n=3 its
     # projector has 8^6 = 262,144 entries, refused under a cap of 1024
@@ -119,10 +174,12 @@ def test_projection_matrix_respects_the_dimension_cap(monkeypatch):
     t = line_tree(4)
     s = make_named_state("w", 4)
     monkeypatch.setenv("TREECOST_DIM_CAP", "1024")
+    dec = decompose(s, t)
     proj = build_projection(s, t, t.edge_by_label(1), 3, 0.1)
     with pytest.raises(DimensionCapExceeded, match="262144 amplitudes, cap 1024"):
-        proj.matrix()
-    assert build_projection(s, t, t.edge_by_label(1), 1, 0.1).matrix().shape == (8, 8)
+        projection_matrix(dec, proj)
+    proj = build_projection(s, t, t.edge_by_label(1), 1, 0.1)
+    assert projection_matrix(dec, proj).shape == (8, 8)
 
 
 def test_projection_rejects_bad_shares():
@@ -195,7 +252,7 @@ def test_truncation_distance_matches_the_explicit_projector():
     proj = ap.projections[0]
     assert not proj.trivial
     block = product_block_amps(s.amplitudes, s.dims, n)
-    P = np.kron(np.eye(2**n), proj.matrix())
+    P = np.kron(np.eye(2**n), projection_matrix(ap.decomposition, proj))
     cut_amps = P @ block
     cut_amps /= np.linalg.norm(cut_amps)
     assert np.allclose(ap.state.amplitudes, cut_amps, atol=1e-10)
@@ -326,7 +383,7 @@ def test_union_bound_right_side_matches_kept_weights():
     proj = build_projection(s, t, t.edge_by_label(1), n, th)
     assert not proj.trivial
     block = product_block_amps(s.amplitudes, s.dims, n)
-    P = np.kron(np.eye(2**n), proj.matrix())
+    P = np.kron(np.eye(2**n), projection_matrix(decompose(s, t), proj))
     kept_weight = float(np.real(np.vdot(block, P @ block)))
     want_rhs = 2 * np.sqrt(max(0.0, 1.0 - kept_weight))
     assert rep.rhs == pytest.approx(want_rhs, abs=1e-9)
@@ -344,7 +401,7 @@ def test_union_bound_lhs_matches_density_matrix_distance():
     assert not proj.trivial
     block = product_block_amps(s.amplitudes, s.dims, n)
     block /= np.linalg.norm(block)
-    P = np.kron(np.eye(2**n), proj.matrix())
+    P = np.kron(np.eye(2**n), projection_matrix(decompose(s, t), proj))
     cut = P @ block
     cut /= np.linalg.norm(cut)
     rho = np.outer(block, block.conj())
@@ -477,10 +534,10 @@ def test_union_bound_degenerate_projection(monkeypatch):
 # ---------------------------------------------------------- masked network
 
 
-def _oracle(state, tree, projections):
-    """The distance and the normalized projected block by the dense
-    oracle."""
-    ov, weight, ref, block = dense_block_overlaps(state, tree, projections)
+def _oracle(state, ap):
+    """The distance and the normalized projected block of the ApproxState
+    ap by the dense oracle."""
+    ov, weight, ref, block = dense_block_overlaps(state, ap)
     gap = 1 - abs(ov) ** 2 / (weight * ref)
     return float(2 * np.sqrt(max(gap, 0))), block / np.sqrt(weight)
 
@@ -534,7 +591,7 @@ def test_network_distances_match_the_dense_block(case, rank_tol):
     state, tree, n, shares = case
     ap = approx_state(state, tree, n, shares, rank_tol)
     ub = union_bound_check(state, tree, n, shares, rank_tol)
-    want, block = _oracle(state, tree, ap.projections)
+    want, block = _oracle(state, ap)
     # every drawn block fits the default cap, so the dense block is built
     assert np.abs(ap.state.amplitudes - block).max() <= 1e-10
     if all(p.trivial for p in ap.projections):
@@ -565,7 +622,7 @@ def test_network_carries_the_weight_below_the_rank_cutoff():
     assert [p.trivial for p in ap.projections] == [True, True, False]
     assert ap.projections[1].rank == 3
     assert ap.projections[1].dropped_weight > 1e-12
-    want, _ = _oracle(s, t, ap.projections)
+    want, _ = _oracle(s, ap)
     assert abs(ap.achieved_distance - want) <= 1e-13
     ub = union_bound_check(s, t, 2, shares, rank_tol=1e-4)
     assert abs(ub.lhs - want) <= 1e-13
@@ -582,7 +639,7 @@ def test_masks_nested_three_deep_under_a_branching_root():
     shares = {e.label: 0.6 for e in t.edges}
     ap = approx_state(s, t, 2, shares)
     assert not any(p.trivial for p in ap.projections)
-    want, _ = _oracle(s, t, ap.projections)
+    want, _ = _oracle(s, ap)
     assert abs(ap.achieved_distance - want) <= 1e-10
     assert abs(union_bound_check(s, t, 2, shares).lhs - want) <= 1e-10
 
@@ -601,7 +658,7 @@ def test_small_cuts_keep_their_relative_precision():
     for n in (1, 2, 3):
         ap = approx_state(s, t, n, shares)
         assert all(not p.trivial for p in ap.projections)
-        want, _ = _oracle(s, t, ap.projections)
+        want, _ = _oracle(s, ap)
         assert 1e-5 < want < 1e-3
         assert abs(ap.achieved_distance - want) <= 1e-9 * want
 

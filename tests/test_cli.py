@@ -247,6 +247,44 @@ def test_unknown_edge_share_is_refused_by_both_approx_commands(
         assert err == "error: threshold for unknown edge 7\n"
 
 
+@pytest.mark.parametrize(
+    "eps, shares, message",
+    [
+        ("1.5", None, "error budget 1.5 outside (0, 1)"),
+        ("0", None, "error budget 0.0 outside (0, 1)"),
+        ("0.01", {"1": 0.5, "2": 0.5, "3": 0.5},
+         "thresholds spend 0.866025 of an 0.01 budget"),
+        # a budget out of range is named before the shares that exceed it
+        ("1.5", {"1": 0.5, "2": 0.5, "3": 0.5},
+         "error budget 1.5 outside (0, 1)"),
+    ],
+)
+def test_a_bad_budget_is_refused_by_both_approx_commands(
+    eps, shares, message, w4_tree_path, tmp_path, capsys
+):
+    args = ["--tree", w4_tree_path, "--state", "w4", "--n", "2", "--eps", eps]
+    if shares is not None:
+        th_path = tmp_path / "thresholds.json"
+        th_path.write_text(json.dumps(shares))
+        args += ["--thresholds", str(th_path)]
+    for command in (["approx"], ["cost", "approx"]):
+        code, out, err = run_cli([*command, *args], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_a_bad_block_size_is_refused_first_by_both_approx_commands(
+    w4_tree_path, capsys
+):
+    args = ["--tree", w4_tree_path, "--state", "w4", "--n", "0", "--eps", "1.5"]
+    for command in (["approx"], ["cost", "approx"]):
+        code, out, err = run_cli([*command, *args], capsys)
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: block size 0 must be a positive integer\n"
+
+
 def test_named_state_past_the_cap_is_refused_by_cost_exact(
     tmp_path, capsys, monkeypatch
 ):

@@ -78,7 +78,7 @@ def test_from_eigenvalues_merges_and_drops():
     assert spectrum.multiplicities == (2,)
     spec2 = Spectrum.from_eigenvalues([0.7, 0.3])
     assert spec2.values == (0.7, 0.3)
-    assert spec2.support_size == 2
+    assert sum(spec2.multiplicities) == 2
     with pytest.raises(ValueError):
         Spectrum.from_eigenvalues([])
     with pytest.raises(ValueError):
@@ -579,7 +579,7 @@ def test_lower_bound_approaches_entropy_for_long_blocks():
     spectrum = Spectrum.from_edge(s, t, t.edge_by_label(1))
     rep = approx_bounds(s, t, n=5000, eps=0.05)
     assert rep.rows[0].lower > spectrum.entropy - 0.2
-    assert rep.rows[0].lower <= np.log2(spectrum.support_size) + 1e-12
+    assert rep.rows[0].lower <= np.log2(sum(spectrum.multiplicities)) + 1e-12
 
 
 # --------------------------------------------------------------- optimizer

@@ -36,6 +36,8 @@ from helpers import (
     generalized_pauli_x,
     generalized_pauli_z,
     line_tree,
+    projection_basis,
+    projection_matrix,
     random_pure_state,
     random_tree,
     star_tree,
@@ -414,7 +416,8 @@ def test_construct_and_approx_paths_never_run_the_canonical_pass(
     monkeypatch, tmp_path, capsys
 ):
     # programs and the n-copy network read the sweep's factors; only the
-    # readers of tensors, edge_bases and EdgeProjection.basis build them
+    # readers of tensors and edge_bases, such as a dense projector, build
+    # them
     import json
 
     import treecost
@@ -458,8 +461,8 @@ def test_construct_and_approx_paths_never_run_the_canonical_pass(
     capsys.readouterr()
     assert calls == {"_canonical_pass": 0, "recompose": 0}
     # a projection's dense basis is built by the pass, once
-    ap.projections[0].basis
-    ap.projections[1].matrix()
+    projection_basis(ap.decomposition, ap.projections[0])
+    projection_matrix(ap.decomposition, ap.projections[1])
     assert calls == {"_canonical_pass": 1, "recompose": 0}
 
 

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from treecost import (
-    DensityOperator,
     DimensionCapExceeded,
     DimensionMismatch,
-    EmptyKeepSet,
     IncompatibleDims,
     PureState,
     UnknownParty,
@@ -19,19 +17,22 @@ from treecost import (
     load_state_json,
     make_named_state,
     normalized_state,
-    reduced_state,
     schmidt_reconstruct,
     schmidt_wrt_edge,
-    trace_distance,
     trace_distance_pure,
 )
 
 from helpers import (
+    DensityOperator,
+    EmptyKeepSet,
+    build_projection,
     cut_matrix,
     cut_rank,
     line_tree,
     partial_trace_walk,
     random_pure_state,
+    reduced_state,
+    trace_distance,
 )
 
 
@@ -61,15 +62,10 @@ def test_pure_states_compare_by_dims_and_amplitudes():
 
 
 def _array_holders():
-    """Builders of each library object that holds arrays: two calls build
-    two distinct objects with equal contents."""
-    from treecost import (
-        approx_state,
-        build_program,
-        build_projection,
-        decompose,
-        mps_canonical_form,
-    )
+    """Builders of each object that holds arrays, in the library and in
+    the test oracles: two calls build two distinct objects with equal
+    contents."""
+    from treecost import approx_state, build_program, decompose, mps_canonical_form
 
     t = line_tree(4)
     w4 = make_named_state("w", 4)

@@ -12,13 +12,18 @@ from treecost import (
     UnknownParty,
     UnknownRoot,
     bipartition,
-    descendants_closure,
     load_tree_json,
     root_and_relabel,
 )
 from treecost.tree import Edge
 
-from helpers import line_edges, line_tree, random_tree, reachability_split
+from helpers import (
+    descendants_closure,
+    line_edges,
+    line_tree,
+    random_tree,
+    reachability_split,
+)
 
 
 def test_line_labels_follow_bfs_order():
@@ -124,8 +129,8 @@ def test_subtree_closure_matches_recursive_oracle():
 
 
 def test_subtrees_are_computed_once_per_tree(monkeypatch):
-    # every subtree comes from one cached pass; repeated calls, and the
-    # closure, read it instead of walking the tree again
+    # every subtree comes from one cached pass; repeated calls, the
+    # closure and bipartition read it instead of walking the tree again
     t = random_tree(np.random.default_rng(17), 9)
     first = {v: t.subtree(v) for v in t.vertices}
     calls = []
@@ -139,6 +144,8 @@ def test_subtrees_are_computed_once_per_tree(monkeypatch):
     for v in t.vertices:
         assert t.subtree(v) is first[v]
         assert descendants_closure(t, v) == frozenset(first[v])
+    for e in t.edges:
+        assert bipartition(t, e)[0] == frozenset(first[e.child])
     assert calls == []
     with pytest.raises(UnknownParty):
         t.subtree(t.n + 1)
