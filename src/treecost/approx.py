@@ -9,12 +9,11 @@ the waterline exponents.  The final distance to the true n-copy state is
 checked against the root-sum-square of the shares.
 
 Everything here reads the factors of one decompose sweep of psi,
-compressed at the tighter of rank_tol and config.RANK_TOL, and nothing
-here runs the canonical pass.  The sweep's edge basis B_e above vertex v
-is the cut's Schmidt basis down to that tolerance, in the sweep's phases;
-the first rank columns
-(those above rank_tol) and their weights make projection e, and the columns
-beyond carry the rest of psi.  v's factor A_v holds the coefficients of B_e
+compressed at the tighter of rank_tol and config.RANK_TOL.  The sweep's
+edge basis B_e above vertex v is the cut's Schmidt basis down to that
+tolerance, in the sweep's phases; the first rank columns (those above
+rank_tol) and their weights make projection e, and the columns beyond
+carry the rest of psi.  v's factor A_v holds the coefficients of B_e
 in |level> x the children's bases (at the root, of psi itself; at a leaf,
 A_v is B_e).  So psi^(x)n is the tree network of the A_v^(x)n, with bond e
 running over B_e^(x)n, |B_e|^n levels wide (tree tensor networks: Shi, Duan
@@ -340,7 +339,9 @@ def _block_amplitudes(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """M psi^(x)n as a dense vector, with its party dimensions: the masked
     network of the module docstring contracted from the leaves to the root.
-    Each party register holds its n copies, copy 1 most significant."""
+    Each party register holds its n copies, copy 1 most significant.  The
+    block is refused past the cap before any d**n is computed."""
+    config.check_dim("state", dec.dims, n)
     big_dims = tuple(d**n for d in dec.dims)
 
     def tensor(v):

@@ -1,32 +1,30 @@
 """Recursive tree decomposition of a state and the line-tree canonical form.
 
 A state on a rooted tree is expanded vertex by vertex: each non-root vertex v
-contributes the Schmidt basis of the bipartition at its parent edge, and each
-nonleaf vertex carries a coefficient tensor expressing its own edge basis (or,
-at the root, the full state) in the product of its computational basis and its
-children's edge bases.  The tensor of vertex v is stored with axis order
+contributes an orthonormal basis of the Schmidt span at its parent edge, and
+each vertex carries a factor expressing its own edge basis (or, at the root,
+the full state) in the product of its computational basis and its children's
+edge bases.  The factor of vertex v is stored with axis order
 
     (own level l, child indices in ascending child order, own edge index)
 
-where the trailing own-edge axis is absent at the root.
+where the trailing own-edge axis is absent at the root.  A decomposition is
+these factors with the ranks and Schmidt coefficients of every edge: a tree
+tensor network of the state (Shi, Duan & Vidal, PRA 74, 022320 (2006)).
 
-decompose runs in two parts; the second runs only for its readers.
-
-The sweep is the hierarchical SVD (on a line, the tensor-train SVD) and
-yields ranks and Schmidt coefficients.  A working tensor W starts as the
-state tensor, one axis per party, and the vertices are visited in descending
-label order, so every child comes before its parent.  At a non-root vertex v
-the cut matrix M has v's party axis and its children's bond axes
-(ascending) flattened into its rows; one SVD M = U s Vh gives v's small
-factor U, shaped (d_v, child ranks..., r_v), and those axes of W are
-replaced by one bond axis of v holding diag(s) Vh = U^H M (kept as W's last
-axis, so a line needs no transposition).  W shrinks as the sweep climbs,
-and what is left at the root is the root's tensor.  The children's edge
-bases have orthonormal columns, so s is the Schmidt spectrum of the state
-at v's edge.  The sweep keeps per vertex only U and s, never a dense basis.
-These U and the root's tensor are the factors, a tree network of the state
-in the SVDs' phases (a leaf's factor is its edge basis), which the protocol
-and block truncation read: they work in any orthonormal bond basis.
+decompose runs one sweep, the hierarchical SVD (on a line, the tensor-train
+SVD).  A working tensor W starts as the state tensor, one axis per party,
+and the vertices are visited in descending label order, so every child comes
+before its parent.  At a non-root vertex v the cut matrix M has v's party
+axis and its children's bond axes (ascending) flattened into its rows; one
+SVD M = U s Vh gives v's small factor U, shaped (d_v, child ranks..., r_v),
+and those axes of W are replaced by one bond axis of v holding diag(s) Vh =
+U^H M (kept as W's last axis, so a line needs no transposition).  W shrinks
+as the sweep climbs, and what is left at the root is the root's factor.  The
+children's edge bases have orthonormal columns, so s is the Schmidt spectrum
+of the state at v's edge.  The sweep keeps per vertex only U and s, never a
+dense basis.  The factors are in the SVDs' phases (a leaf's factor is its
+edge basis); every reader works in any orthonormal bond basis.
 
 Route rule: W holds M^T, whose rows are the rest of the tree.  When M^T is
 at least twice as tall as wide and holds at least _QR_MIN_ENTRIES entries,
@@ -40,33 +38,18 @@ reduced again until one block holds them, so M^T is never copied whole.
 Smaller or squarer cuts take one gesdd call, whose factors give the bond
 axis.
 
-The canonical pass runs once, on the first read of tensors or edge_bases,
-and builds both.  One cascade, _subtree_bases, expands each non-root factor
-in its children's bases (_contract_vertex), leaves to root, into the dense
-Schmidt basis of its subtree in the sweep's phases.  Each vertex's frame,
-by the phase and order rules of states._canonical_frame (the rules
-schmidt_wrt_edge applies), is computed from that basis and applied once:
-to the basis's columns, in place once its parent has absorbed it, and to
-copies of the factors along its own axis and its parent's, as if the sweep
-had seen canonical bonds.  Edge bases and tensors thus agree with per-cut
-Schmidt decompositions wherever the spectrum is nondegenerate.  Ranks and
-Schmidt coefficients come from the sweep alone, so code that reads only
-them builds no dense basis; the coefficients stay descending, also where
-the order rule reorders a group equal within config.SPECTRUM_MERGE_RTOL.
-
 Truncation: W is compressed at the tighter of rank_tol and config.RANK_TOL,
-so every cut sees the spectrum of the state itself, while ranks,
-coefficients, bases and tensors are stored at rank_tol; a stored tensor keeps
-only the rows of its children's stored columns.  The factors keep the
-compressed widths; a reader trims them to the stored ranks.  Both cutoffs
-follow states._numerical_rank, whose floor keeps round-off out of the rank.
+so every cut sees the spectrum of the state itself, while ranks and
+coefficients are stored at rank_tol.  The factors keep the compressed
+widths; every reader takes them through _trimmed_factors, which cuts each
+factor to the stored ranks of its bonds, so a trimmed factor keeps only the
+rows of its children's stored columns.  Both cutoffs follow
+states._numerical_rank, whose floor keeps round-off out of the rank.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 
 import numpy as np
@@ -77,7 +60,7 @@ from .errors import (
     MalformedTensors,
     NotALine,
 )
-from .states import PureState, _canonical_frame, _numerical_rank
+from .states import PureState, _numerical_rank
 from .tree import RootedTree
 
 # Smallest cut, in entries of M^T, that takes the R-SVD route, which also
@@ -104,30 +87,19 @@ _QR_BLOCK_ENTRIES = 2**13
 
 @dataclass(frozen=True, eq=False)
 class TreeDecomposition:
-    """Per-vertex tensors and per-edge Schmidt data.
+    """Per-vertex factors and per-edge Schmidt data.
 
-    factors[v] is vertex v's tensor in the sweep's gauge, (d_v, child
+    factors[v] is vertex v's factor in the sweep's gauge, (d_v, child
     widths..., own width) with no own axis at the root, at the compressed
-    widths.  tensors[v] is the coefficient tensor of nonleaf vertex v in the
-    canonical frame, and edge_bases[c], for each non-root vertex c, the
-    orthonormal basis of the subtree factor at the edge above c (columns,
-    subtree parties ascending); ranks and schmidt_coeffs are keyed by edge
-    label.  tensors and edge_bases are read-only mappings whose keys are
-    known up front: the first read of a value from either builds both once
-    (from decompose, by the canonical pass), refused past config.dim_cap().
-    dataclasses.replace takes plain dicts.
+    widths (_trimmed_factors cuts them to the ranks); ranks and
+    schmidt_coeffs are keyed by edge label.
     """
 
     tree: RootedTree
     dims: tuple[int, ...]
-    tensors: Mapping[int, np.ndarray]
-    edge_bases: Mapping[int, np.ndarray]
     ranks: dict[int, int]
     schmidt_coeffs: dict[int, np.ndarray]
     factors: dict[int, np.ndarray]
-
-    def subtree_dim(self, v: int) -> int:
-        return prod(self.dims[u - 1] for u in self.tree.subtree(v))
 
 
 def _check_rank_tol(rank_tol: float | None) -> float:
@@ -193,9 +165,7 @@ def decompose(
     # axes of the working tensor: party v is v, the bond above vertex c is -c
     w = s.tensor
     axes = list(t.vertices)
-    # per vertex, its factor U and its stored coefficients
     factors: dict[int, np.ndarray] = {}
-    stored: dict[int, np.ndarray] = {}
     ranks: dict[int, int] = {}
     coeffs: dict[int, np.ndarray] = {}
     for v in reversed(t.vertices[1:]):
@@ -211,111 +181,40 @@ def decompose(
         axes = [axes[i] for i in rest] + [-v]
         lab = t.edge_above(v).label
         ranks[lab] = _numerical_rank(sing, rank_tol)
-        coeffs[lab] = stored[v] = sing[: ranks[lab]]
+        coeffs[lab] = sing[: ranks[lab]]
         factors[v] = u.reshape(rows + (sing.size,))
     children = t.children(t.root)
     factors[t.root] = w.transpose(
         [axes.index(a) for a in [t.root] + [-c for c in children]]
     )
-    canonical = cache(lambda: _canonical_pass(t, factors, stored))
-    below = t.vertices[:0:-1]  # the non-root vertices, descending
     return TreeDecomposition(
         tree=t,
         dims=t.dims,
-        tensors=_PassView(
-            canonical, 0, [v for v in below if t.children(v)] + [t.root]
-        ),
-        edge_bases=_PassView(canonical, 1, below),
         ranks=ranks,
         schmidt_coeffs=coeffs,
         factors=factors,
     )
 
 
-class _PassView(Mapping):
-    """Read-only view of one dict of a cached pass, source: keys known up
-    front, values built on the first read of any of them."""
-
-    def __init__(self, source, which: int, keys):
-        self._source, self._which, self._keys = source, which, tuple(keys)
-
-    def __getitem__(self, v):
-        return self._source()[self._which][v]
-
-    def __contains__(self, v):
-        return v in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-
-def _canonical_pass(t, factors, stored):
-    """Coefficient tensors and dense edge bases in the canonical frame,
-    from the sweep's factors and stored coefficients, both keyed by vertex
-    (see the module docstring)."""
-    # per non-root vertex, the order and phases that take the sweep's
-    # columns of its basis to the stored canonical ones
-    frames: dict[int, tuple[list[int], np.ndarray]] = {}
-    edge_bases: dict[int, np.ndarray] = {}
-    for v, basis in _subtree_bases(t, t.dims, factors.__getitem__):
-        rank = stored[v].size
-        phases, order = _canonical_frame(basis[:, :rank], stored[v])
-        frames[v] = order, np.conj(phases[order])
-        # a leaf's basis is a view of its factor
-        edge_bases[v] = basis if t.children(v) else basis.copy()
-        for c in t.children(v):  # absorbed by v, so free to be reframed
-            edge_bases[c] = _reframe(edge_bases[c], -1, *frames[c])
-    for c in t.children(t.root):
-        edge_bases[c] = _reframe(edge_bases[c], -1, *frames[c])
-    tensors: dict[int, np.ndarray] = {}
-    for v in t.vertices:
-        if v == t.root or t.children(v):
-            g = factors[v].copy()
-            for axis, c in enumerate(t.children(v), start=1):
-                order, phases = frames[c]
-                g = _reframe(g, axis, order, np.conj(phases))
-            tensors[v] = _reframe(g, -1, *frames[v]) if v in frames else g
-    return tensors, edge_bases
-
-
-def _reframe(a: np.ndarray, axis: int, order, phases) -> np.ndarray:
-    """a's entries order along axis times phases, written into a: returns
-    the view of a cut to len(order) along axis that holds them."""
-    cut = np.moveaxis(a, axis, -1)[..., : len(order)]
-    if order != sorted(order):
-        cut[...] = cut[..., order]
-    cut *= phases
-    return np.moveaxis(cut, -1, axis)
-
-
-def _check_shapes(d: TreeDecomposition) -> None:
+def _trimmed_factors(d: TreeDecomposition) -> dict[int, np.ndarray]:
+    """Every factor of d cut to the stored ranks of its bonds, (d_v, child
+    ranks..., own rank) with no own axis at the root, as views.  A missing
+    factor, or one whose shape cannot hold those ranks, is refused."""
     t = d.tree
+    trimmed: dict[int, np.ndarray] = {}
     for v in t.vertices:
-        if v != t.root and v not in d.edge_bases:
-            raise MalformedTensors(f"missing edge basis above vertex {v}")
-        if t.is_leaf(v) and v != t.root:
-            continue
-        if v not in d.tensors:
-            raise MalformedTensors(f"missing coefficient tensor at vertex {v}")
-        expected = [t.dim_of(v)]
-        expected += [d.ranks[t.edge_above(c).label] for c in t.children(v)]
-        if v != t.root:
-            expected.append(d.ranks[t.edge_above(v).label])
-        if d.tensors[v].shape != tuple(expected):
-            raise MalformedTensors(
-                f"vertex {v} tensor shape {d.tensors[v].shape}, "
-                f"expected {tuple(expected)}"
-            )
-    for c, basis in d.edge_bases.items():
-        want = (d.subtree_dim(c), d.ranks[t.edge_above(c).label])
-        if basis.shape != want:
-            raise MalformedTensors(
-                f"edge basis above vertex {c} has shape {basis.shape}, "
-                f"expected {want}"
-            )
+        if v not in d.factors:
+            raise MalformedTensors(f"missing factor at vertex {v}")
+        bonds = list(t.children(v)) + ([] if v == t.root else [v])
+        want = (t.dim_of(v), *(d.ranks[t.edge_above(c).label] for c in bonds))
+        g = d.factors[v]
+        if g.ndim == len(want):  # a narrow axis stays narrow, and is refused
+            g = g[(slice(None), *map(slice, want[1:]))]
+        if g.shape != want:
+            raise MalformedTensors(f"vertex {v} factor shape "
+                                   f"{d.factors[v].shape} cannot hold {want}")
+        trimmed[v] = g
+    return trimmed
 
 
 def _contract_vertex(
@@ -349,54 +248,44 @@ def _contract_vertex(
     return out.reshape(-1, n_cols)
 
 
-def _subtree_bases(t: RootedTree, dims: tuple[int, ...], tensor):
-    """Leaves to root, each non-root vertex v with its subtree's vectors,
-    (subtree dimension, own width): tensor(v), shaped like a factor,
-    expanded in its children's vectors (_contract_vertex), which are then
-    dropped; a leaf's are a view of its tensor.  A network past
-    config.dim_cap() is refused before anything is built."""
-    config.check_dim("state", dims)
-    vecs: dict[int, np.ndarray] = {}
-    for v in t.vertices[:0:-1]:
-        vecs[v] = _contract_vertex(t, dims, v, tensor(v), vecs)
-        for c in t.children(v):
-            del vecs[c]
-        yield v, vecs[v]
-
-
 def _contract(t: RootedTree, dims: tuple[int, ...], tensor) -> np.ndarray:
     """The vector of a tree network, contracted from the leaves to the root:
     tensor(v) is vertex v's tensor, shaped like a factor, (d_v, child
-    widths..., own width), with no own axis at the root."""
-    bases = _subtree_bases(t, dims, tensor)
-    tops = {v: vecs for v, vecs in bases if t.parent(v) == t.root}
+    widths..., own width), with no own axis at the root.  Each non-root
+    vertex's subtree vectors replace it in its parent (_contract_vertex),
+    and a network past config.dim_cap() is refused before anything is
+    built."""
+    config.check_dim("state", dims)
+    vecs: dict[int, np.ndarray] = {}
+    for v in t.vertices[:0:-1]:
+        below = {c: vecs.pop(c) for c in t.children(v)}
+        vecs[v] = _contract_vertex(t, dims, v, tensor(v), below)
     g = tensor(t.root)[..., None]
-    return _contract_vertex(t, dims, t.root, g, tops)[:, 0]
+    return _contract_vertex(t, dims, t.root, g, vecs)[:, 0]
 
 
 def recompose(d: TreeDecomposition) -> PureState:
-    """Rebuild the state a decomposition describes from its canonical
-    tensors and edge bases, after checking their shapes."""
-    _check_shapes(d)
-    amps = _contract(
-        d.tree,
-        d.dims,
-        lambda v: d.tensors[v] if v in d.tensors else d.edge_bases[v],
-    )
-    return PureState(amps, d.dims)
+    """Rebuild the state a decomposition describes by contracting its
+    factors trimmed to the stored ranks."""
+    trimmed = _trimmed_factors(d)
+    return PureState(_contract(d.tree, d.dims, trimmed.__getitem__), d.dims)
 
 
 def vertex_gram_defect(d: TreeDecomposition, v: int) -> float:
     """Deviation of vertex v's columns from orthonormality.
 
-    The combined tensor, flattened over level and child axes, must have
+    The trimmed factor, flattened over level and child axes, must have
     orthonormal columns indexed by the own-edge index (at the root, a single
-    unit-norm column); this is what makes the measurement sets complete.
+    unit-norm column; at a leaf, the isometry onto its edge); this is what
+    makes the measurement sets complete.
     """
-    g = d.tensors[v]
-    mat = g.reshape(-1, 1) if v == d.tree.root else g.reshape(-1, g.shape[-1])
-    gram = mat.conj().T @ mat
-    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+    g = _trimmed_factors(d)[v]
+    return _column_defect(g.reshape(-1, 1 if v == d.tree.root else g.shape[-1]))
+
+
+def _column_defect(mat: np.ndarray) -> float:
+    """Largest entry of mat^H mat - I."""
+    return float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +323,8 @@ def mps_canonical_form(
 ) -> CanonicalMPS:
     """Vidal's canonical form of a state on a line tree, read off decompose:
     lambdas[k-1] are the Schmidt coefficients of cut k and each site tensor
-    is the vertex tensor divided by the weights of the bond to its right."""
+    is the trimmed factor divided by the weights of the bond to its right,
+    the last one transposed; the phases are the sweep's."""
     _require_line(line_tree)
     if s.dims != line_tree.dims:
         raise DimensionMismatch(
@@ -442,11 +332,12 @@ def mps_canonical_form(
         )
     d = decompose(s, line_tree, rank_tol)
     n = line_tree.n
+    trimmed = _trimmed_factors(d)
     lambdas = [d.schmidt_coeffs[k] for k in range(1, n)]
-    gammas = [d.tensors[1] / lambdas[0]]
+    gammas = [trimmed[1] / lambdas[0]]
     for k in range(2, n):
-        gammas.append(np.transpose(d.tensors[k], (2, 0, 1)) / lambdas[k - 1])
-    gammas.append(d.edge_bases[n].T)
+        gammas.append(np.transpose(trimmed[k], (2, 0, 1)) / lambdas[k - 1])
+    gammas.append(trimmed[n].T)
     return CanonicalMPS(
         gammas=tuple(gammas),
         lambdas=tuple(lambdas),
@@ -489,29 +380,21 @@ def contract_mps(m: CanonicalMPS) -> PureState:
 
 def decomposition_from_mps(m: CanonicalMPS) -> TreeDecomposition:
     """The line tree's decomposition read off a canonical form: its
-    factors and nonleaf tensors are _mps_factors, kept as given, and each
-    non-root factor must be an isometry onto its own bond, so that, leaves
-    to root, every edge basis is orthonormal.  As from decompose, the edge
-    bases are built on the first read of tensors or edge_bases."""
-    t, n = m.tree, len(m.dims)
+    factors are _mps_factors, kept as given, and each non-root factor must
+    be an isometry onto its own bond, so that, leaves to root, every edge
+    basis is orthonormal."""
+    n = len(m.dims)
     factors = _mps_factors(m)
     for k in range(2, n + 1):
-        mat = factors[k].reshape(-1, factors[k].shape[-1])
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
+        defect = _column_defect(factors[k].reshape(-1, factors[k].shape[-1]))
         if defect > 1e-6:
             raise MalformedTensors(
                 f"cut {k - 1} basis not orthonormal (defect {defect:.2e}); "
                 "input is not in canonical form"
             )
-    tensors = {k: factors[k] for k in range(1, n)}
-    views = cache(
-        lambda: (tensors, dict(_subtree_bases(t, m.dims, factors.__getitem__)))
-    )
     return TreeDecomposition(
-        tree=t,
+        tree=m.tree,
         dims=m.dims,
-        tensors=_PassView(views, 0, tensors),
-        edge_bases=_PassView(views, 1, t.vertices[:0:-1]),
         ranks={k: m.lambdas[k - 1].size for k in range(1, n)},
         schmidt_coeffs={k: m.lambdas[k - 1] for k in range(1, n)},
         factors=factors,

@@ -10,9 +10,9 @@ with a complete family of operators built from its tensor and broadcasts
 the outcome to its children, and a leaf finishes with an isometry into its
 output space.
 
-A program reads the decomposition's factors, not its canonical frame: the
-bases and leaf isometries are views of the factors trimmed to the true
-ranks, and the target is that network contracted once.  A correction
+A program reads the decomposition's factors trimmed to the true ranks
+(decomposition._trimmed_factors): the bases and leaf isometries are views
+of them, and the target is that network contracted once.  A correction
 undoes the transposed Pauli in any orthonormal bond basis, and every
 outcome of v has probability 1/K_v whatever the basis.
 
@@ -68,7 +68,9 @@ from math import log2, prod
 import numpy as np
 
 from . import config
-from .decomposition import TreeDecomposition, _contract, _require_line
+from .decomposition import (
+    TreeDecomposition, _contract, _require_line, _trimmed_factors,
+)
 from .errors import (
     InsufficientResource,
     MalformedProgram,
@@ -271,12 +273,7 @@ def build_program(
         if m < dec.ranks[e.label]:
             raise InsufficientResource(e.label, dec.ranks[e.label], m)
 
-    # every factor cut to the stored ranks of its bonds
-    trimmed: dict[int, np.ndarray] = {}
-    for v in t.vertices:
-        bonds = list(t.children(v)) + ([] if v == t.root else [v])
-        cut = (slice(dec.ranks[t.edge_above(c).label]) for c in bonds)
-        trimmed[v] = dec.factors[v][(slice(None), *cut)]
+    trimmed = _trimmed_factors(dec)
     bases: dict[int, np.ndarray] = {}
     leaf_isos: dict[int, np.ndarray] = {}
     for v, g in trimmed.items():

@@ -180,14 +180,13 @@ def _numerical_rank(sing: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(sing > max(rank_tol, RANK_FLOOR) * sing[0]))
 
 
-def _canonical_frame(u: np.ndarray, sing: np.ndarray):
-    """Phases and order that put singular vectors in canonical form.
+def _canonicalize_vectors(u: np.ndarray, vh: np.ndarray, sing: np.ndarray):
+    """Put singular vectors in canonical form, in place.
 
-    Left singular vector i (column i of u) has the unit phase phases[i] at
-    its largest-magnitude entry; dividing the vector by it makes that entry
-    real positive (the right vector absorbs the phase).  Vectors with equal
-    singular values are then ordered by that anchor entry's position, so
-    column k of the canonical basis is column order[k] of u.
+    Left singular vector i (column i of u) is divided by the unit phase of
+    its largest-magnitude entry, which makes that entry real positive (row
+    i of vh absorbs the phase).  Vectors with equal singular values are then
+    ordered by that anchor entry's position.
     """
     r = sing.size
     anchors = np.argmax(np.abs(u), axis=0)
@@ -205,13 +204,6 @@ def _canonical_frame(u: np.ndarray, sing: np.ndarray):
                 stop += 1
             order[start:stop] = sorted(order[start:stop], key=lambda i: anchors[i])
             start = stop
-    return phases, order
-
-
-def _canonicalize_vectors(u: np.ndarray, vh: np.ndarray, sing: np.ndarray):
-    """Fix singular-vector phases and order inside degenerate groups, in
-    place, by the rules of _canonical_frame."""
-    phases, order = _canonical_frame(u, sing)
     u *= np.conj(phases)
     vh *= phases[:, None]
     u[:, :] = u[:, order]

@@ -95,7 +95,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         dec = decompose(s, t)
         back = recompose(dec)
         err = float(np.abs(back.amplitudes - s.amplitudes).max())
-        defect = max(vertex_gram_defect(dec, v) for v in dec.tensors)
+        defect = max(vertex_gram_defect(dec, v) for v in dec.factors)
         ok = err <= 1e-9 and defect <= 1e-9
         return ok, f"recompose error {err:.2e}, gram defect {defect:.2e}"
 

@@ -115,6 +115,22 @@ def test_approx_state_far_past_the_cap_is_refused_without_its_size():
     assert len(str(exc.value)) < 200
 
 
+def test_a_qutrit_block_far_past_the_cap_is_refused_before_its_dims():
+    # a qutrit product line: every projection is trivial, so only the dense
+    # block is capped, and 3^(10^7) per party is never computed
+    t = line_tree(4, dims=(3,) * 4)
+    amps = np.zeros(3**4)
+    amps[0] = 1.0
+    ap = approx_state(PureState(amps, t.dims), t, 10**7, {})
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapExceeded) as exc:
+        ap.state
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value).startswith(
+        "state spans at least 2^40000000 amplitudes, cap "
+    )
+
+
 def _loop_mask(proj):
     """A projection's keep mask by summing the log of every level sequence
     copy by copy, n - 1 outer sums."""

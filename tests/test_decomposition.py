@@ -39,12 +39,14 @@ from treecost import decomposition
 from treecost.cli import main
 
 from helpers import (
+    canonical_factors,
     cut_rank,
     dense_tree_decomposition,
     line_tree,
     random_pure_state,
     random_tree,
     star_tree,
+    subtree_bases,
 )
 
 
@@ -63,8 +65,7 @@ def test_roundtrip_on_random_trees():
         dec, err = _roundtrip_error(s, t)
         assert err < 1e-10
         for v in t.vertices:
-            if not t.is_leaf(v) or v == t.root:
-                assert vertex_gram_defect(dec, v) < 1e-9
+            assert vertex_gram_defect(dec, v) < 1e-9
 
 
 def test_roundtrip_on_named_shapes():
@@ -116,7 +117,7 @@ def test_tensor_shapes_follow_contract():
     t = random_tree(rng, 6, dim_choices=(2, 3))
     s = random_pure_state(rng, t.dims)
     dec = decompose(s, t)
-    for v, g in dec.tensors.items():
+    for v, g in decomposition._trimmed_factors(dec).items():
         want = [t.dim_of(v)]
         want += [dec.ranks[t.edge_above(c).label] for c in t.children(v)]
         if v != t.root:
@@ -125,10 +126,13 @@ def test_tensor_shapes_follow_contract():
 
 
 def test_leaves_have_no_tensor_entry():
+    # a leaf's factor is its edge basis, with no child axes
     t = line_tree(4)
     dec = decompose(make_named_state("w", 4), t)
-    assert set(dec.tensors) == {1, 2, 3}
-    assert set(dec.edge_bases) == {2, 3, 4}  # every non-root vertex
+    trimmed = decomposition._trimmed_factors(dec)
+    assert set(trimmed) == set(dec.factors) == {1, 2, 3, 4}
+    assert [trimmed[v].ndim for v in t.vertices] == [2, 3, 3, 2]
+    assert set(subtree_bases(t, trimmed)) == {2, 3, 4}  # every non-root vertex
 
 
 def test_edge_bases_are_orthonormal_columns():
@@ -136,9 +140,11 @@ def test_edge_bases_are_orthonormal_columns():
     t = random_tree(rng, 5, dim_choices=(2, 3))
     s = random_pure_state(rng, t.dims)
     dec = decompose(s, t)
-    for v, basis in dec.edge_bases.items():
+    bases = subtree_bases(t, decomposition._trimmed_factors(dec))
+    for v, basis in bases.items():
         lab = t.edge_above(v).label
-        assert basis.shape == (dec.subtree_dim(v), dec.ranks[lab])
+        sub = prod(t.dims[u - 1] for u in t.subtree(v))
+        assert basis.shape == (sub, dec.ranks[lab])
         gram = basis.conj().T @ basis
         assert np.allclose(gram, np.eye(dec.ranks[lab]), atol=1e-10)
 
@@ -188,16 +194,20 @@ def _assert_matches_the_dense_oracle(state, t, rank_tol):
     assert dec.ranks == ranks
     for lab, want in coeffs.items():
         assert np.abs(dec.schmidt_coeffs[lab] - want).max() <= 1e-12
+    # the factors at their compressed widths span each cut's Schmidt
+    # vectors down to config.RANK_TOL, of which the first rank are kept
+    got_bases = subtree_bases(t, dec.factors)
     for c, want in bases.items():
-        got = dec.edge_bases[c]
+        got = got_bases[c][:, : dec.ranks[t.edge_above(c).label]]
         proj = got @ got.conj().T - want @ want.conj().T
         assert np.abs(proj).max() <= 1e-10
+    got_tensors = canonical_factors(dec)
     for v, want in tensors.items():
         around = [t.edge_above(c).label for c in t.children(v)]
         if v != t.root:
             around.append(t.edge_above(v).label)
         if all(_nondegenerate(coeffs[lab]) for lab in around):
-            assert np.abs(dec.tensors[v] - want).max() <= 1e-9
+            assert np.abs(got_tensors[v] - want).max() <= 1e-9
     if rank_tol == config.RANK_TOL:
         assert fidelity_pure(recompose(dec), state) >= 1.0 - 1e-12
 
@@ -280,25 +290,6 @@ def test_large_cuts_match_the_per_edge_dense_oracle(
     assert max(calls) > 2
 
 
-@pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
-def test_decompose_memory_stays_near_the_state_size(name, k):
-    # the dense edge bases it returns take about r times the state's bytes
-    # on a line: 2 states on GHZ and W, 2.5 on Dicke(2).  The canonical pass
-    # puts each basis into its frame in place once its parent has absorbed
-    # it; holding the cascade's bases and canonical copies of them together
-    # reads 4.0 states on GHZ and W and 5.0 on Dicke(2)
-    s = make_named_state(name, 18, k=k)
-    t = line_tree(18)
-    tracemalloc.start()
-    try:
-        dec = decompose(s, t)
-        dec.tensors[t.root], dec.edge_bases[t.n]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.75 * s.amplitudes.nbytes
-
-
 @st.composite
 def _tall_matrices(draw):
     """A complex matrix of 1 to 64 columns whose rows fill part of one row
@@ -365,14 +356,21 @@ def test_compress_allocates_nothing_of_full_size_but_the_bond():
     assert peak - bond.nbytes < mat.nbytes / 4
 
 
-@pytest.mark.parametrize("name,k", [("ghz", None), ("w", None), ("dicke", 2)])
-def test_ranks_alone_stay_under_1_9_states(name, k):
+_MEMORY_LINES = [("ghz", None), ("w", None), ("dicke", 2)]
+
+
+@pytest.mark.parametrize("name,k,n", [
+    *[pytest.param(name, k, 16, id=f"{name}-{k}") for name, k in _MEMORY_LINES],
+    *[pytest.param(name, k, 18, id=f"{name}-{k}-18")
+      for name, k in _MEMORY_LINES],
+])
+def test_ranks_alone_stay_under_1_9_states(name, k, n):
     # the sweep's leaf-side cuts take the R-SVD route, which copies no cut
-    # whole and forms neither tall factor, and no dense basis is built
-    # until tensors is read; the peak holds the first two bonds, 1.5 states
-    # on GHZ and W and 1.75 on Dicke(2), whose second bond has rank 3
-    s = make_named_state(name, 16, k=k)
-    t = line_tree(16)
+    # whole and forms neither tall factor, and no dense basis is built; the
+    # peak holds the first two bonds, 1.5 states on GHZ and W and 1.75 on
+    # Dicke(2), whose second bond has rank 3
+    s = make_named_state(name, n, k=k)
+    t = line_tree(n)
     tracemalloc.start()
     try:
         decompose(s, t).ranks
@@ -383,21 +381,24 @@ def test_ranks_alone_stay_under_1_9_states(name, k):
 
 
 @pytest.fixture
-def pass_calls(monkeypatch):
-    """Calls of the canonical pass's two steps, counted by name."""
-    calls = {"_contract_vertex": 0, "_canonical_frame": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(decomposition, name)):
-            calls[_name] += 1
-            return _real(*args)
+def contract_calls(monkeypatch):
+    """Calls of _contract_vertex, the step every dense contraction of the
+    factors takes, counted."""
+    calls = [0]
+    real = decomposition._contract_vertex
 
-        monkeypatch.setattr(decomposition, name, counted)
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(decomposition, "_contract_vertex", counted)
     return calls
 
 
 def test_rank_and_spectrum_readers_never_run_the_canonical_pass(
-    pass_calls, tmp_path, capsys
+    contract_calls, tmp_path, capsys
 ):
+    # no dense basis of any cut is built: nothing is contracted
     rng = np.random.default_rng(157)
     t = random_tree(rng, 6, dim_choices=(2, 3))
     s = random_pure_state(rng, t.dims)
@@ -413,31 +414,9 @@ def test_rank_and_spectrum_readers_never_run_the_canonical_pass(
     }))
     assert main(["cost", "exact", "--tree", str(tree), "--state", "w6"]) == 0
     assert json.loads(capsys.readouterr().out)["total_bits"] == 5.0
-    assert pass_calls == {"_contract_vertex": 0, "_canonical_frame": 0}
-
-
-@pytest.mark.parametrize("first", ["tensors", "edge_bases"])
-def test_first_read_runs_the_canonical_pass_once_for_both(pass_calls, first):
-    rng = np.random.default_rng(163)
-    t = random_tree(rng, 7, dim_choices=(2, 3))
-    dec = decompose(random_pure_state(rng, t.dims), t)
-    # keys, lengths and membership are known without the pass
-    assert set(dec.edge_bases) == set(t.vertices) - {t.root}
-    assert t.root in dec.tensors and len(dec.tensors) == sum(
-        1 for v in t.vertices if v == t.root or t.children(v)
-    )
-    assert pass_calls == {"_contract_vertex": 0, "_canonical_frame": 0}
-    view = getattr(dec, first)
-    view[next(iter(view))]
-    once = {"_contract_vertex": t.n - 1, "_canonical_frame": t.n - 1}
-    assert pass_calls == once
-    for v in dec.tensors:
-        dec.tensors[v]
-    for c in dec.edge_bases:
-        dec.edge_bases[c]
-    assert pass_calls == once
-    with pytest.raises(TypeError):
-        dec.tensors[t.root] = None
+    assert contract_calls == [0]
+    recompose(dec)
+    assert contract_calls == [t.n]
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, float("nan"),
@@ -473,14 +452,25 @@ def test_decompose_rejects_mismatched_dims():
         decompose(make_named_state("ghz", 3), line_tree(4))
 
 
-def test_recompose_rejects_corrupted_tensors():
+@pytest.mark.parametrize("read", [recompose, build_program])
+@pytest.mark.parametrize("v,clip", [
+    pytest.param(2, (slice(None), slice(1)), id="inner"),
+    pytest.param(3, (slice(None), slice(1)), id="leaf"),
+    pytest.param(2, (slice(None),) * 2 + (slice(1),), id="inner-own"),
+])
+def test_recompose_rejects_corrupted_tensors(read, v, clip):
+    # GHZ3 has rank 2 on both edges: a factor clipped to width 1 on a bond
+    # cannot hold it, whether a child's axis or its own
     t = line_tree(3)
     dec = decompose(make_named_state("ghz", 3), t)
-    bad_tensors = dict(dec.tensors)
-    bad_tensors[2] = bad_tensors[2][:, :1, :]
-    bad = dataclasses.replace(dec, tensors=bad_tensors)
-    with pytest.raises(MalformedTensors):
-        recompose(bad)
+    factors = dict(dec.factors)
+    factors[v] = factors[v][clip]
+    bad = dataclasses.replace(dec, factors=factors)
+    with pytest.raises(MalformedTensors, match=f"^vertex {v} factor shape"):
+        read(bad)
+    del factors[v]
+    with pytest.raises(MalformedTensors, match=f"^missing factor at vertex {v}"):
+        read(dataclasses.replace(dec, factors=factors))
 
 
 def test_single_vertex_decomposition():
@@ -542,10 +532,10 @@ def test_decomposition_from_mps_matches_direct_decompose():
         via_mps = decomposition_from_mps(mps_canonical_form(s, t))
         direct = decompose(s, t)
         assert via_mps.ranks == direct.ranks
-        for v in via_mps.tensors:
-            assert np.allclose(
-                via_mps.tensors[v], direct.tensors[v], atol=1e-9
-            )
+        got = decomposition._trimmed_factors(via_mps)
+        want = decomposition._trimmed_factors(direct)
+        for v in want:
+            assert np.allclose(got[v], want[v], atol=1e-9)
         back = recompose(via_mps)
         assert abs(abs(back.overlap(s)) - 1.0) < 1e-10
 
@@ -628,8 +618,6 @@ def test_a_1000_site_form_refuses_its_dense_views():
         lambda: recompose(dec),
         lambda: contract_mps(m),
         lambda: build_program(dec),
-        lambda: dec.tensors[1],
-        lambda: dec.edge_bases[1000],
     ]
     for read in reads:
         with pytest.raises(DimensionCapExceeded):
@@ -653,13 +641,15 @@ def test_decomposition_from_mps_keeps_decompose_s_tensors_and_bases(
     # cannot
     s = make_named_state(name, n, k=k)
     t = line_tree(n)
-    direct = decompose(s, t)
-    via_mps = decomposition_from_mps(mps_canonical_form(s, t))
-    assert set(via_mps.tensors) == set(direct.tensors)
-    assert set(via_mps.edge_bases) == set(direct.edge_bases)
-    for v in direct.tensors:
-        assert np.abs(via_mps.tensors[v] - direct.tensors[v]).max() <= 1e-12
-    for c in direct.edge_bases:
-        got, want = via_mps.edge_bases[c], direct.edge_bases[c]
-        assert np.abs(got - want).max() <= 1e-12
+    direct = decomposition._trimmed_factors(decompose(s, t))
+    via_mps = decomposition._trimmed_factors(
+        decomposition_from_mps(mps_canonical_form(s, t))
+    )
+    assert set(via_mps) == set(direct)
+    for v in direct:
+        assert np.abs(via_mps[v] - direct[v]).max() <= 1e-12
+    got, want = subtree_bases(t, via_mps), subtree_bases(t, direct)
+    assert set(got) == set(want)
+    for c in want:
+        assert np.abs(got[c] - want[c]).max() <= 1e-12
 

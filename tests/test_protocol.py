@@ -36,8 +36,6 @@ from helpers import (
     generalized_pauli_x,
     generalized_pauli_z,
     line_tree,
-    projection_basis,
-    projection_matrix,
     random_pure_state,
     random_tree,
     star_tree,
@@ -415,9 +413,8 @@ def test_construct_path_stays_under_four_states(name, k):
 def test_construct_and_approx_paths_never_run_the_canonical_pass(
     monkeypatch, tmp_path, capsys
 ):
-    # programs and the n-copy network read the sweep's factors; only the
-    # readers of tensors and edge_bases, such as a dense projector, build
-    # them
+    # programs and the n-copy network contract the sweep's factors
+    # themselves; no path rebuilds the state through recompose
     import json
 
     import treecost
@@ -425,15 +422,15 @@ def test_construct_and_approx_paths_never_run_the_canonical_pass(
     from treecost import decomposition, verify
     from treecost.cli import main
 
-    calls = {"_canonical_pass": 0, "recompose": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(decomposition, name)):
-            calls[_name] += 1
-            return _real(*args)
+    calls = [0]
+    real = decomposition.recompose
 
-        for module in (decomposition, treecost, verify):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for module in (decomposition, treecost, verify):
+        monkeypatch.setattr(module, "recompose", counted)
 
     state, t = _mixed_instance(239)
     prog = build_program(decompose(state, t))
@@ -459,11 +456,9 @@ def test_construct_and_approx_paths_never_run_the_canonical_pass(
     assert main(["simulate", *common, "--seed", "3"]) == 0
     assert main(["approx", *common, "--n", "2", "--eps", "0.3"]) == 0
     capsys.readouterr()
-    assert calls == {"_canonical_pass": 0, "recompose": 0}
-    # a projection's dense basis is built by the pass, once
-    projection_basis(ap.decomposition, ap.projections[0])
-    projection_matrix(ap.decomposition, ap.projections[1])
-    assert calls == {"_canonical_pass": 1, "recompose": 0}
+    assert calls == [0]
+    treecost.recompose(ap.decomposition)
+    assert calls == [1]
 
 
 def test_enumeration_does_not_depend_on_the_batch_split(monkeypatch):
