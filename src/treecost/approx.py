@@ -45,19 +45,19 @@ import numpy as np
 
 from . import config
 from .costs import Spectrum, _check_block_size, _edge_shares, spectrum_entropy
-from .decomposition import (
-    TreeDecomposition,
-    _check_rank_tol,
-    _contract,
-    decompose,
-)
+from .decomposition import TreeDecomposition, _contract, decompose
 from .errors import (
     DegenerateDenominator,
     InvalidEpsilon,
     ZeroNorm,
 )
 from .protocol import build_program, simulate
-from .states import PureState, _numerical_rank, normalized_state
+from .states import (
+    PureState,
+    _check_rank_tol,
+    _numerical_rank,
+    normalized_state,
+)
 from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)

@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import config
 from .approx import construct_approx
 from .costs import (
@@ -63,14 +65,16 @@ def _parse_state(source: str, tree):
     return make_named_state(name, n, tree.dims, **kwargs)
 
 
-def _load_tree(args):
-    root = getattr(args, "root", None)
+def _instance(args):
+    """The tree and state an instance command names.  A digit --root that
+    names no party is retried as an integer party id."""
     try:
-        return load_tree_json(args.tree, root_override=root)
+        tree = load_tree_json(args.tree, root_override=args.root)
     except UnknownRoot:
-        if root is not None and root.isdigit():
-            return load_tree_json(args.tree, root_override=int(root))
-        raise
+        if args.root is None or not args.root.isdigit():
+            raise
+        tree = load_tree_json(args.tree, root_override=int(args.root))
+    return tree, _parse_state(args.state, tree)
 
 
 def _label_map(tree) -> dict:
@@ -92,28 +96,17 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _parse_resources(entries):
-    supplies = {}
-    for entry in entries or []:
-        lab, _, val = entry.partition("=")
-        try:
-            supplies[int(lab)] = int(val)
-        except ValueError:
-            raise TreecostError(
-                f"resource {entry!r} is not of the form EDGE=RANK"
-            ) from None
-    return supplies
-
-
-def _parse_branch(text):
+def _parse_pairs(parts, name: str, form: str) -> dict[int, int]:
+    """The K=V parts as {K: V}, each side an integer; a part that is not
+    is refused as "<name> '<part>' is not of the form <form>"."""
     out = {}
-    for part in text.split(","):
-        v, _, j = part.partition("=")
+    for part in parts:
+        k, _, v = part.partition("=")
         try:
-            out[int(v)] = int(j)
+            out[int(k)] = int(v)
         except ValueError:
             raise TreecostError(
-                f"branch part {part!r} is not of the form VERTEX=INDEX"
+                f"{name} {part!r} is not of the form {form}"
             ) from None
     return out
 
@@ -139,32 +132,18 @@ def _resolve_thresholds(args, state, tree):
         ) from None
 
 
-def _event_doc(ev) -> dict:
-    return {
-        "kind": ev.kind,
-        "vertex": ev.vertex,
-        "edge": ev.edge,
-        "outcome": list(ev.outcome) if ev.outcome is not None else None,
-        "index": ev.index,
-        "probability": ev.probability,
-        "info": ev.info,
-    }
-
-
 def _transcript_doc(tr, tree) -> dict:
+    amps = tr.final_state.amplitudes
     return {
         "schema": "treecost-transcript/1",
         "label_map": _label_map(tree),
         "probability": tr.probability,
         "fidelity": tr.fidelity,
         "outcomes": {str(v): j for v, j in sorted(tr.outcomes.items())},
-        "events": [_event_doc(ev) for ev in tr.events],
+        "events": [vars(ev) for ev in tr.events],
         "final_state": {
             "dims": list(tr.final_state.dims),
-            "amplitudes": [
-                [float(a.real), float(a.imag)]
-                for a in tr.final_state.amplitudes
-            ],
+            "amplitudes": np.stack([amps.real, amps.imag], axis=1).tolist(),
         },
     }
 
@@ -186,8 +165,7 @@ def _emit_transcripts(branches, tree, out: str) -> None:
 
 
 def _cmd_cost_exact(args) -> int:
-    tree = _load_tree(args)
-    state = _parse_state(args.state, tree)
+    tree, state = _instance(args)
     dec = decompose(state, tree, args.rank_tol)
     rows = [
         {"edge": lab, "rank": dec.ranks[lab], "bits": bits}
@@ -206,8 +184,7 @@ def _cmd_cost_exact(args) -> int:
 
 
 def _cmd_cost_approx(args) -> int:
-    tree = _load_tree(args)
-    state = _parse_state(args.state, tree)
+    tree, state = _instance(args)
     thresholds, mode = _resolve_thresholds(args, state, tree)
     report = approx_bounds(
         state,
@@ -237,10 +214,10 @@ def _cmd_cost_approx(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    tree = _load_tree(args)
-    state = _parse_state(args.state, tree)
+    tree, state = _instance(args)
     dec = decompose(state, tree, args.rank_tol)
-    supplies = {**dec.ranks, **_parse_resources(args.resource)}
+    resources = _parse_pairs(args.resource or [], "resource", "EDGE=RANK")
+    supplies = {**dec.ranks, **resources}
     program = build_program(dec, supplies)
     doc = {
         "schema": "treecost-simulate/1",
@@ -268,9 +245,10 @@ def _cmd_simulate(args) -> int:
             _emit_transcripts(branches, tree, args.transcript)
     else:
         if args.branch:
-            tr = simulate(
-                program, mode="branch", outcomes=_parse_branch(args.branch)
+            outcomes = _parse_pairs(
+                args.branch.split(","), "branch part", "VERTEX=INDEX"
             )
+            tr = simulate(program, mode="branch", outcomes=outcomes)
             doc["mode"] = "branch"
         else:
             tr = simulate(program, mode="sample", seed=args.seed)
@@ -292,8 +270,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    tree = _load_tree(args)
-    state = _parse_state(args.state, tree)
+    tree, state = _instance(args)
     thresholds, mode = _resolve_thresholds(args, state, tree)
     thresholds = _budget_shares(tree, args.n, args.eps, thresholds)
     result, report = construct_approx(
@@ -388,17 +365,26 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 4
 
 
-def _add_instance_args(p, with_root=True):
+def _add_instance_args(p):
     p.add_argument("--tree", required=True, help="tree document (JSON)")
     p.add_argument(
         "--state",
         required=True,
         help="state document (JSON) or family token like w4, ghz5, dicke4:2",
     )
-    if with_root:
-        p.add_argument("--root", default=None, help="override the root party")
+    p.add_argument("--root", default=None, help="override the root party")
     p.add_argument("--rank-tol", type=float, default=None)
     p.add_argument("--out", default=None, help="write the report here")
+
+
+def _add_block_args(p):
+    p.add_argument("--n", type=int, required=True, help="copies per block")
+    p.add_argument("--eps", type=float, required=True, help="error budget")
+    p.add_argument(
+        "--thresholds",
+        default="uniform",
+        help="uniform, optimized, or a JSON file of per-edge shares",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,13 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     cx.set_defaults(func=_cmd_cost_exact)
     ca = csub.add_parser("approx", help="block cost bounds")
     _add_instance_args(ca)
-    ca.add_argument("--n", type=int, required=True, help="copies per block")
-    ca.add_argument("--eps", type=float, required=True, help="error budget")
-    ca.add_argument(
-        "--thresholds",
-        default="uniform",
-        help="uniform, optimized, or a JSON file of per-edge shares",
-    )
+    _add_block_args(ca)
     ca.add_argument("--delta", type=float, default=1e-9)
     ca.add_argument("--eta", type=float, default=None)
     ca.set_defaults(func=_cmd_cost_approx)
@@ -442,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = sub.add_parser("approx", help="project a block and build it")
     _add_instance_args(ap)
-    ap.add_argument("--n", type=int, required=True)
-    ap.add_argument("--eps", type=float, required=True)
-    ap.add_argument("--thresholds", default="uniform")
+    _add_block_args(ap)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--enumerate", action="store_true")
     ap.add_argument("--transcript", default=None)
@@ -472,10 +450,7 @@ def main(argv=None) -> int:
     except InsufficientResource as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except TreecostError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (TreecostError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

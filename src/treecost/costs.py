@@ -17,8 +17,9 @@ their waterlines from that one table (or refusal) in one pass.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, erfc, inf, isfinite, lgamma, log, log2, sqrt, pi
 from statistics import NormalDist
 from typing import Callable, Iterable
@@ -104,7 +105,8 @@ class Spectrum:
         sd = schmidt_wrt_edge(s, t, e, rank_tol)
         return cls.from_eigenvalues(sd.coefficients**2)
 
-    # computed once per spectrum: _edge_lower reads both at every grid point
+    # computed once per spectrum: the Gaussian tier, second_order and
+    # optimize_thresholds read them
     @cached_property
     def entropy(self) -> float:
         return -sum(
@@ -194,6 +196,7 @@ class _SpectrumTable:
 
     def __init__(self, spectrum: Spectrum, n: int):
         comps = _compositions(n, len(spectrum.values))
+        self.classes = len(comps)
         log_vals = np.log(np.asarray(spectrum.values))
         log_mults = np.log(np.asarray(spectrum.multiplicities, dtype=float))
         log_mu = comps @ log_vals
@@ -239,9 +242,34 @@ class _SpectrumTable:
         ]
 
 
-@lru_cache(maxsize=64)
-def _table(spectrum: Spectrum, n: int) -> _SpectrumTable:
-    return _SpectrumTable(spectrum, n)
+class _TableCache:
+    """The type-class table of (spectrum, n), kept for the next read while
+    the kept tables hold at most TYPE_CLASS_CAP classes in total, as much
+    as one table may: a new table evicts the least recently read ones
+    until it fits."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.tables: OrderedDict = OrderedDict()
+        self.classes = 0
+
+    def __call__(self, spectrum: Spectrum, n: int) -> _SpectrumTable:
+        key = (spectrum, n)
+        table = self.tables.get(key)
+        if table is not None:
+            self.tables.move_to_end(key)
+            return table
+        table = _SpectrumTable(spectrum, n)
+        while self.classes + table.classes > config.TYPE_CLASS_CAP:
+            self.classes -= self.tables.popitem(last=False)[1].classes
+        self.tables[key] = table
+        self.classes += table.classes
+        return table
+
+
+_table = _TableCache()
 
 
 def _check_block_size(n) -> int:

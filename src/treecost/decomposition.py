@@ -60,7 +60,7 @@ from .errors import (
     MalformedTensors,
     NotALine,
 )
-from .states import PureState, _numerical_rank
+from .states import PureState, _check_rank_tol, _numerical_rank
 from .tree import RootedTree
 
 # Smallest cut, in entries of M^T, that takes the R-SVD route, which also
@@ -100,16 +100,6 @@ class TreeDecomposition:
     ranks: dict[int, int]
     schmidt_coeffs: dict[int, np.ndarray]
     factors: dict[int, np.ndarray]
-
-
-def _check_rank_tol(rank_tol: float | None) -> float:
-    """rank_tol, or config.RANK_TOL for None; refuses NaN and values
-    outside [0, 1)."""
-    if rank_tol is None:
-        return config.RANK_TOL
-    if not 0.0 <= rank_tol < 1.0:
-        raise ValueError(f"rank tolerance {rank_tol!r} outside [0, 1)")
-    return rank_tol
 
 
 def _compress(mat: np.ndarray, tol: float):

@@ -38,7 +38,7 @@ class NotALine(TreecostError):
 
 
 class OutOfRangeIndex(TreecostError):
-    """Shift or phase index outside the 0..d-1 range."""
+    """Forced outcome index outside 0..K_v-1 at a measuring vertex."""
 
 
 class InsufficientResource(TreecostError):
@@ -90,4 +90,4 @@ class ZeroNorm(TreecostError):
 
 
 class DegenerateDenominator(TreecostError):
-    """Projected operator has numerically zero trace."""
+    """Projected block keeps weight below 1e-12, too little to normalize."""

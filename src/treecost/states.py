@@ -174,6 +174,16 @@ def _split_axes(state: PureState, front: Sequence[int]) -> np.ndarray:
 RANK_FLOOR = 1024 * np.finfo(float).eps
 
 
+def _check_rank_tol(rank_tol: float | None) -> float:
+    """rank_tol, or config.RANK_TOL for None; refuses NaN and values
+    outside [0, 1)."""
+    if rank_tol is None:
+        return config.RANK_TOL
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank tolerance {rank_tol!r} outside [0, 1)")
+    return rank_tol
+
+
 def _numerical_rank(sing: np.ndarray, rank_tol: float) -> int:
     """How many of the descending singular values sing count as rank: those
     above max(rank_tol, RANK_FLOOR) * sing[0]."""
@@ -218,8 +228,7 @@ def schmidt_wrt_edge(
     """Schmidt decomposition of s across the bipartition induced by edge e."""
     if s.dims != t.dims:
         raise DimensionMismatch(f"state dims {s.dims} vs tree dims {t.dims}")
-    if rank_tol is None:
-        rank_tol = config.RANK_TOL
+    rank_tol = _check_rank_tol(rank_tol)
     below, rest = bipartition(t, e)
     sub = sorted(below)
     comp = sorted(rest)

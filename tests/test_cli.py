@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import treecost.verify as verify_mod
+from treecost import build_program
 from treecost.cli import main
 
 
@@ -60,6 +62,27 @@ def test_cost_exact_honors_root_override(w4_tree_path, capsys):
     doc = json.loads(out)
     assert doc["label_map"]["parties"]["2"] == 1
     assert doc["total_bits"] == 3.0
+
+
+def test_a_digit_root_names_an_integer_party_id(tmp_path, capsys):
+    # "2" names no party of a document whose ids are JSON integers, so it
+    # is read again as the integer 2; "9" names no party either way
+    path = tmp_path / "w4_int.json"
+    path.write_text(json.dumps({
+        "parties": [{"id": 1}, {"id": 2}, {"id": 3}, {"id": 4}],
+        "edges": [[1, 2], [2, 3], [3, 4]],
+        "root": 1,
+    }))
+    argv = ["cost", "exact", "--tree", str(path), "--state", "w4", "--root"]
+    code, out, _ = run_cli([*argv, "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["label_map"]["parties"]["2"] == 1
+    assert doc["total_bits"] == 3.0
+    code, out, err = run_cli([*argv, "9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: root 9 is not a listed party\n"
 
 
 def test_cost_approx_document(w4_tree_path, capsys):
@@ -685,6 +708,24 @@ def test_verify_battery_passes(capsys, tmp_path):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def test_verify_walks_the_ghz_line_past_5000_random_branches(monkeypatch):
+    # seed 2 draws a random instance of more than 5,000 branches, so the
+    # all-branches check walks the 16 of the 3-qubit GHZ line instead
+    counts = []
+
+    def counted(dec, *args):
+        program = build_program(dec, *args)
+        counts.append(program.branch_count)
+        return program
+
+    monkeypatch.setattr(verify_mod, "build_program", counted)
+    checks = {name: (ok, detail) for name, ok, detail in verify_mod.run_checks(seed=2)}
+    ok, detail = checks["protocol-all-branches"]
+    assert ok
+    assert detail.startswith("16 branches, ")
+    assert any(a > 5000 and b == 16 for a, b in zip(counts, counts[1:]))
+
+
 # ------------------------------------------------------------ error paths
 
 
@@ -719,6 +760,14 @@ def test_bad_resource_syntax_is_a_usage_error(w4_tree_path, capsys):
         capsys,
     )
     assert code == 2
+    code, out, err = run_cli(
+        ["simulate", "--tree", w4_tree_path, "--state", "w4",
+         "--resource", "2=2", "--resource", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: resource '3' is not of the form EDGE=RANK\n"
 
 
 def test_bad_branch_spec_is_a_usage_error(w4_tree_path, capsys):
@@ -728,6 +777,14 @@ def test_bad_branch_spec_is_a_usage_error(w4_tree_path, capsys):
         capsys,
     )
     assert code == 2
+    code, out, err = run_cli(
+        ["simulate", "--tree", w4_tree_path, "--state", "w4",
+         "--branch", "2=0,1=x"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: branch part '1=x' is not of the form VERTEX=INDEX\n"
 
 
 def test_malformed_tree_json_is_a_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ coefficients, per-edge bounds, budget optimization, and chart data."""
 import time
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from treecost import (
     Spectrum,
     ThresholdBudgetExceeded,
     approx_bounds,
+    approx_state,
     config,
     decompose,
     exact_edge_cost,
@@ -31,6 +33,7 @@ from treecost import (
     schmidt_wrt_edge,
     second_order,
     spectrum_entropy,
+    union_bound_check,
 )
 
 from helpers import (
@@ -306,6 +309,66 @@ def test_table_memory_per_type_class():
     assert peak / classes < 170
 
 
+# 10, 45 and 84 classes, and 231: past a class cap of 100, so refused
+_CACHED_TABLES = (
+    (Spectrum.from_eigenvalues([0.75, 0.25]), 9),
+    (Spectrum.from_eigenvalues([0.5, 0.3, 0.2]), 8),
+    (Spectrum.from_eigenvalues([0.4, 0.3, 0.2, 0.1]), 6),
+    (Spectrum.from_eigenvalues([0.5, 0.3, 0.2]), 20),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, len(_CACHED_TABLES) - 1), max_size=24))
+def test_table_cache_never_holds_more_classes_than_the_cap(reads):
+    # a least-recently-read list of the same reads says which tables stay
+    cap = 100
+    cache = costs_mod._TableCache()
+    model = []
+    with mock.patch.object(config, "TYPE_CLASS_CAP", cap):
+        for i in reads:
+            key = spectrum, n = _CACHED_TABLES[i]
+            size = comb(n + len(spectrum.values) - 1, n)
+            if size > cap:
+                with pytest.raises(EnumerationCapExceeded):
+                    cache(spectrum, n)
+            else:
+                held = cache.tables.get(key)
+                table = cache(spectrum, n)
+                assert table.classes == size
+                assert held is None or table is held
+                if key in model:
+                    model.remove(key)
+                while sum(comb(m + len(sp.values) - 1, m)
+                          for sp, m in model) + size > cap:
+                    model.pop(0)
+                model.append(key)
+            assert list(cache.tables) == model
+            total = sum(t.classes for t in cache.tables.values())
+            assert cache.classes == total <= cap
+
+
+def test_block_truncation_reads_back_the_tables_it_built(monkeypatch):
+    # union_bound_check re-reads the tables approx_state built; W4's edges
+    # 1 and 3 have spectra that differ in the last bit, so three are built
+    fresh = costs_mod._TableCache()
+    monkeypatch.setattr(costs_mod, "_table", fresh)
+    compositions = costs_mod._compositions
+    calls = []
+
+    def counted(n, d):
+        calls.append((n, d))
+        return compositions(n, d)
+
+    monkeypatch.setattr(costs_mod, "_compositions", counted)
+    s, t = make_named_state("w", 4), line_tree(4)
+    shares = {e.label: 0.1 / np.sqrt(3.0) for e in t.edges}
+    approx_state(s, t, 4, shares)
+    assert len(calls) == len(fresh.tables) == 3
+    union_bound_check(s, t, 4, shares)
+    assert len(calls) == 3
+
+
 # ------------------------------------------------------------ second order
 
 
@@ -555,7 +618,7 @@ def test_each_edge_decides_its_tier_with_one_table_attempt(monkeypatch):
     assert rep.rows[0].lower_method == "gaussian"
     assert len(calls) == 1
     # with no table cached, each edge of the 14-qubit line tries at most once
-    costs_mod._table.cache_clear()
+    costs_mod._table.clear()
     calls.clear()
     t = line_tree(14)
     s = random_pure_state(np.random.default_rng(1414), t.dims)

@@ -17,6 +17,7 @@ from treecost import (
     DimensionMismatch,
     MalformedTensors,
     NotALine,
+    Spectrum,
     TreeDecomposition,
     approx_bounds,
     build_program,
@@ -422,9 +423,18 @@ def test_rank_and_spectrum_readers_never_run_the_canonical_pass(
 @pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, 1.0, 2.0, float("nan"),
                                       float("inf")])
 def test_decompose_refuses_rank_tol_outside_zero_one(rank_tol):
+    # the per-edge readers used to take NaN and 1.5 as "rank 0" (and the
+    # spectrum then failed on "no positive eigenvalues")
     s = make_named_state("w", 4)
-    with pytest.raises(ValueError, match=f"rank tolerance {rank_tol!r}"):
-        decompose(s, line_tree(4), rank_tol)
+    t = line_tree(4)
+    e = t.edges[0]
+    for call in (
+        lambda: decompose(s, t, rank_tol),
+        lambda: schmidt_wrt_edge(s, t, e, rank_tol),
+        lambda: Spectrum.from_edge(s, t, e, rank_tol),
+    ):
+        with pytest.raises(ValueError, match=f"rank tolerance {rank_tol!r}"):
+            call()
 
 
 def test_decompose_accepts_rank_tol_in_zero_one():

@@ -687,6 +687,8 @@ def test_branch_mode_validates_the_outcome_map():
         simulate(prog, mode="branch", outcomes={1: 0, 2: 0, 3: 99})
     with pytest.raises(MalformedProgram):
         simulate(prog, mode="spin")
+    with pytest.raises(MalformedProgram, match="needs forced outcomes"):
+        simulate(prog, mode="branch")
 
 
 def test_forced_zero_probability_branch_raises():

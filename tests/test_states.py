@@ -169,6 +169,10 @@ def test_named_state_rejections():
         make_named_state("nope", 3)
     with pytest.raises(IncompatibleDims):
         make_named_state("w", 2, dims=(2,))
+    with pytest.raises(IncompatibleDims, match="party count must be >= 1"):
+        make_named_state("product", 0)
+    with pytest.raises(IncompatibleDims, match="ghz needs at least 2 parties"):
+        make_named_state("ghz", 1)
 
 
 def test_named_states_respect_the_dimension_cap(monkeypatch):
@@ -366,6 +370,8 @@ def test_fidelity_and_overlap_basics():
     assert abs(fidelity_pure(a, a) - 1.0) < 1e-12
     assert abs(fidelity_pure(a, b) - 0.5) < 1e-12
     assert abs(a.overlap(b) - 1 / np.sqrt(2)) < 1e-12
+    with pytest.raises(DimensionMismatch, match=r"dims \(2, 2\) vs \(4,\)"):
+        a.overlap(make_named_state("product", 1, dims=(4,)))
     # distance and fidelity tie together for pure states
     assert abs(
         trace_distance_pure(a, b) - 2 * np.sqrt(1 - fidelity_pure(a, b))
@@ -386,6 +392,12 @@ def test_state_json_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     again = load_state_json(path)
     assert np.allclose(again.amplitudes, s.amplitudes, atol=1e-15)
+
+
+def test_state_json_refuses_an_amplitude_entry_that_is_not_a_pair():
+    doc = {"dims": [2], "amplitudes": [[1.0], [0.0, 0.0]]}
+    with pytest.raises(DimensionMismatch, match="^malformed state document: "):
+        load_state_json(doc)
 
 
 def test_state_json_named_form_uses_tree_dims():

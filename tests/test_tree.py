@@ -185,6 +185,9 @@ def test_rejects_cycles_and_disconnection():
         root_and_relabel([(1, 2), (3, 4)], dims, 1)
     with pytest.raises(NotATree):
         root_and_relabel([(1, 2), (2, 3), (3, 4), (1, 3)], dims, 1)
+    # N - 1 edges with a cycle leave party 4 out
+    with pytest.raises(NotATree, match="edge list does not connect all parties"):
+        root_and_relabel([(1, 2), (2, 3), (3, 1)], dims, 1)
 
 
 def test_rejects_self_loops_duplicates_and_unknown_endpoints():
