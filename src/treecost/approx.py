@@ -28,9 +28,13 @@ network with masks on the bonds of the nontrivial projections.  A trivial
 projection is skipped, so its bond stays whole.
 <psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 are contracted from the leaves
 to the root over bond environments |B_e|^n x |B_e|^n in size, as the
-weights the masks remove (_removed_weights).  Only ApproxState.state builds
-the dense block, by contracting the same masked network densely
-(_block_amplitudes, with decomposition._contract).
+weights the masks remove (_removed_weights).  A mask works in place and
+adds no buffer: where a bond's bra-ket and ket-ket environments are one
+object before its mask, the bond keeps one buffer of its full size, and
+the ket-ket side is built in it after the parent's bra transfer has read
+the bra-ket side.  Only ApproxState.state builds the dense block, by
+contracting the same masked network densely (_block_amplitudes, with
+decomposition._contract).
 """
 
 from __future__ import annotations
@@ -229,18 +233,49 @@ def _removed_transfer(g: np.ndarray, removed: list, n: int, v: int) -> _Env:
 def _environments(g: np.ndarray, pairs: list, n: int, v: int):
     """Complements of the bra-ket and ket-ket environments of the bond
     above v from its children's pairs; at the root, the removed overlap
-    and weight.  They are one object while every child's pair is."""
+    and weight.  They are one object while every child's pair is.  A
+    child's ket-ket complement that shares its bra-ket one's buffer
+    (_KetInPlace) is built there once the bra transfer has read it."""
     bra = _removed_transfer(g, [b for b, _ in pairs], n, v)
     if all(b is k for b, k in pairs):
         return bra, bra
-    return bra, _removed_transfer(g, [k for _, k in pairs], n, v)
+    kets = [k.build() if isinstance(k, _KetInPlace) else k for _, k in pairs]
+    return bra, _removed_transfer(g, kets, n, v)
+
+
+class _KetInPlace(NamedTuple):
+    """Ket-ket complement of a masked bond whose two complements entered
+    the mask as one object, held in the buffer of the bra-ket one until
+    the parent's bra transfer has read it."""
+
+    legs: np.ndarray
+    diagonal: np.ndarray
+    mask: np.ndarray
+    cut: np.ndarray
+
+    def build(self) -> _Env:
+        """The complement in the shared buffer, which the bra-ket one no
+        longer holds.  M (1 - M) = 0 for a 0/1 mask M, so it is the bra-ket
+        complement times the bra mask plus the cut on the diagonal.  The
+        bra mask zeroes every diagonal entry the bra-ket side's cut raised,
+        and the others had zero added, so the bits are those of a separate
+        buffer masked the same way."""
+        n, r = self.mask.ndim, self.mask.shape[0]
+        y = self.legs.reshape((r, r) * n)
+        y *= self.mask.reshape((r, 1) * n)
+        self.legs[self.diagonal] += self.cut
+        return _Env(self.legs, True)
 
 
 def _masked(bra: _Env | None, ket: _Env | None, mask: np.ndarray):
     """Complements of a bond's bra-ket and ket-ket environments after its
     mask.  The mask takes E to E M_ket and F to M_bra F M_ket, so a
     complement C goes to C M plus (1 - mask) on the diagonal.  An identity
-    or diagonal environment is one object for both, and stays so."""
+    or diagonal environment is one object for both, and stays so.
+
+    The bond keeps one buffer: when one full complement is both, the
+    ket-ket one is returned as a _KetInPlace on the bra-ket one's buffer,
+    which the parent builds after its bra transfer."""
     n, r = mask.ndim, mask.shape[0]
     cut = (~mask).reshape(-1).astype(float)
     if bra is None or not bra.paired:
@@ -249,21 +284,23 @@ def _masked(bra: _Env | None, ket: _Env | None, mask: np.ndarray):
         return env, env
     on_ket = mask.reshape((1, r) * n)
     on_bra = mask.reshape((r, 1) * n)
+    diagonal = _paired_diagonal(r, n)
     # in place: a bond's environments are read by nothing but this mask and
-    # its parent's transfer
+    # its parent's transfers
     x = bra.legs.reshape((r, r) * n)
     x *= on_ket
+    x = x.reshape(-1)
     if ket is bra:
-        y = x * on_bra
+        ket = _KetInPlace(x, diagonal, mask, cut)
     else:
         y = ket.legs.reshape((r, r) * n)
         y *= on_ket
         y *= on_bra
-    diagonal = _paired_diagonal(r, n)
-    x, y = x.reshape(-1), y.reshape(-1)
+        y = y.reshape(-1)
+        y[diagonal] += cut
+        ket = _Env(y, True)
     x[diagonal] += cut
-    y[diagonal] += cut
-    return _Env(x, True), _Env(y, True)
+    return _Env(x, True), ket
 
 
 def _bond_masks(

@@ -148,6 +148,26 @@ def _transcript_doc(tr, tree) -> dict:
     }
 
 
+def _branch_text(tr, tree) -> str:
+    """The transcript document of one branch as an entry of the transcripts
+    document: json.dumps(doc, sort_keys=True, indent=2) with every line
+    after the first indented by four more spaces.  json's indented encoder
+    is pure Python, so the amplitude pairs, nearly all of the text, take
+    their float text from the compact encoder and are laid out here."""
+    doc = _transcript_doc(tr, tree)
+    pairs = json.dumps(doc["final_state"]["amplitudes"])
+    doc["final_state"]["amplitudes"] = []
+    text = json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n    ")
+    # a string value escapes its quotes, and no other key is named so: the
+    # one match is the final state's key
+    head, _, tail = text.partition('"amplitudes": []')
+    item, value = "\n" + " " * 10, "\n" + " " * 12
+    pairs = pairs[2:-2].replace("], [", f"{item}],{item}[{value}")
+    pairs = pairs.replace(", ", "," + value)
+    amplitudes = f'"amplitudes": [{item}[{value}{pairs}{item}]\n        ]'
+    return head + amplitudes + tail
+
+
 def _emit_transcripts(branches, tree, out: str) -> None:
     """Write the transcripts document of the branches one branch at a
     time, with the bytes _emit would write for the whole document."""
@@ -155,9 +175,7 @@ def _emit_transcripts(branches, tree, out: str) -> None:
         fh.write('{\n  "branches": [')
         sep = "\n"
         for b in branches:
-            doc = _transcript_doc(b, tree)
-            text = json.dumps(doc, sort_keys=True, indent=2)
-            fh.write(sep + "    " + text.replace("\n", "\n    "))
+            fh.write(sep + "    " + _branch_text(b, tree))
             sep = ",\n"
         if branches:
             fh.write("\n  ")

@@ -154,16 +154,21 @@ def _merge_starts(log_mu: np.ndarray) -> np.ndarray:
     The rule is sequential: walking down, a level joins the current group
     when the group's first level lies within
     tol(mu) = SPECTRUM_MERGE_RTOL * max(1, |mu|) of it.  A gap to the
-    previous level above tol(mu) therefore always starts a group, and a run
-    between such gaps is one group when its first level lies within tol(mu)
-    of every member.  Only the rare runs that span more than that are split
-    again by the sequential rule itself.
+    previous level above tol(mu) therefore always starts a group.  When
+    every gap does, nothing merges and every index starts a level.
+    Otherwise a run between such gaps is one group when its first level
+    lies within tol(mu) of every member, and only the rare runs that span
+    more than that are split again by the sequential rule itself.
     """
-    tol = config.SPECTRUM_MERGE_RTOL * np.maximum(1.0, np.abs(log_mu))
+    tol = np.abs(log_mu)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= config.SPECTRUM_MERGE_RTOL
     gap = np.empty(log_mu.size, dtype=bool)
     gap[0] = True
     np.greater(log_mu[:-1] - log_mu[1:], tol[1:], out=gap[1:])
     starts = np.flatnonzero(gap)
+    if starts.size == log_mu.size:
+        return starts
     run = np.cumsum(gap) - 1
     far = log_mu[starts][run] - log_mu > tol
     if not far.any():
@@ -188,25 +193,33 @@ class _SpectrumTable:
 
     The table is built from whole arrays: one row per type class, the
     classes sorted by product eigenvalue, and classes closer than the merge
-    tolerance folded into one level (see _merge_starts).  Each reduction
-    (reduceat over a level's classes, the total, the cumulative count) runs
-    left to right like a loop over the sorted classes, so the arrays are
-    the ones a sequential merge gives, bit for bit.
+    tolerance folded into one level (see _merge_starts).  A class's log
+    count sums the lgamma of its parts one part at a time, left to right,
+    and adds the log multiplicities only when one is not 1.  When no two
+    classes merge, every class is its own level and the fold is skipped.
+    Each reduction (reduceat over a level's classes, the total, the
+    cumulative count) runs left to right like a loop over the sorted
+    classes, so the arrays are the ones a sequential merge gives, bit for
+    bit.
     """
 
     def __init__(self, spectrum: Spectrum, n: int):
         comps = _compositions(n, len(spectrum.values))
         self.classes = len(comps)
-        log_vals = np.log(np.asarray(spectrum.values))
-        log_mults = np.log(np.asarray(spectrum.multiplicities, dtype=float))
-        log_mu = comps @ log_vals
+        log_mu = comps @ np.log(np.asarray(spectrum.values))
         if comps.shape[1] > 1:
             # every part count 0..n occurs, so the row is read throughout
             lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
-            log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+            log_cnt = lg[comps[:, 0]]
+            for j in range(1, comps.shape[1]):
+                log_cnt += lg[comps[:, j]]
+            np.subtract(lg[n], log_cnt, out=log_cnt)
         else:
             # one class, (n,): its lgamma(n + 1) - lgamma(n + 1) is 0
-            log_cnt = comps @ log_mults
+            log_cnt = np.zeros(1)
+        if any(m != 1 for m in spectrum.multiplicities):
+            mults = np.asarray(spectrum.multiplicities, dtype=float)
+            log_cnt += comps @ np.log(mults)
         # arrays here grow with the class count; freeing the spent ones
         # lowers the peak of the build
         del comps
@@ -216,17 +229,27 @@ class _SpectrumTable:
         del order
 
         starts = _merge_starts(log_mu)
-        self.log_mu = log_mu[starts]
-        self.log_cnt = np.logaddexp.reduceat(log_cnt, starts)
-        log_mass = self.log_cnt + self.log_mu
-        total = np.logaddexp.reduce(log_mass)
-        log_mass = log_mass - total
-        self.log_mu = self.log_mu - total
-        self.cum_mass = np.cumsum(np.exp(log_mass))
-        self.log_cum_cnt = np.logaddexp.accumulate(self.log_cnt)
-        with np.errstate(divide="ignore"):
-            mu_next = np.append(self.log_mu[1:], -np.inf)
-        self.boundary = self.cum_mass - np.exp(self.log_cum_cnt + mu_next)
+        if starts.size < log_mu.size:
+            log_mu = log_mu[starts]
+            log_cnt = np.logaddexp.reduceat(log_cnt, starts)
+        del starts
+        self.log_cnt = log_cnt
+        mass = log_cnt + log_mu
+        total = np.logaddexp.reduce(mass)
+        mass -= total
+        log_mu -= total
+        self.log_mu = log_mu
+        np.exp(mass, out=mass)
+        self.cum_mass = np.cumsum(mass, out=mass)
+        self.log_cum_cnt = np.logaddexp.accumulate(log_cnt)
+        # boundary[k] = cum_mass[k] - cum_cnt[k] mu[k + 1], in the buffer of
+        # the next level's log eigenvalue
+        bound = np.empty_like(log_mu)
+        bound[:-1] = log_mu[1:]
+        bound[-1] = -np.inf
+        bound += self.log_cum_cnt
+        np.exp(bound, out=bound)
+        self.boundary = np.subtract(self.cum_mass, bound, out=bound)
 
     def waterline_bits(self, deficits: list[float]) -> list[float]:
         """-log2 of the threshold t at which the clipped mass equals each

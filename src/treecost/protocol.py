@@ -125,7 +125,8 @@ class Transcript:
     @cached_property
     def final_state(self) -> PureState:
         b = self._batch
-        return PureState(b.amps[self._row], b.log.program.dims)
+        # _final_rows normalized and checked the row
+        return PureState._checked(b.amps[self._row], b.log.program.target.dims)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,16 @@ class PureState:
         if abs(norm - 1.0) > config.NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
 
+    @classmethod
+    def _checked(cls, amplitudes: np.ndarray, dims: tuple[int, ...]):
+        """The state of a flat complex128 vector already normalized and
+        norm checked, over the dims of a PureState: built without a second
+        pass of the checks above."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "dims", dims)
+        return state
+
     def __eq__(self, other):
         """Equal dims and exactly equal amplitudes."""
         if not isinstance(other, PureState):

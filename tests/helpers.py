@@ -7,6 +7,7 @@ expansions) so tests compare two independent derivations.
 
 import itertools
 import string
+import tracemalloc
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, erf, exp, inf, lgamma, log2, pi, prod, sqrt
@@ -56,6 +57,17 @@ def random_tree(rng, n, dim_choices=(2,), root=None):
     if root is None:
         root = int(rng.integers(1, n + 1))
     return root_and_relabel(edges, dims, root)
+
+
+def traced_peak(run):
+    """run() and the peak memory tracemalloc traced while it ran, in
+    bytes."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_pure_state(rng, dims):
@@ -426,7 +438,13 @@ def loop_spectrum_table(spectrum, n):
     log_mults = np.log(np.asarray(spectrum.multiplicities, dtype=float))
     lg = np.array([lgamma(i + 1.0) for i in range(n + 1)])
     log_mu = comps @ log_vals
-    log_cnt = lg[n] - lg[comps].sum(axis=1) + comps @ log_mults
+    # the parts' lgamma terms added one part at a time, left to right:
+    # numpy's sum(axis=1) adds in that order only below 8 parts
+    parts = lg[comps]
+    log_fact = parts[:, 0]
+    for j in range(1, parts.shape[1]):
+        log_fact = log_fact + parts[:, j]
+    log_cnt = lg[n] - log_fact + comps @ log_mults
     order = np.argsort(log_mu)[::-1]
     log_mu = log_mu[order]
     log_cnt = log_cnt[order]

@@ -2,7 +2,6 @@
 
 import re
 import time
-import tracemalloc
 from functools import reduce
 from math import log, prod, sqrt
 
@@ -41,6 +40,7 @@ from helpers import (
     random_pure_state,
     random_tree,
     skewed_pure_state,
+    traced_peak,
 )
 
 
@@ -717,13 +717,25 @@ def test_trivial_projections_build_no_block():
     t = line_tree(4)
     s = make_named_state("w", 4)
     shares = {e.label: 0.1 / sqrt(3) for e in t.edges}
-    tracemalloc.start()
-    try:
-        ap = approx_state(s, t, 5, shares)
-        rep = union_bound_check(s, t, 5, shares)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (ap, rep), peak = traced_peak(lambda: (
+        approx_state(s, t, 5, shares), union_bound_check(s, t, 5, shares)
+    ))
     assert all(p.trivial for p in ap.projections)
     assert ap.achieved_distance == rep.lhs == 0.0
     assert peak < 2**20
+
+
+def test_every_cutting_bond_holds_one_environment_buffer():
+    # all three projections cut a skewed 4-qubit line at n=5; the middle
+    # bond's environment spans 16^5 complex entries (16 MiB), which its
+    # mask and both transfers of its parent share: a second copy for the
+    # ket side would take the peak past 32 MiB
+    t = line_tree(4)
+    s = skewed_pure_state(np.random.default_rng(3), t.dims)
+    shares = {e.label: 0.1 / sqrt(3) for e in t.edges}
+    (ap, rep), peak = traced_peak(lambda: (
+        approx_state(s, t, 5, shares), union_bound_check(s, t, 5, shares)
+    ))
+    assert not any(p.trivial for p in ap.projections)
+    assert rep.lhs == ap.achieved_distance > 0.0
+    assert peak < 24 * 2**20

@@ -2,7 +2,6 @@
 coefficients, per-edge bounds, budget optimization, and chart data."""
 
 import time
-import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -47,6 +46,7 @@ from helpers import (
     series_inverse_cdf,
     series_normal_cdf,
     std_log_longdouble,
+    traced_peak,
 )
 
 QUARTER_SPEC = Spectrum(values=(0.75, 0.25), multiplicities=(1, 1))
@@ -218,13 +218,13 @@ def _assert_table_matches_the_loop_oracle(spectrum, n):
 
 
 @st.composite
-def _spectra(draw):
+def _spectra(draw, count=st.integers(1, 5)):
     """Spectra with multiplicities whose levels are small integers, each
     nudged by a tiny relative offset.  Products of the integers coincide
     often, and a level drawn twice with two offsets gives near-equal
     levels whose products form chains of close neighbours, so classes fall
     near, below and above the merge tolerance."""
-    d = draw(st.integers(1, 5))
+    d = draw(count)
     levels = draw(st.lists(
         st.tuples(st.integers(1, 6),
                   st.sampled_from([0.0, 1e-13, 1e-12, 3e-12, 1e-11, 1e-9])),
@@ -248,6 +248,17 @@ def _spectra(draw):
 def test_table_matches_the_sequential_merge_oracle(spectrum, n):
     if len(spectrum.values) == 5:
         n = min(n, 32)
+    _assert_table_matches_the_loop_oracle(spectrum, n)
+
+
+# from 8 parts on, numpy's sum(axis=1) no longer adds left to right; the
+# table and the oracle add the lgamma terms one part at a time.  n stops
+# at 9 (48,620 classes at ten levels) to keep the oracle's run time down
+@settings(max_examples=30)
+@given(_spectra(count=st.integers(6, 10)), st.integers(1, 9))
+@example(Spectrum.from_eigenvalues(np.linspace(1.0, 2.0, 8)), 9)
+@example(Spectrum.from_eigenvalues(np.geomspace(1.0, 5.0, 10)), 9)
+def test_tables_of_six_to_ten_levels_match_the_oracle(spectrum, n):
     _assert_table_matches_the_loop_oracle(spectrum, n)
 
 
@@ -298,15 +309,10 @@ def test_table_memory_per_type_class():
     # as large as the class count
     spectrum = Spectrum.from_eigenvalues([0.5, 0.27, 0.13, 0.1])
     costs_mod._SpectrumTable(spectrum, 3)
-    tracemalloc.start()
-    try:
-        table = costs_mod._SpectrumTable(spectrum, 100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: costs_mod._SpectrumTable(spectrum, 100))
     classes = comb(103, 3)
     assert table.log_mu.size == classes
-    assert peak / classes < 170
+    assert peak / classes < 80
 
 
 # 10, 45 and 84 classes, and 231: past a class cap of 100, so refused

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import time
-import tracemalloc
 from math import prod
 
 import numpy as np
@@ -48,6 +47,7 @@ from helpers import (
     random_tree,
     star_tree,
     subtree_bases,
+    traced_peak,
 )
 
 
@@ -347,12 +347,9 @@ def test_compress_allocates_nothing_of_full_size_but_the_bond():
     rng = np.random.default_rng(167)
     mat = rng.standard_normal((2**16, 2)) + 1j * rng.standard_normal((2**16, 2))
     mat = mat @ rng.standard_normal((2, 4))
-    tracemalloc.start()
-    try:
-        _, sing, bond = decomposition._compress(mat, config.RANK_TOL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, sing, bond), peak = traced_peak(
+        lambda: decomposition._compress(mat, config.RANK_TOL)
+    )
     assert sing.size == 2 and bond.shape == (2**16, 2)
     assert peak - bond.nbytes < mat.nbytes / 4
 
@@ -372,12 +369,7 @@ def test_ranks_alone_stay_under_1_9_states(name, k, n):
     # Dicke(2), whose second bond has rank 3
     s = make_named_state(name, n, k=k)
     t = line_tree(n)
-    tracemalloc.start()
-    try:
-        decompose(s, t).ranks
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: decompose(s, t).ranks)
     assert peak < 1.9 * s.amplitudes.nbytes
 
 

@@ -39,6 +39,7 @@ from helpers import (
     random_pure_state,
     random_tree,
     star_tree,
+    traced_peak,
 )
 
 
@@ -376,13 +377,7 @@ def test_large_random_instances_sample_without_outcome_tables(shape):
     s = random_pure_state(rng, t.dims)
     prog = _program(s, t)
     k_max = max(prog.outcome_count(v) for v in prog.bases)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        tr = simulate(prog, mode="sample", seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tr, peak = traced_peak(lambda: simulate(prog, mode="sample", seed=3))
     assert tr.fidelity >= 1 - FIDELITY_TOL
     if shape == "line14":
         assert k_max == 2**14
@@ -400,12 +395,9 @@ def test_construct_path_stays_under_four_states(name, k):
     simulate(_program(make_named_state(name, 4, k=k), line_tree(4)))
     s = make_named_state(name, 16, k=k)
     t = line_tree(16)
-    tracemalloc.start()
-    try:
-        tr = simulate(build_program(decompose(s, t)), mode="sample", seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tr, peak = traced_peak(
+        lambda: simulate(build_program(decompose(s, t)), mode="sample", seed=1)
+    )
     assert tr.fidelity >= 1 - FIDELITY_TOL
     assert peak < 4 * s.amplitudes.nbytes
 
@@ -748,13 +740,7 @@ def test_large_lines_sample_within_memory(family):
     # replaces, so sampling a 16-party line holds at most a few registers
     # of the state's size at once
     prog = _program(make_named_state(family, 16), line_tree(16))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        tr = simulate(prog, mode="sample", seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tr, peak = traced_peak(lambda: simulate(prog, mode="sample", seed=5))
     assert tr.fidelity >= 1 - FIDELITY_TOL
     assert peak < 64 * 2**20
     assert peak < 4 * prog.target.amplitudes.nbytes
