@@ -5,8 +5,12 @@ Each edge gets an error share; its projection keeps the product eigenvalues
 of the n-fold cut spectrum above the waterline for deficit share^2 / 4.
 Applying the projections (in edge label order; they need not commute) yields
 a nearby state whose cut ranks, and hence construction costs, are capped by
-the waterline exponents.  The final distance to the true n-copy state is
-checked against the root-sum-square of the shares.
+the waterline exponents.  approx_state computes the projections and the
+final distance to the true n-copy state once; the returned ApproxState
+checks that distance against the root-sum-square of the shares (holds) and
+against the root-sum of the individual projection deficits (union_bound,
+which union_bound_check returns).  A block left with no weight is refused
+there once, for every reader.
 
 Everything here reads the factors of one decompose sweep of psi,
 compressed at the tighter of rank_tol and config.RANK_TOL.  The sweep's
@@ -50,11 +54,7 @@ import numpy as np
 from . import config
 from .costs import Spectrum, _check_block_size, _edge_shares, spectrum_entropy
 from .decomposition import TreeDecomposition, _contract, decompose
-from .errors import (
-    DegenerateDenominator,
-    InvalidEpsilon,
-    ZeroNorm,
-)
+from .errors import DegenerateDenominator, InvalidEpsilon
 from .protocol import build_program, simulate
 from .states import (
     PureState,
@@ -388,14 +388,6 @@ def _block_amplitudes(
     return _contract(dec.tree, big_dims, tensor), big_dims
 
 
-def _kept_weight(removed) -> float:
-    """||M psi^(x)n||^2 / ||psi^(x)n||^2 from _removed_weights."""
-    if removed is None:
-        return 1.0
-    block, _, lost = removed
-    return (block - lost) / block
-
-
 def _distance(removed) -> float:
     """Trace distance 2 sqrt(1 - F) between psi^(x)n and the normalized
     M psi^(x)n, from _removed_weights.  With S = ||psi^(x)n||^2,
@@ -414,6 +406,14 @@ def _distance(removed) -> float:
     return 2.0 * sqrt(max(0.0, min(1.0, gap)))
 
 
+@dataclass(frozen=True)
+class UnionBoundReport:
+    lhs: float
+    rhs: float
+    deficits: dict[int, float]
+    holds: bool
+
+
 @dataclass(frozen=True, eq=False)
 class ApproxState:
     """Projected n-copy state with its distance accounting.
@@ -421,7 +421,8 @@ class ApproxState:
     decomposition is the one decompose sweep of the single-copy state that
     the projections and the distances were read from.
     The projected block itself (state) is contracted densely from the same
-    masked network on first access.
+    masked network on first access, and the union bound (union_bound) is
+    read from the projections and the distance already held.
     """
 
     decomposition: TreeDecomposition = field(repr=False)
@@ -443,25 +444,50 @@ class ApproxState:
         masks = _bond_masks(dec, self.projections)
         return normalized_state(*_block_amplitudes(dec, masks, self.n))
 
+    @cached_property
+    def union_bound(self) -> UnionBoundReport:
+        """Distance of the sequentially projected state (achieved_distance)
+        versus the root-sum of the individual projection deficits.
 
-def _truncate(
-    s: PureState,
-    t: RootedTree,
-    n: int,
-    thresholds: dict[int, float],
-    rank_tol: float | None,
-):
-    """The decomposition of s, every edge's projection read from it, and
-    the weights their masks remove (_removed_weights).  The shares are
-    checked and completed by costs._edge_shares."""
-    shares = _edge_shares(t, thresholds)
-    dec = _decompose(s, t, rank_tol)
-    projections = tuple(
-        _edge_projection(dec, e, n, shares[e.label], rank_tol)
-        for e in t.edges
-    )
-    masks = _bond_masks(dec, projections)
-    return dec, projections, _removed_weights(dec, masks, n)
+        Both states are pure, so the 1-norm distance reduces to an overlap
+        formula, and neither side needs the n-copy block.  The left side
+        takes <psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 for the sequential
+        product M from the masked n-copy network (module docstring).
+
+        The right side adds each projection's clipped weight on the
+        untouched block.  Across edge e the state is
+        sum_k sqrt(p_k) |a_k>|b_k> with S = ||psi||^2 = sum_k p_k, so
+        psi^(x)n is the sum over k in [levels]^n of sqrt(prod_c p_(k_c))
+        times orthonormal product vectors.  P_e keeps exactly the terms
+        whose k lies in the stored rank on every copy and in keep_mask, so
+        the deficit 1 - ||P_e psi^(x)n||^2 / S^n is
+
+            (sum_(k in [rank]^n, k not in mask) prod_c p_(k_c) + S^n - S_r^n) / S^n
+
+        with S_r the sum of p_k over the stored rank: the second term is
+        the block weight on products that leave the stored rank on some
+        copy.  S is taken as S_r plus the cut's dropped weight, so the term
+        is exactly zero when the rank cutoff drops nothing.  Summing the
+        dropped products avoids the cancellation in 1 - kept, and a trivial
+        projection contributes exactly zero.
+        """
+        n = self.n
+        deficits: dict[int, float] = {}
+        for proj in self.projections:
+            if proj.trivial:
+                deficits[proj.edge] = 0.0
+                continue
+            stored = float(proj.weights.sum())
+            block_nsq = (stored + proj.dropped_weight) ** n
+            products = reduce(np.multiply.outer, [proj.weights] * n)
+            clipped = products.reshape(-1)[~proj.keep_mask].sum()
+            clipped += block_nsq - stored**n
+            deficits[proj.edge] = float(max(0.0, clipped / block_nsq))
+        lhs = self.achieved_distance
+        rhs = 2.0 * sqrt(sum(deficits.values()))
+        return UnionBoundReport(
+            lhs=lhs, rhs=rhs, deficits=deficits, holds=lhs <= rhs + 1e-9
+        )
 
 
 def approx_state(
@@ -472,12 +498,23 @@ def approx_state(
     rank_tol: float | None = None,
 ) -> ApproxState:
     """Apply every edge projection to the n-copy state, in edge label order,
-    and renormalize.  The distance comes from the masked n-copy network;
-    the dense block is built only when ApproxState.state is read."""
-    dec, projections, removed = _truncate(s, t, n, thresholds, rank_tol)
-    if _kept_weight(removed) < 1e-12:
-        raise ZeroNorm("projections removed all weight")
-    shares = {p.edge: p.threshold for p in projections}
+    and renormalize.  The shares are checked and completed by
+    costs._edge_shares.  The distance comes from the weights the masks
+    remove from the n-copy network (_removed_weights); the union bound and
+    the dense block are read from the result.  A block the masks leave
+    with under 1e-12 of its weight is refused with DegenerateDenominator
+    (a ZeroNorm)."""
+    shares = _edge_shares(t, thresholds)
+    dec = _decompose(s, t, rank_tol)
+    projections = tuple(
+        _edge_projection(dec, e, n, shares[e.label], rank_tol)
+        for e in t.edges
+    )
+    removed = _removed_weights(dec, _bond_masks(dec, projections), n)
+    if removed is not None:
+        block, _, lost = removed
+        if (block - lost) / block < 1e-12:
+            raise DegenerateDenominator("projections removed all weight")
     return ApproxState(
         decomposition=dec,
         n=int(n),
@@ -569,14 +606,6 @@ def construct_approx(
     return result, report
 
 
-@dataclass(frozen=True)
-class UnionBoundReport:
-    lhs: float
-    rhs: float
-    deficits: dict[int, float]
-    holds: bool
-
-
 def union_bound_check(
     s: PureState,
     t: RootedTree,
@@ -584,53 +613,6 @@ def union_bound_check(
     thresholds: dict[int, float],
     rank_tol: float | None = None,
 ) -> UnionBoundReport:
-    """Distance of the sequentially projected state versus the root-sum of
-    the individual projection deficits.
-
-    Both states are pure, so the 1-norm distance reduces to an overlap
-    formula, and neither side needs the n-copy block.  The left side takes
-    <psi^(x)n|M psi^(x)n> and ||M psi^(x)n||^2 for the sequential product
-    M from the masked n-copy network (module docstring).
-
-    The right side adds each projection's clipped weight on the untouched
-    block.  Across edge e the state is sum_k sqrt(p_k) |a_k>|b_k> with
-    S = ||psi||^2 = sum_k p_k, so psi^(x)n
-    is the sum over k in [levels]^n of sqrt(prod_c p_(k_c)) times
-    orthonormal product vectors.  P_e keeps exactly the terms whose k lies
-    in the stored rank on every copy and in keep_mask, so the deficit
-    1 - ||P_e psi^(x)n||^2 / S^n is
-
-        (sum_(k in [rank]^n, k not in mask) prod_c p_(k_c) + S^n - S_r^n) / S^n
-
-    with S_r the sum of p_k over the stored rank: the second term is the
-    block weight on products that leave the stored rank on some copy.  S is
-    taken as S_r plus the cut's dropped weight, so the term is exactly zero
-    when the rank cutoff drops nothing.  Summing the dropped products avoids
-    the cancellation in 1 - kept, and a trivial projection contributes
-    exactly zero.
-    """
-    _, projections, removed = _truncate(s, t, n, thresholds, rank_tol)
-    kept = _kept_weight(removed)
-    if kept < 1e-12:
-        raise DegenerateDenominator(
-            f"projected weight {kept:.3e} too small to normalize"
-        )
-    lhs = _distance(removed)
-    deficits: dict[int, float] = {}
-    for proj in projections:
-        if proj.trivial:
-            deficits[proj.edge] = 0.0
-            continue
-        stored = float(proj.weights.sum())
-        block_nsq = (stored + proj.dropped_weight) ** n
-        products = reduce(np.multiply.outer, [proj.weights] * n)
-        clipped = products.reshape(-1)[~proj.keep_mask].sum()
-        clipped += block_nsq - stored**n
-        deficits[proj.edge] = float(max(0.0, clipped / block_nsq))
-    rhs = 2.0 * sqrt(sum(deficits.values()))
-    return UnionBoundReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        deficits=deficits,
-        holds=lhs <= rhs + 1e-9,
-    )
+    """The union bound of the projected n-copy state: the
+    ApproxState.union_bound of approx_state, whose refusals it shares."""
+    return approx_state(s, t, n, thresholds, rank_tol).union_bound

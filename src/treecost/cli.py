@@ -98,16 +98,21 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _parse_pairs(parts, name: str, form: str) -> dict[int, int]:
     """The K=V parts as {K: V}, each side an integer; a part that is not
-    is refused as "<name> '<part>' is not of the form <form>"."""
+    is refused as "<name> '<part>' is not of the form <form>", and one
+    whose K an earlier part gave as "<name> '<part>' repeats <k> <K>"."""
     out = {}
     for part in parts:
         k, _, v = part.partition("=")
         try:
-            out[int(k)] = int(v)
+            key, value = int(k), int(v)
         except ValueError:
             raise TreecostError(
                 f"{name} {part!r} is not of the form {form}"
             ) from None
+        if key in out:
+            what = form.partition("=")[0].lower()
+            raise TreecostError(f"{name} {part!r} repeats {what} {key}")
+        out[key] = value
     return out
 
 
@@ -120,16 +125,21 @@ def _resolve_thresholds(args, state, tree):
             optimize_thresholds(state, tree, args.eps, args.rank_tol),
             "optimized",
         )
+    # an object is read as its (key, value) pairs, so that an edge named
+    # twice ("1" and "01", or one key written twice) is seen, not overwritten
     with open(mode, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
+        doc = json.load(fh, object_pairs_hook=tuple)
+    if not isinstance(doc, tuple):
         raise InvalidEpsilon(f"thresholds file {mode} is not an object of shares")
     try:
-        return {int(k): float(v) for k, v in doc.items()}, mode
+        shares = {int(k): float(v) for k, v in doc}
     except TypeError:
         raise InvalidEpsilon(
             f"thresholds file {mode} holds a share that is not a number"
         ) from None
+    if len(shares) < len(doc):
+        raise InvalidEpsilon(f"thresholds file {mode} names an edge twice")
+    return shares, mode
 
 
 def _transcript_doc(tr, tree) -> dict:

@@ -40,12 +40,10 @@ from .tree import Edge, RootedTree
 
 _LN2 = log(2.0)
 
-# the standard normal's quantile (Wichura's AS241) and density;
-# NormalDist.cdf goes through erf and reads 0 below x = -8.37, so the
-# distribution function keeps erfc for the lower tail
-_STD_NORMAL = NormalDist()
-inverse_normal_cdf = _STD_NORMAL.inv_cdf
-normal_pdf = _STD_NORMAL.pdf
+# the standard normal's quantile (Wichura's AS241); NormalDist.cdf goes
+# through erf and reads 0 below x = -8.37, so the distribution function
+# keeps erfc for the lower tail
+inverse_normal_cdf = NormalDist().inv_cdf
 
 
 def normal_cdf(x: float) -> float:

@@ -89,5 +89,7 @@ class ZeroNorm(TreecostError):
     """All amplitude mass was projected out; nothing left to normalize."""
 
 
-class DegenerateDenominator(TreecostError):
-    """Projected block keeps weight below 1e-12, too little to normalize."""
+class DegenerateDenominator(ZeroNorm):
+    """Projected block keeps weight below 1e-12, too little to normalize:
+    approx_state's one refusal, met alike by every reader of the projected
+    block (its distance, its union bound and the construction on it)."""

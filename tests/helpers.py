@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, erf, exp, inf, lgamma, log2, pi, prod, sqrt
+from statistics import NormalDist
 
 import numpy as np
 
@@ -564,10 +565,10 @@ def _project_block(block, dims, dec, proj, dtype=complex):
 
 
 def dense_union_deficits(s, t, n, thresholds, rank_tol=None):
-    """Per-edge deficits of union_bound_check by the dense route, in double
-    precision: each nontrivial projection applied alone to the explicit
-    n-copy block, and the deficit read as one minus its kept weight over
-    the block's."""
+    """Per-edge deficits of ApproxState.union_bound (which
+    union_bound_check returns) by the dense route, in double precision:
+    each nontrivial projection applied alone to the explicit n-copy block,
+    and the deficit read as one minus its kept weight over the block's."""
     block = product_block_amps(s.amplitudes, s.dims, n)
     block_nsq = float(np.vdot(block, block).real)
     dec = _decompose(s, t, rank_tol)
@@ -609,6 +610,9 @@ def series_normal_cdf(x):
     """Standard normal CDF via the error function; the library path goes
     through erfc with halved argument, this one through erf directly."""
     return 0.5 * (1.0 + erf(x / sqrt(2.0)))
+
+
+normal_pdf = NormalDist().pdf
 
 
 def series_inverse_cdf(p, lo=-40.0, hi=40.0):

@@ -545,6 +545,41 @@ def test_union_bound_degenerate_projection(monkeypatch):
     monkeypatch.setattr(approx_mod, "_edge_projection", starved)
     with pytest.raises(DegenerateDenominator):
         approx_mod.union_bound_check(s, t, 2, {1: 0.5})
+    # one refusal serves both entry points
+    with pytest.raises(DegenerateDenominator):
+        approx_mod.approx_state(s, t, 2, {1: 0.5})
+    assert issubclass(DegenerateDenominator, ZeroNorm)
+
+
+def test_union_bound_is_read_from_the_approx_state(monkeypatch):
+    # reading the union bound off an ApproxState runs no second truncation
+    import treecost.approx as approx_mod
+
+    calls = []
+    real = approx_mod._removed_weights
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(approx_mod, "_removed_weights", counted)
+    skewed = skewed_pure_state(np.random.default_rng(3), (2,) * 4)
+    cases = [
+        (make_named_state("product", 4), line_tree(4), 2, {1: 0.3, 2: 0.3}),
+        (skewed_ghz(), line_tree(3), 3, {1: 0.6, 2: 0.6}),
+        (make_named_state("w", 4), line_tree(4), 8, {1: 0.5}),
+        # last, so its report is checked below: every edge cuts
+        (skewed, line_tree(4), 3, {1: 0.3, 2: 0.3, 3: 0.3}),
+    ]
+    for s, t, n, shares in cases:
+        ap = approx_state(s, t, n, shares)
+        before = len(calls)
+        view = ap.union_bound
+        assert len(calls) == before
+        assert view is ap.union_bound
+        assert view == union_bound_check(s, t, n, shares)
+        assert view.lhs == ap.achieved_distance
+    assert all(d > 0.0 for d in view.deficits.values())
 
 
 # ---------------------------------------------------------- masked network

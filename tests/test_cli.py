@@ -768,6 +768,15 @@ def test_bad_resource_syntax_is_a_usage_error(w4_tree_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: resource '3' is not of the form EDGE=RANK\n"
+    # a second rank for one edge used to replace the first silently
+    code, out, err = run_cli(
+        ["simulate", "--tree", w4_tree_path, "--state", "w4",
+         "--resource", "1=3", "--resource", "1=2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: resource '1=2' repeats edge 1\n"
 
 
 def test_bad_branch_spec_is_a_usage_error(w4_tree_path, capsys):
@@ -785,6 +794,16 @@ def test_bad_branch_spec_is_a_usage_error(w4_tree_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: branch part '1=x' is not of the form VERTEX=INDEX\n"
+    # the last outcome for vertex 1 used to win, and the out-of-range 1=5
+    # before it was never checked
+    code, out, err = run_cli(
+        ["simulate", "--tree", w4_tree_path, "--state", "w4",
+         "--branch", "1=5,2=0,3=0,1=0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: branch part '1=0' repeats vertex 1\n"
 
 
 def test_malformed_tree_json_is_a_usage_error(tmp_path, capsys):
@@ -819,13 +838,18 @@ TWO_PARTY_TREE = {
         ("state", {"named": "w", "n": 2, "dims": [2, None]}),
         ("thresholds", [0.1, 0.2]),
         ("thresholds", {"1": None}),
+        # "01" names edge 1 a second time, and a JSON reader keeps the last
+        # of two equal keys: the 0.9 share that breaks the 0.1 budget used
+        # to vanish behind 0.01 either way
+        ("thresholds", {"1": 0.9, "01": 0.01}),
+        ("thresholds", '{"1": 0.9, "1": 0.01}'),
     ],
 )
 def test_malformed_documents_are_usage_errors(kind, doc, tmp_path, capsys):
     # each document used to escape main as a KeyError, TypeError or
     # AttributeError; its reader refuses it with a TreecostError instead
     path = tmp_path / f"malformed_{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(json.dumps(W4_TREE))
     argv = ["cost", "approx", "--tree", str(tree_path), "--state", "w4",

@@ -27,7 +27,6 @@ from treecost import (
     inverse_normal_cdf,
     make_named_state,
     normal_cdf,
-    normal_pdf,
     optimize_thresholds,
     schmidt_wrt_edge,
     second_order,
@@ -41,6 +40,7 @@ from helpers import (
     line_tree,
     loop_compositions,
     loop_spectrum_table,
+    normal_pdf,
     random_pure_state,
     scalar_edge_bounds,
     series_inverse_cdf,
