@@ -30,15 +30,17 @@ product B psi per batch of branches.
 
 Sampling, a forced branch and full enumeration are one walk that differs
 only in which outcomes it follows, so a branch records the same events in
-the same order in every mode.  The walk carries the live branches along a
-leading batch axis of the register.  In every mode a measuring vertex
-builds gather and phase tables of just the (branch, outcome) pairs it
-follows, shape (followed, C) with C = prod r_c, and applies them in one
-fancy index; the followed pairs, in depth-first order, form the next batch.
-The order of the walk, the outcome columns and each measuring vertex's base
-matrix are one plan built once per program, which every walk, replay and
-event log reads.  A child's correction is a gather of its own edge's levels
-plus a phase, read from per-rank tables, not a matrix product.  A batch
+the same order in every mode.  The walk carries the live branches as the
+rows of one register, and what is fixed per program (the vertex order,
+outcome columns, each step's operator, axis permutation and size, each
+child's digit of the outcome index) is one plan, built once and read by
+every walk, replay and event log.  A child's correction Z^-z X^x undoes the
+D^T of its parent's outcome, so it is made in the parent's gather, not in
+a pass of its own: a measuring vertex builds gather and phase tables of
+just the (branch, outcome) pairs it follows, shape (followed, C) with C =
+prod r_c, from (r, r) tables of the composite cached by rank (of D^T alone
+for a child whose correction is disabled), and evaluates no exponential.
+The followed pairs, in depth-first order, form the next batch.  A batch
 whose next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes
 is split depth first into contiguous chunks, which bounds the working
 memory of enumeration without changing the branch order.  Every branch ends
@@ -46,17 +48,19 @@ in the same target state; branches differ only in probability bookkeeping
 and the recorded outcome labels.
 
 The walk computes each branch's probability and fidelity and nothing else
-per branch.  A finished batch's amplitude rows are normalized, checked and
-read once for the overlaps with the target, then dropped; its branches share
-one record of their outcome columns and conditional probabilities, and a
-transcript derives its events, outcomes and final state from that record
-the first time they are read.  The first final state read from a record
-replays the record: one walk that follows only its recorded outcome rows,
-whose normalized rows the record then keeps.  The walk is independent
-across rows, so a replayed row equals the enumerated one and a forced run
-of its outcomes bit for bit.  Enumeration therefore holds O(batch)
-amplitudes plus O(branches x measuring vertices) scalars, and amplitude
-rows only for the records whose final states were read.
+per branch, in its own axis order: one norm (a zero or non-finite one is
+refused) and one overlap per row with the conjugated target, permuted to
+that order once per walk.  Then the batch's rows are dropped; its branches
+share one record of their outcome columns and conditional probabilities,
+and a transcript derives its events, outcomes and final state from that
+record the first time they are read.  The first final state read from a
+record replays the record: one walk that follows only its recorded outcome
+rows, whose rows _final_rows puts in party order and normalizes, and which
+the record keeps.  The walk is independent across rows, so a replayed row
+equals the enumerated one and a forced run of its outcomes bit for bit.
+Enumeration therefore holds O(batch) amplitudes plus O(branches x
+measuring vertices) scalars, and amplitude rows only for the records whose
+final states were read.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import log2, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +114,24 @@ class Transcript:
     _batch: "_Batch" = field(repr=False)
     _row: int = field(repr=False)
 
+    @classmethod
+    def _rows(cls, batch, probs, fids) -> list[Transcript]:
+        """The transcripts of a batch's rows, built without calling the
+        frozen __init__: each gets its fields as __init__ sets them, right
+        after it is made, so attribute assignment is still refused and the
+        instances keep the compact attribute storage of ones it built
+        (made all first, they would each hold a dict of their own)."""
+        new, assign = object.__new__, object.__setattr__
+        out = []
+        for row, (p, fid) in enumerate(zip(probs, fids)):
+            tr = new(cls)
+            assign(tr, "probability", p)
+            assign(tr, "fidelity", fid)
+            assign(tr, "_batch", batch)
+            assign(tr, "_row", row)
+            out.append(tr)
+        return out
+
     @cached_property
     def events(self) -> tuple[Event, ...]:
         b = self._batch
@@ -119,7 +142,7 @@ class Transcript:
     @cached_property
     def outcomes(self) -> dict[int, int]:
         b = self._batch
-        measuring = b.log.program._walk_plan[0]
+        measuring = b.log.program._walk_plan.measuring
         return dict(zip(measuring, b.picks[self._row].tolist()))
 
     @cached_property
@@ -151,7 +174,7 @@ class _Batch:
         branch, as sampling and a forced branch did."""
         recorded = self.picks
         program = self.log.program
-        measuring = program._walk_plan[0]
+        measuring = program._walk_plan.measuring
 
         def choose(v, cond, k, live):
             c = measuring.index(v)
@@ -161,7 +184,8 @@ class _Batch:
 
         walk = _walk(program, choose, len(recorded) > 1,
                      self.log.disable_corrections)
-        return np.concatenate([amps for amps, *_ in walk])
+        return np.concatenate([_final_rows(program, rows)
+                               for rows, *_ in walk])
 
 
 @dataclass(frozen=True)
@@ -221,33 +245,79 @@ class MeasurementProgram:
         return ops
 
     @cached_property
-    def _walk_plan(self):
-        """The walk's order, built once per program and read by every walk,
-        replay and event log: the measuring vertices in label order (the
-        outcome columns); per vertex in label order (vertex, own edge
-        label, parent's outcome column, place among the parent's children,
-        own outcome column), with None for the root's edge and a leaf's
-        column; and per measuring vertex its base as a (levels x child
-        levels, own levels) matrix, its child ranks, outcome count and the
-        labels of its children's pair halves."""
+    def _walk_plan(self) -> _Plan:
+        """The walk's fixed data, built once per program and read by every
+        walk, replay and event log.  A branch's register has axes, in walk
+        order, for pair halves ("r", edge label) and finished parties ("t",
+        vertex).  A step takes its own edge axis to the front and applies
+        op to it: a leaf's isometry, or a measuring vertex's base as a
+        (child levels x levels, own levels) matrix, whose child indices
+        become the axes of the children's pair halves in front of v's
+        level."""
         t = self.tree
         measuring = [v for v in t.vertices if v in self.bases]
         column = {v: i for i, v in enumerate(measuring)}
-        order = [(t.root, None, None, None, column[t.root])]
-        for v in t.vertices[1:]:
-            u = t.parent(v)
-            order.append((v, t.edge_above(v).label, column[u],
-                          t.children(u).index(v), column.get(v)))
-        ops = {
-            v: (
-                np.moveaxis(base, 1, -1).reshape(-1, base.shape[1]),
-                base.shape[2:],
-                self.outcome_count(v),
-                [("r", t.edge_above(c).label, "c") for c in t.children(v)],
-            )
-            for v, base in self.bases.items()
-        }
-        return measuring, order, ops
+        levels: dict[tuple, int] = {}
+        axes: list[tuple] = []
+        steps = []
+        for v in t.vertices:
+            shape = tuple(map(levels.__getitem__, axes))
+            rest = prod(shape)
+            lab = pcol = place = perm = None
+            if v != t.root:
+                u = t.parent(v)
+                lab = t.edge_above(v).label
+                pcol, place = column[u], t.children(u).index(v)
+                i = axes.index(("r", lab))
+                if i:
+                    perm = (0, i + 1, *(j + 1 for j in range(len(axes))
+                                        if j != i))
+                del axes[i]
+                rest //= levels["r", lab]
+            levels["t", v] = self.dims[v - 1]
+            if v in self.leaf_isometries:
+                op = self.leaf_isometries[v]
+                steps.append(_Step(v, lab, pcol, place, None, op, perm, shape,
+                                   op.shape[0] * rest, 1, ()))
+                axes.insert(0, ("t", v))
+                continue
+            base = self.bases[v]
+            op = np.moveaxis(base, (0, 1), (-2, -1)).reshape(-1, base.shape[1])
+            stride = self.outcome_count(v)
+            children = []
+            for c, r in zip(t.children(v), base.shape[2:]):
+                stride //= r * r
+                e = t.edge_above(c).label
+                children.append((e, stride, r))
+                levels["r", e] = r
+            steps.append(_Step(v, lab, pcol, place, column[v], op, perm, shape,
+                               op.shape[0] * rest, self.outcome_count(v),
+                               tuple(children)))
+            axes[:0] = [("r", e) for e, _, _ in children] + [("t", v)]
+        return _Plan(measuring, steps, tuple(v for _, v in axes))
+
+
+class _Step(NamedTuple):
+    """One vertex of the walk's plan; edge, pcol and place are None at the
+    root, col at a leaf."""
+
+    vertex: int
+    edge: int | None  # own edge label
+    pcol: int | None  # the parent's outcome column
+    place: int | None  # place among the parent's children
+    col: int | None  # own outcome column
+    op: np.ndarray
+    perm: tuple[int, ...] | None  # takes the own edge axis first, if needed
+    shape: tuple[int, ...]  # a branch's register before the step
+    need: int  # amplitudes per branch the step builds following one outcome
+    k: int  # outcome count
+    children: tuple[tuple[int, int, int], ...]  # (edge label, stride, rank)
+
+
+class _Plan(NamedTuple):
+    measuring: list[int]  # the measuring vertices: the outcome columns
+    steps: list[_Step]  # per vertex in label order
+    axes: tuple[int, ...]  # the parties of a finished register's axes
 
 
 def build_program(
@@ -303,27 +373,29 @@ def _announced(child_ranks, place, j):
     return divmod(j // stride % (r * r), r)
 
 
-def _outcome_gather(child_ranks, js) -> tuple[np.ndarray, np.ndarray]:
-    """Gather and phase tables of the children's Paulis of outcomes js.
+def _outcome_gather(children, js) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and phase tables of outcomes js on the children's pair halves.
 
-    For outcome js[i] and children's levels m = (m_1, ..., m_k), mixed radix
-    with child 1 most significant, the transposed Paulis (x)_c D_c^T read
-    level src[i, m] and multiply it by phase[i, m]: D_c^T takes level
-    (m_c + x_c) mod r_c to m_c with the phase exp(2 pi i z_c (m_c + x_c) /
-    r_c).  Returns arrays of shape (len(js), prod(child_ranks)).
+    children holds per child, child 1 first, (stride, rank, sources,
+    phases) (_child_tables): the child's pair (x, z) is the digit js //
+    stride % r^2 as x r + z, and level m of its half reads level l =
+    sources[x, m] of the base's product times phases[z, l].  For outcome
+    js[i] and children's levels m = (m_1, ..., m_k), mixed radix with child
+    1 most significant, level m reads level src[i, m] times phase[i, m].
+    Returns arrays of shape (len(js), prod of the ranks).
     """
-    js = np.asarray(js)[:, None]
-    c = prod(child_ranks)
-    levels = np.arange(c)
-    src = np.zeros((len(js), c), dtype=np.intp)
-    phase = np.ones((len(js), c), dtype=complex)
-    inner = c
-    for i, r in enumerate(child_ranks):
-        inner //= r
-        x, z = _announced(child_ranks, i, js)
-        level = (levels // inner % r + x) % r
-        src += level * inner
-        phase *= np.exp(2j * np.pi * z * level / r)
+    n = len(js)
+    if not children:
+        return np.zeros((n, 1), dtype=np.intp), np.ones((n, 1))
+    for i, (stride, r, sources, phases) in enumerate(children):
+        x, z = np.divmod(js // stride % (r * r), r)
+        level = sources[x]
+        factor = phases[z[:, None], level]
+        if i:
+            src = (src[:, :, None] * r + level[:, None]).reshape(n, -1)
+            phase = (phase[:, :, None] * factor[:, None]).reshape(n, -1)
+        else:
+            src, phase = level, factor
     return src, phase
 
 
@@ -331,8 +403,13 @@ def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
     """The operators of outcomes js of a vertex with this base, shape
     (len(js), d_v, in_dim), by one gather and one phase: column (a, m) of
     outcome j is base column (a, src[j, m]) times phase[j, m] / sqrt(C)."""
-    d_v, r_own = base.shape[:2]
-    src, phase = _outcome_gather(base.shape[2:], js)
+    d_v, r_own, *ranks = base.shape
+    stride = prod(r * r for r in ranks)
+    children = []
+    for r in ranks:
+        stride //= r * r
+        children.append((stride, r, *_child_tables(r, False)))
+    src, phase = _outcome_gather(children, js)
     cols = base.reshape(d_v, r_own, -1)[:, :, src]
     cols = cols * (phase / np.sqrt(src.shape[1]))
     return np.moveaxis(cols, 2, 0).reshape(len(js), d_v, -1)
@@ -343,7 +420,7 @@ def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
 # contiguous chunks of branches.
 _BATCH_AMPLITUDES = 2**13
 
-@lru_cache(maxsize=None)
+
 def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather and phase tables of the correction Z^-z X^x on r levels:
     level l of the corrected register is phases[z, l] times level
@@ -351,6 +428,28 @@ def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     levels = np.arange(r)
     sources = (levels[None, :] - levels[:, None]) % r
     phases = np.exp(2j * np.pi * ((r - levels[:, None]) % r) * levels / r)
+    return sources, phases
+
+
+@lru_cache(maxsize=None)
+def _child_tables(r: int, corrected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and phase tables, each (r, r), of what outcome pair (x, z)
+    does to a child's pair half on r levels: level m of the result is
+    phases[z, l] times level l = sources[x, m] of the input.
+
+    The parent's outcome applies the transposed Pauli D^T = (Z^z X^x)^T,
+    which takes level l = (m + x) mod r to m with the phase exp(2 pi i z l
+    / r).  A child that corrects then applies Z^-z X^x (_correction_tables),
+    which undoes it, so the composite reads level m itself (sources[x] is
+    the identity) and its phase on level m is the Pauli's times the
+    correction's, 1 up to rounding."""
+    levels = np.arange(r)
+    phases = np.exp(2j * np.pi * levels[:, None] * levels / r)
+    if corrected:
+        phases *= _correction_tables(r)[1]
+        sources = np.broadcast_to(levels, (r, r))
+    else:
+        sources = (levels[None, :] + levels[:, None]) % r
     sources.flags.writeable = False
     phases.flags.writeable = False
     return sources, phases
@@ -362,21 +461,21 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", f, f))
 
 
-def _front(tensor: np.ndarray, labels: list, in_labels: list):
-    """Flatten a batch of registers to (branches, in_dim, rest), the middle
-    index running over the in_labels axes in order; returns it with the
-    shape and labels of the rest."""
-    idx = [labels.index(lab) for lab in in_labels]
-    others = [i for i in range(len(labels)) if i not in idx]
-    t = tensor.transpose([0] + [1 + i for i in idx + others])
-    rest_shape = tuple(tensor.shape[1 + i] for i in others)
-    flat = t.reshape(len(t), prod(t.shape[1 : len(idx) + 1]), -1)
-    return flat, rest_shape, [labels[i] for i in others]
+def _final_norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of every finished amplitude row; a row whose norm is zero
+    or not finite cannot be normalized and is refused."""
+    norms = _row_norms(rows)
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(bad):
+        raise ValueError(
+            f"final state norm {norms[bad[0]]} cannot be normalized"
+        )
+    return norms
 
 
 def _walk(program, choose, every_outcome, disable_corrections):
     """Walk the protocol in the order of the program's plan, carrying the
-    live branches along a leading batch axis of the register.
+    live branches as the rows of one (branches, amplitudes) register.
 
     choose(v, cond, k, picks) gets, per live branch at measuring vertex v,
     the conditional probability of each of v's k outcomes (they are equally
@@ -385,153 +484,126 @@ def _walk(program, choose, every_outcome, disable_corrections):
     outcome columns) to follow in row-major order, so the walk finishes the
     followed branches in depth-first outcome order.  every_outcome says
     whether it may follow every outcome of a branch (enumeration) or at
-    most one, which sets the largest array a step builds.  A measuring
-    vertex applies its base to its own edge axis, gathers and phases only
-    the followed outcomes, and the base's child indices become the axes of
-    the children's pair halves.  Besides its register a branch carries its
-    probability and, per measuring vertex, its outcome index and that
-    outcome's conditional probability; a child reads the displacement it
-    corrects from its parent's outcome.
+    most one, which sets the largest array a step builds; the largest
+    measuring step is checked against the dimension cap once per walk.
 
-    Yields each finished batch as (amps, prob, picks, conds): its
-    branches' normalized final amplitude rows in party order, which nothing
-    else reads, their probabilities, outcome columns and conditional
-    probabilities.
+    A step takes its own edge axis to the front and applies its plan's
+    operator; a measuring vertex then gathers and phases only the followed
+    outcomes, each child's correction included (_child_tables), unless the
+    child's edge is in disable_corrections.  Besides its register a branch
+    carries its probability and, per measuring vertex, its outcome index
+    and that outcome's conditional probability.
+
+    Yields each finished batch as (rows, prob, picks, conds): its
+    branches' final registers, unnormalized, with axes in the walk order
+    plan.axes, which nothing else reads, their probabilities, outcome
+    columns and conditional probabilities.
     """
-    t = program.tree
-    cap = config.dim_cap()
-    measuring, plan, ops = program._walk_plan
+    plan = program._walk_plan
+    steps = plan.steps
+    needs = [s.need * s.k if every_outcome else s.need for s in steps]
+    need, v = max((n, s.vertex) for n, s in zip(needs, steps)
+                  if s.col is not None)
+    config.check_dim(f"measurement at vertex {v}", need)
+    needs.append(prod(program.dims))
+    gathers = [
+        tuple((stride, r, *_child_tables(r, lab not in disable_corrections))
+              for lab, stride, r in s.children)
+        for s in steps
+    ]
 
-    def widest(pos, size):
-        """Amplitudes per branch of the largest array the step at pos
-        builds from registers of the given size."""
-        if pos == len(plan):
-            return size
-        v = plan[pos][0]
-        if v in program.leaf_isometries:
-            d, r = program.leaf_isometries[v].shape
-            return d * size // r
-        mat, _, k, _ = ops[v]
-        need = mat.shape[0] * (size // mat.shape[1])
-        if every_outcome:
-            need *= k
-        config.check_dim(f"measurement at vertex {v}", need, cap=cap)
-        return need
-
-    def correct(v, lab, place, pcol, tensor, labels, picks):
-        """Undo on every branch the displacement (x, z) that v's parent
-        announced: Z^-z X^x on v's own edge axis as one gather and one
-        phase."""
-        x, z = _announced(ops[t.parent(v)][1], place, picks[:, pcol])
-        if not (x.any() or z.any()):
-            return tensor, labels
-        sources, phases = _correction_tables(program.ranks[lab])
-        flat, rest_shape, rem = _front(tensor, labels, [("r", lab, "c")])
-        out = flat[np.arange(len(flat))[:, None], sources[x]]
-        out *= phases[z][:, :, None]
-        return (
-            out.reshape(out.shape[:2] + rest_shape),
-            [("r", lab, "c")] + rem,
-        )
-
-    def step(pos, tensor, labels, prob, picks, conds):
+    def step(pos, tensor, prob, picks, conds):
         """Carry one batch from plan position pos to the end of the walk.
         Each step rebinds the batch's arrays, so a register is freed once
         the next one is built; a batch is split where a step would build
         too much."""
         while True:
             b = len(prob)
-            need = widest(pos, tensor.size // b)
+            need = needs[pos]
             if b > 1 and b * need > _BATCH_AMPLITUDES:
                 n = max(1, _BATCH_AMPLITUDES // need)
-                for s in range(0, b, n):
-                    part = slice(s, s + n)
-                    yield from step(pos, tensor[part], labels, prob[part],
+                for start in range(0, b, n):
+                    part = slice(start, start + n)
+                    yield from step(pos, tensor[part], prob[part],
                                     picks[part], conds[part])
                 return
-            if pos == len(plan):
-                yield _final_rows(tensor, labels), prob, picks, conds
+            if pos == len(steps):
+                yield tensor, prob, picks, conds
                 return
-            v, lab, pcol, place, col = plan[pos]
-            pos += 1
-            in_labels = []
-            if lab is not None:
-                in_labels.append(("r", lab, "c"))
-                if lab not in disable_corrections:
-                    tensor, labels = correct(
-                        v, lab, place, pcol, tensor, labels, picks
-                    )
-            flat, rest_shape, rem = _front(tensor, labels, in_labels)
+            s = steps[pos]
+            if s.perm is not None:
+                tensor = tensor.reshape(b, *s.shape).transpose(s.perm)
+            y = s.op @ tensor.reshape(b, s.op.shape[1], -1)
             del tensor
-            if v in program.leaf_isometries:
-                tensor = program.leaf_isometries[v] @ flat
-                del flat
-                tensor = tensor.reshape(tensor.shape[:2] + rest_shape)
-                labels = [("t", v)] + rem
+            if s.col is None:
+                tensor = y.reshape(b, -1)
+                pos += 1
                 continue
-            mat, child_ranks, k, halves = ops[v]
-            d_v = program.dims[v - 1]
-            y = (mat @ flat).reshape(b, d_v, -1, flat.shape[2])
-            del flat
             norms = _row_norms(y.reshape(b, -1))
-            cond = np.where(norms > 0.0, 1.0 / k, 0.0)
-            rows, cols = choose(v, cond, k, picks)
+            cond = np.where(norms > 0.0, 1.0 / s.k, 0.0)
+            rows, cols = choose(s.vertex, cond, s.k, picks)
             if not len(rows):
                 return
-            src, phase = _outcome_gather(child_ranks, cols)
-            # the branch and level indices, split by the slice over v's
-            # level, put their broadcast axes (followed, children's levels)
-            # in front
-            tensor = y[rows[:, None], :, src]
+            src, phase = _outcome_gather(gathers[pos], cols)
+            c = src.shape[1]
+            # y's rows are (branch, children's levels), each holding v's
+            # level by the rest of the register
+            tensor = y.reshape(b * c, -1)[(rows[:, None] * c + src).ravel()]
             del y
-            tensor *= (phase / norms[rows, None])[:, :, None, None]
+            tensor = tensor.reshape(len(rows), c, -1)
+            tensor *= (phase / norms[rows, None])[:, :, None]
+            tensor = tensor.reshape(len(rows), -1)
             picks = picks[rows]
-            picks[:, col] = cols
+            picks[:, s.col] = cols
             conds = conds[rows]
-            conds[:, col] = cond[rows]
-            prob = prob[rows] * conds[:, col]
-            tensor = tensor.reshape(len(rows), *child_ranks, d_v, *rest_shape)
-            labels = halves + [("t", v)] + rem
+            conds[:, s.col] = cond[rows]
+            prob = prob[rows] * conds[:, s.col]
+            pos += 1
 
-    m = len(measuring)
-    yield from step(0, np.ones(1, dtype=complex), [], np.ones(1),
+    m = len(plan.measuring)
+    yield from step(0, np.ones((1, 1), dtype=complex), np.ones(1),
                     np.zeros((1, m), dtype=np.intp), np.zeros((1, m)))
 
 
-def _final_rows(tensor, labels):
-    """A finished batch's registers as amplitude rows in party order, each
-    normalized and its norm checked.  The rows are the walk's last register
-    or a copy of it, which nothing else reads, so they are normalized in
-    place."""
-    b = len(tensor)
-    perm = sorted(range(len(labels)), key=labels.__getitem__)
-    amps = tensor.transpose([0] + [1 + i for i in perm]).reshape(b, -1)
-    amps /= _row_norms(amps)[:, None]
-    norms = _row_norms(amps)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > config.NORM_TOL)
-    if len(bad):
-        raise ValueError(f"state norm {norms[bad[0]]} is not 1")
+def _final_rows(program, rows):
+    """A finished batch's rows, in the walk's axis order, as normalized
+    amplitude rows in party order, each norm checked (_final_norms).  This
+    serves the replay of final states only; the walk scores its batches in
+    its own axis order."""
+    axes = program._walk_plan.axes
+    b = len(rows)
+    perm = sorted(range(len(axes)), key=axes.__getitem__)
+    shape = [program.dims[v - 1] for v in axes]
+    amps = rows.reshape(b, *shape).transpose(0, *(1 + i for i in perm))
+    amps = amps.reshape(b, -1)
+    amps /= _final_norms(amps)[:, None]
     return amps
 
 
 def _transcripts(program, choose, every_outcome, disable_corrections):
     """Walk the protocol and finish every followed branch with its
-    probability and fidelity: one overlap with the target per batch, on the
-    batch's rows conjugated in place, after which the rows are dropped.
+    probability and fidelity, both read in the walk's axis order: per batch
+    one norm and one overlap per row with the conjugated target, which is
+    permuted to that order once per walk, after which the rows are dropped.
     The branches of a batch share one record, which replays their final
     states when one is read."""
     log = _EventLog(program, disable_corrections)
     out: list[Transcript] = []
-    for amps, prob, picks, conds in _walk(program, choose, every_outcome,
+    target = None
+    for rows, prob, picks, conds in _walk(program, choose, every_outcome,
                                           disable_corrections):
-        np.conjugate(amps, out=amps)
-        fids = np.abs(amps @ program.target.amplitudes) ** 2
-        del amps
-        batch = _Batch(log, picks, conds)
-        out += [
-            Transcript(p, fid, batch, row)
-            for row, (p, fid) in enumerate(zip(prob.tolist(), fids.tolist()))
-        ]
+        if target is None:
+            # made at the first finished batch, when no step's register
+            # is held any more
+            view = program.target.tensor.transpose(
+                [v - 1 for v in program._walk_plan.axes]
+            )
+            target = np.conjugate(view, out=np.empty(view.shape, complex))
+            target = target.reshape(-1)
+        fids = np.abs(rows @ target) / _final_norms(rows)
+        del rows
+        out += Transcript._rows(_Batch(log, picks, conds), prob.tolist(),
+                                (fids * fids).tolist())
     return out
 
 
@@ -549,7 +621,7 @@ class _EventLog:
         # step's events: the isometry event of a leaf, or a measuring
         # vertex's events by (outcome, probability)
         self.steps = []
-        for v, lab, pcol, place, col in program._walk_plan[1]:
+        for v, lab, pcol, place, col, *_ in program._walk_plan.steps:
             corrects = lab is not None and lab not in disable_corrections
             own = {}
             if col is None:
@@ -639,7 +711,9 @@ def simulate(
         return enumerate_branches(
             program, disable_corrections=disable_corrections
         )
-    measuring, _, ops = program._walk_plan
+    plan = program._walk_plan
+    measuring = plan.measuring
+    counts = {s.vertex: s.k for s in plan.steps if s.col is not None}
     if mode == "sample":
         # every outcome of v has probability 1/K_v, so the draw
         # rng.choice(K_v, p=...) makes, one uniform double against the
@@ -647,7 +721,7 @@ def simulate(
         rng = np.random.default_rng(seed)
         outcomes = {}
         for v in measuring:
-            k = ops[v][2]
+            k = counts[v]
             outcomes[v] = min(int(rng.random() * k), k - 1)
     elif mode != "branch":
         raise MalformedProgram(f"unknown mode {mode!r}")
@@ -658,7 +732,7 @@ def simulate(
             "forced outcomes must cover exactly the measuring vertices"
         )
     for v, j in outcomes.items():
-        if not 0 <= j < ops[v][2]:
+        if not 0 <= j < counts[v]:
             raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
 
     def choose(v, cond, k, picks):
@@ -691,19 +765,26 @@ def check_completeness(program: MeasurementProgram) -> CompletenessReport:
     """Verify each vertex's operator family resolves the identity and each
     leaf map is an isometry, at the true ranks."""
     vertex_defects: dict[int, float] = {}
-    for v, (a, *_) in program._walk_plan[2].items():
+    for s in program._walk_plan.steps:
+        if s.col is None:
+            continue
         # by the Pauli twirl, sum_j op_j^H op_j = A (x) I_C, where A is the
-        # Gram matrix of the base over its (level, child levels) rows
-        eigs = np.linalg.eigvalsh(a.conj().T @ a)
-        vertex_defects[v] = float(np.abs(eigs - 1.0).max())
+        # Gram matrix of the base over its (child levels, level) rows;
+        # eigvalsh need not converge on a matrix that is not finite, whose
+        # defect is nan
+        gram = s.op.conj().T @ s.op
+        eigs = np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else np.nan
+        vertex_defects[s.vertex] = float(np.abs(eigs - 1.0).max())
     iso_defects: dict[int, float] = {}
     for leaf, u in program.leaf_isometries.items():
         gram = u.conj().T @ u
         iso_defects[leaf] = float(
             np.abs(gram - np.eye(gram.shape[0])).max()
         )
+    # np.max, unlike max, returns nan when any defect is nan, so a
+    # non-finite defect fails the check whatever the order of the defects
     all_defects = list(vertex_defects.values()) + list(iso_defects.values())
-    max_defect = max(all_defects) if all_defects else 0.0
+    max_defect = float(np.max(all_defects)) if all_defects else 0.0
     return CompletenessReport(
         vertex_defects=vertex_defects,
         isometry_defects=iso_defects,

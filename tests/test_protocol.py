@@ -102,16 +102,41 @@ def test_correction_inverts_the_transposed_displacement():
 
 
 def test_correction_tables_reproduce_the_correction_unitaries():
-    # the walker applies corrections as a gather plus a phase
-    from treecost.protocol import _correction_tables
+    # the walker applies corrections as a gather plus a phase, composed
+    # into the parent's outcome gather: with the child's correction that
+    # gather is the correction times the transposed Pauli D^T, the
+    # identity; with the correction disabled it is D^T alone
+    from treecost.protocol import (
+        _child_tables, _correction_tables, _outcome_gather,
+    )
+
+    def gather_matrix(src, phase):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(d), src] = phase
+        return m
 
     for d in (2, 3, 4, 5):
         sources, phases = _correction_tables(d)
+        js = np.arange(d * d)
+        corrected = _outcome_gather([(1, d, *_child_tables(d, True))], js)
+        plain = _outcome_gather([(1, d, *_child_tables(d, False))], js)
         for x in range(d):
             for z in range(d):
-                m = np.zeros((d, d), dtype=complex)
-                m[np.arange(d), sources[x]] = phases[z]
-                assert np.allclose(m, correction_unitary(d, x, z), atol=1e-15)
+                corr = correction_unitary(d, x, z)
+                m = gather_matrix(sources[x], phases[z])
+                assert np.allclose(m, corr, atol=1e-15)
+                disp_t = (
+                    generalized_pauli_z(d, z) @ generalized_pauli_x(d, x)
+                ).T
+                j = x * d + z
+                m = gather_matrix(plain[0][j], plain[1][j])
+                assert np.abs(m - disp_t).max() <= 1e-15
+                m = gather_matrix(corrected[0][j], corrected[1][j])
+                assert np.abs(m - corr @ disp_t).max() <= 1e-15
+                # the identity up to a unit phase: exp rounds its angles,
+                # which reach 2 pi r, in the last bits
+                assert np.array_equal(corrected[0][j], np.arange(d))
+                assert np.abs(corrected[1][j] - 1.0).max() <= 1e-14
 
 
 # ------------------------------------------------------------- compilation
@@ -240,6 +265,34 @@ def test_completeness_catches_a_scaled_operator_family():
     assert rep.vertex_defects[2] > 0.05
 
 
+@pytest.mark.parametrize("where", ["leaf", "base", "wide base"])
+def test_completeness_fails_on_a_non_finite_defect(where):
+    # a nan defect fails the check wherever it sits among the defects: on
+    # the W4 line after every vertex's (the leaf) or between two, and on a
+    # qutrit line at a base whose Gram matrix (3 x 3) eigvalsh cannot take
+    prog = w4_program()
+    if where == "leaf":
+        bad = dataclasses.replace(
+            prog, leaf_isometries={4: np.full_like(prog.leaf_isometries[4],
+                                                   np.nan)}
+        )
+        defect = check_completeness(bad).isometry_defects[4]
+    else:
+        if where == "wide base":
+            t = line_tree(4, dims=[3, 3, 3, 3])
+            rng = np.random.default_rng(1)
+            prog = _program(random_pure_state(rng, t.dims), t)
+            assert prog.bases[2].shape[1] == 3
+        bad = dataclasses.replace(
+            prog, bases={**prog.bases, 2: np.full_like(prog.bases[2], np.nan)}
+        )
+        defect = check_completeness(bad).vertex_defects[2]
+    rep = check_completeness(bad)
+    assert np.isnan(defect)
+    assert np.isnan(rep.max_defect)
+    assert not rep.ok
+
+
 def test_completeness_catches_a_broken_isometry():
     prog = w4_program()
     bad_iso = dict(prog.leaf_isometries)
@@ -333,6 +386,28 @@ def test_forced_branches_match_the_dense_oracle(seed, cripple):
     assert np.abs(tr.final_state.amplitudes - amps).max() <= 1e-12
     if not cripple:
         assert tr.fidelity >= 1 - FIDELITY_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_walk_order_fidelities_match_the_final_states(seed, cripple):
+    # the walk scores each branch in its own axis order, against a target
+    # permuted to that order; every score must be the fidelity of the
+    # branch's replayed final state in party order, also on branches that
+    # disabled corrections keep from the target
+    rng = np.random.default_rng(seed)
+    t = random_tree(rng, int(rng.integers(2, 5)), dim_choices=(2, 3))
+    prog = _program(random_pure_state(rng, t.dims), t)
+    disabled = ()
+    if cripple:
+        disabled = tuple(
+            e.label for e in t.edges if rng.random() < 0.5
+        ) or (t.edges[0].label,)
+    branches = enumerate_branches(prog, disable_corrections=disabled)
+    assert len(branches) == prog.branch_count
+    for tr in branches:
+        want = fidelity_pure(tr.final_state, prog.target)
+        assert abs(tr.fidelity - want) <= 1e-14
 
 
 def test_sampling_makes_the_draw_of_a_uniform_choice():
@@ -703,6 +778,32 @@ def test_forced_zero_probability_branch_raises():
         assert str(sampled.value) == str(forced.value) == (
             f"outcome {drawn[2]} at vertex 2 has probability 0.000e+00"
         )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("fill", [np.nan, np.inf, 0.0])
+def test_a_final_norm_that_is_zero_or_not_finite_is_refused(fill):
+    # a last leaf map of nan, inf or zero leaves every branch a final row
+    # that cannot be normalized: no branch is scored, in any mode
+    prog = w4_program()
+    broken = dataclasses.replace(
+        prog, leaf_isometries={4: np.full_like(prog.leaf_isometries[4], fill)}
+    )
+    refused = functools.partial(
+        pytest.raises, ValueError, match="^final state norm .* cannot"
+    )
+    with refused():
+        enumerate_branches(broken)
+    with refused():
+        simulate(broken, mode="sample", seed=0)
+    with refused():
+        simulate(broken, mode="branch", outcomes={1: 0, 2: 3, 3: 1})
+    # the replay of a record refuses such a row too
+    from treecost.protocol import _Batch, _EventLog
+
+    record = simulate(prog, mode="sample", seed=0)._batch
+    with refused():
+        _Batch(_EventLog(broken, ()), record.picks, record.conds).amps
 
 
 def _qutrit_star_program():
