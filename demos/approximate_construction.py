@@ -17,7 +17,6 @@ from treecost import (
     normalized_state,
     optimize_thresholds,
     root_and_relabel,
-    union_bound_check,
 )
 
 
@@ -73,5 +72,5 @@ print(f"  block distance  {report.distance:.6f} <= {report.bound:.6f}")
 
 print()
 print("union bound on the sequential projections")
-rep = union_bound_check(skew, tree3, n, thresholds)
+rep = approx_state(skew, tree3, n, thresholds).union_bound
 print(f"  lhs {rep.lhs:.6f} <= rhs {rep.rhs:.6f}: {rep.holds}")

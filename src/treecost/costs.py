@@ -186,7 +186,8 @@ class _SpectrumTable:
     """Merged level structure of the n-fold product spectrum, in log space.
 
     Levels are distinct product eigenvalues descending; for each prefix the
-    table holds the linear cumulative mass and the log cumulative count, so
+    table holds the linear cumulative mass, the log cumulative count and the
+    boundary the search reads, and besides them only the level count, so
     the waterline for any deficit is a single monotone search.
 
     The table is built from whole arrays: one row per type class, the
@@ -231,12 +232,11 @@ class _SpectrumTable:
             log_mu = log_mu[starts]
             log_cnt = np.logaddexp.reduceat(log_cnt, starts)
         del starts
-        self.log_cnt = log_cnt
+        self.levels = log_mu.size
         mass = log_cnt + log_mu
         total = np.logaddexp.reduce(mass)
         mass -= total
         log_mu -= total
-        self.log_mu = log_mu
         np.exp(mass, out=mass)
         self.cum_mass = np.cumsum(mass, out=mass)
         self.log_cum_cnt = np.logaddexp.accumulate(log_cnt)
@@ -255,7 +255,7 @@ class _SpectrumTable:
         them all, and each log is math.log, which np.log can miss by a bit."""
         target = 1.0 - np.asarray(deficits, dtype=float)
         k = np.searchsorted(self.boundary, target, side="left")
-        k = np.minimum(k, self.log_mu.size - 1)
+        k = np.minimum(k, self.levels - 1)
         excess = self.cum_mass[k] - target
         return [
             -(log(x) - c) / _LN2 if x > 0.0 else inf

@@ -121,7 +121,11 @@ def _compress(mat: np.ndarray, tol: float):
         u, sing, vh = np.linalg.svd(mat.T, full_matrices=False)
         bond = vh.T
     kept = _numerical_rank(sing, tol)
-    u, sing = u[:, :kept], sing[:kept]
+    sing = sing[:kept]
+    if kept < u.shape[1]:
+        # a view would keep the SVD's whole singular-vector matrix alive
+        # for as long as the factor
+        u = u[:, :kept].copy()
     if bond is None:
         bond = mat @ np.conj(u)
     else:

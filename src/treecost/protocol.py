@@ -33,40 +33,44 @@ only in which outcomes it follows, so a branch records the same events in
 the same order in every mode.  The walk carries the live branches as the
 rows of one register, and what is fixed per program (the vertex order,
 outcome columns, each step's operator, axis permutation and size, each
-child's digit of the outcome index) is one plan, built once and read by
-every walk, replay and event log.  A child's correction Z^-z X^x undoes the
-D^T of its parent's outcome, so it is made in the parent's gather, not in
-a pass of its own: a measuring vertex builds gather and phase tables of
-just the (branch, outcome) pairs it follows, shape (followed, C) with C =
-prod r_c, from (r, r) tables of the composite cached by rank (of D^T alone
-for a child whose correction is disabled), and evaluates no exponential.
+child's (edge, stride, rank), from which _pair alone decodes the child's
+digit of an outcome index, and the probability of every branch) is one
+plan, built once and read by every walk, replay and event log.  A child's
+correction Z^-z X^x undoes the D^T of its parent's outcome, so it is made
+in the parent's gather, not in a pass of its own: a measuring vertex
+builds gather and phase tables of just the (branch, outcome) pairs it
+follows, shape (followed, C) with C = prod r_c, from (r, r) tables of the
+composite cached by rank (of D^T alone for a child whose correction is
+disabled), and evaluates no exponential.
 The followed pairs, in depth-first order, form the next batch.  A batch
 whose next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes
 is split depth first into contiguous chunks, which bounds the working
 memory of enumeration without changing the branch order.  Every branch ends
-in the same target state; branches differ only in probability bookkeeping
-and the recorded outcome labels.
+in the same target state with the plan's probability, the product of 1/K_v
+over the measuring vertices (an outcome of conditional probability 0 is
+pruned or refused, never followed); branches differ only in the recorded
+outcome labels.
 
-The walk computes each branch's probability and fidelity and nothing else
-per branch, in its own axis order: one norm (a zero or non-finite one is
+The walk computes each branch's fidelity and nothing else per branch, in
+its own axis order: one norm (a zero or non-finite one is
 refused) and one overlap per row with the conjugated target, permuted to
-that order once per walk.  Then the batch's rows are dropped; its branches
-share one record of their outcome columns and conditional probabilities,
-and a transcript derives its events, outcomes and final state from that
-record the first time they are read.  The first final state read from a
-record replays the record: one walk that follows only its recorded outcome
-rows, whose rows _final_rows puts in party order and normalizes, and which
-the record keeps.  The walk is independent across rows, so a replayed row
-equals the enumerated one and a forced run of its outcomes bit for bit.
-Enumeration therefore holds O(batch) amplitudes plus O(branches x
-measuring vertices) scalars, and amplitude rows only for the records whose
-final states were read.
+that order once per walk.  Then the batch's rows are dropped.  A branch is
+its outcome row: a batch's branches share one record of their rows, and a
+transcript derives its events, outcomes and final state from that record
+and the plan the first time they are read.  The first final state read
+from a record replays the record: one walk that follows only its recorded
+outcome rows, whose rows _final_rows puts in party order and normalizes,
+and which the record keeps.  The walk is independent across rows, so a
+replayed row equals the enumerated one and a forced run of its outcomes
+bit for bit.  Enumeration therefore holds O(batch) amplitudes plus one
+outcome index per branch and measuring vertex, and amplitude rows only for
+the records whose final states were read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import log2, prod
 from typing import NamedTuple
 
@@ -103,10 +107,11 @@ class Event:
 class Transcript:
     """Full record of one protocol branch.
 
-    probability and fidelity are computed by the walk; events, outcomes and
-    final_state are derived on first read from the record shared by the
-    branches of the walk's batch, at row _row of it.  The first final_state
-    read from a record replays the record's outcome rows once (_Batch.amps).
+    probability is the walk plan's and fidelity is computed by the walk;
+    events, outcomes and final_state are derived on first read from the
+    record shared by the branches of the walk's batch, at row _row of it.
+    The first final_state read from a record replays the record's outcome
+    rows once (_Batch.amps).
     """
 
     probability: float
@@ -115,7 +120,7 @@ class Transcript:
     _row: int = field(repr=False)
 
     @classmethod
-    def _rows(cls, batch, probs, fids) -> list[Transcript]:
+    def _rows(cls, batch, probability, fids) -> list[Transcript]:
         """The transcripts of a batch's rows, built without calling the
         frozen __init__: each gets its fields as __init__ sets them, right
         after it is made, so attribute assignment is still refused and the
@@ -123,9 +128,9 @@ class Transcript:
         (made all first, they would each hold a dict of their own)."""
         new, assign = object.__new__, object.__setattr__
         out = []
-        for row, (p, fid) in enumerate(zip(probs, fids)):
+        for row, fid in enumerate(fids):
             tr = new(cls)
-            assign(tr, "probability", p)
+            assign(tr, "probability", probability)
             assign(tr, "fidelity", fid)
             assign(tr, "_batch", batch)
             assign(tr, "_row", row)
@@ -135,9 +140,7 @@ class Transcript:
     @cached_property
     def events(self) -> tuple[Event, ...]:
         b = self._batch
-        return b.log.branch(
-            b.picks[self._row].tolist(), b.conds[self._row].tolist()
-        )
+        return b.log.branch(b.picks[self._row].tolist())
 
     @cached_property
     def outcomes(self) -> dict[int, int]:
@@ -156,13 +159,13 @@ class Transcript:
 class _Batch:
     """What the branches of one finished batch share: the walk's event log,
     which holds the program and the disabled corrections, and per branch
-    (row) the outcome index and its conditional probability at each
-    measuring vertex (columns in the order of the measuring vertices).  The
-    rows are distinct and in depth-first order, as the walk finished them."""
+    (row) the outcome index at each measuring vertex (columns in the order
+    of the measuring vertices).  A branch is its outcome row; what else a
+    transcript reads is the plan's.  The rows are distinct and in
+    depth-first order, as the walk finished them."""
 
     log: "_EventLog"
     picks: np.ndarray
-    conds: np.ndarray
 
     @cached_property
     def amps(self) -> np.ndarray:
@@ -185,7 +188,7 @@ class _Batch:
         walk = _walk(program, choose, len(recorded) > 1,
                      self.log.disable_corrections)
         return np.concatenate([_final_rows(program, rows)
-                               for rows, *_ in walk])
+                               for rows, _ in walk])
 
 
 @dataclass(frozen=True)
@@ -230,18 +233,20 @@ class MeasurementProgram:
 
     def outcome(self, v: int, j: int) -> tuple[tuple[int, int], ...]:
         """The displacement (x, z) outcome j of v announces to each child."""
-        ranks = self.bases[v].shape[2:]
-        return tuple(_announced(ranks, i, j) for i in range(len(ranks)))
+        step = self._walk_plan.steps[self.tree.vertices.index(v)]
+        return tuple(_pair(stride, r, j) for _, stride, r in step.children)
 
     @cached_property
     def vertex_ops(self) -> dict[int, np.ndarray]:
         """Every outcome's operator, stacked per vertex as (K_v, d_v,
         in_dim); each stack is checked against the dimension cap."""
         ops = {}
-        for v, base in self.bases.items():
-            k = self.outcome_count(v)
-            config.check_dim(f"operator stack at vertex {v}", k * base.size)
-            ops[v] = _operators(base, np.arange(k))
+        for s in self._walk_plan.steps:
+            if s.col is not None:
+                base = self.bases[s.vertex]
+                config.check_dim(f"operator stack at vertex {s.vertex}",
+                                 s.k * base.size)
+                ops[s.vertex] = _operators(base, s.children, np.arange(s.k))
         return ops
 
     @cached_property
@@ -260,6 +265,7 @@ class MeasurementProgram:
         levels: dict[tuple, int] = {}
         axes: list[tuple] = []
         steps = []
+        probability = 1.0
         for v in t.vertices:
             shape = tuple(map(levels.__getitem__, axes))
             rest = prod(shape)
@@ -283,7 +289,8 @@ class MeasurementProgram:
                 continue
             base = self.bases[v]
             op = np.moveaxis(base, (0, 1), (-2, -1)).reshape(-1, base.shape[1])
-            stride = self.outcome_count(v)
+            stride = k = self.outcome_count(v)
+            probability *= 1.0 / k
             children = []
             for c, r in zip(t.children(v), base.shape[2:]):
                 stride //= r * r
@@ -291,10 +298,9 @@ class MeasurementProgram:
                 children.append((e, stride, r))
                 levels["r", e] = r
             steps.append(_Step(v, lab, pcol, place, column[v], op, perm, shape,
-                               op.shape[0] * rest, self.outcome_count(v),
-                               tuple(children)))
+                               op.shape[0] * rest, k, tuple(children)))
             axes[:0] = [("r", e) for e, _, _ in children] + [("t", v)]
-        return _Plan(measuring, steps, tuple(v for _, v in axes))
+        return _Plan(measuring, steps, tuple(v for _, v in axes), probability)
 
 
 class _Step(NamedTuple):
@@ -318,6 +324,7 @@ class _Plan(NamedTuple):
     measuring: list[int]  # the measuring vertices: the outcome columns
     steps: list[_Step]  # per vertex in label order
     axes: tuple[int, ...]  # the parties of a finished register's axes
+    probability: float  # of every branch: prod of 1/K_v in label order
 
 
 def build_program(
@@ -365,20 +372,20 @@ def build_program(
     )
 
 
-def _announced(child_ranks, place, j):
-    """The displacement (x, z) that outcome j (an int or an array of them)
-    announces to the child at position place among child_ranks."""
-    r = child_ranks[place]
-    stride = prod(q * q for q in child_ranks[place + 1 :])
+def _pair(stride, r, j):
+    """The pair (x, z) that outcome j (an int or an array of them) of a
+    measuring vertex announces to a child of rank r, from the child's
+    stride in the walk plan: the digit j // stride % r^2, written x r + z.
+    This is the one decoder of an outcome index."""
     return divmod(j // stride % (r * r), r)
 
 
 def _outcome_gather(children, js) -> tuple[np.ndarray, np.ndarray]:
     """Gather and phase tables of outcomes js on the children's pair halves.
 
-    children holds per child, child 1 first, (stride, rank, sources,
-    phases) (_child_tables): the child's pair (x, z) is the digit js //
-    stride % r^2 as x r + z, and level m of its half reads level l =
+    children holds per child, child 1 first, its stride and rank in the
+    plan and its _child_tables (sources, phases): for the pair (x, z) the
+    outcome announces (_pair), level m of the child's half reads level l =
     sources[x, m] of the base's product times phases[z, l].  For outcome
     js[i] and children's levels m = (m_1, ..., m_k), mixed radix with child
     1 most significant, level m reads level src[i, m] times phase[i, m].
@@ -388,7 +395,7 @@ def _outcome_gather(children, js) -> tuple[np.ndarray, np.ndarray]:
     if not children:
         return np.zeros((n, 1), dtype=np.intp), np.ones((n, 1))
     for i, (stride, r, sources, phases) in enumerate(children):
-        x, z = np.divmod(js // stride % (r * r), r)
+        x, z = _pair(stride, r, js)
         level = sources[x]
         factor = phases[z[:, None], level]
         if i:
@@ -399,17 +406,16 @@ def _outcome_gather(children, js) -> tuple[np.ndarray, np.ndarray]:
     return src, phase
 
 
-def _operators(base: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """The operators of outcomes js of a vertex with this base, shape
-    (len(js), d_v, in_dim), by one gather and one phase: column (a, m) of
-    outcome j is base column (a, src[j, m]) times phase[j, m] / sqrt(C)."""
-    d_v, r_own, *ranks = base.shape
-    stride = prod(r * r for r in ranks)
-    children = []
-    for r in ranks:
-        stride //= r * r
-        children.append((stride, r, *_child_tables(r, False)))
-    src, phase = _outcome_gather(children, js)
+def _operators(base: np.ndarray, children, js: np.ndarray) -> np.ndarray:
+    """The operators of outcomes js of a measuring vertex with this base
+    and these children of its plan step, shape (len(js), d_v, in_dim), by
+    one gather and one phase: column (a, m) of outcome j is base column
+    (a, src[j, m]) times phase[j, m] / sqrt(C)."""
+    d_v, r_own = base.shape[:2]
+    src, phase = _outcome_gather(
+        [(stride, r, *_child_tables(r, False)) for _, stride, r in children],
+        js,
+    )
     cols = base.reshape(d_v, r_own, -1)[:, :, src]
     cols = cols * (phase / np.sqrt(src.shape[1]))
     return np.moveaxis(cols, 2, 0).reshape(len(js), d_v, -1)
@@ -431,7 +437,7 @@ def _correction_tables(r: int) -> tuple[np.ndarray, np.ndarray]:
     return sources, phases
 
 
-@lru_cache(maxsize=None)
+@cache
 def _child_tables(r: int, corrected: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gather and phase tables, each (r, r), of what outcome pair (x, z)
     does to a child's pair half on r levels: level m of the result is
@@ -491,13 +497,13 @@ def _walk(program, choose, every_outcome, disable_corrections):
     operator; a measuring vertex then gathers and phases only the followed
     outcomes, each child's correction included (_child_tables), unless the
     child's edge is in disable_corrections.  Besides its register a branch
-    carries its probability and, per measuring vertex, its outcome index
-    and that outcome's conditional probability.
+    is its outcome row, its outcome index at each measuring vertex so far:
+    the conditional probabilities are made per step for choose only, since
+    every followed branch has the plan's probability.
 
-    Yields each finished batch as (rows, prob, picks, conds): its
-    branches' final registers, unnormalized, with axes in the walk order
-    plan.axes, which nothing else reads, their probabilities, outcome
-    columns and conditional probabilities.
+    Yields each finished batch as (rows, picks): its branches' final
+    registers, unnormalized, with axes in the walk order plan.axes, which
+    nothing else reads, and their outcome rows.
     """
     plan = program._walk_plan
     steps = plan.steps
@@ -512,23 +518,22 @@ def _walk(program, choose, every_outcome, disable_corrections):
         for s in steps
     ]
 
-    def step(pos, tensor, prob, picks, conds):
+    def step(pos, tensor, picks):
         """Carry one batch from plan position pos to the end of the walk.
         Each step rebinds the batch's arrays, so a register is freed once
         the next one is built; a batch is split where a step would build
         too much."""
         while True:
-            b = len(prob)
+            b = len(picks)
             need = needs[pos]
             if b > 1 and b * need > _BATCH_AMPLITUDES:
                 n = max(1, _BATCH_AMPLITUDES // need)
                 for start in range(0, b, n):
                     part = slice(start, start + n)
-                    yield from step(pos, tensor[part], prob[part],
-                                    picks[part], conds[part])
+                    yield from step(pos, tensor[part], picks[part])
                 return
             if pos == len(steps):
-                yield tensor, prob, picks, conds
+                yield tensor, picks
                 return
             s = steps[pos]
             if s.perm is not None:
@@ -555,14 +560,10 @@ def _walk(program, choose, every_outcome, disable_corrections):
             tensor = tensor.reshape(len(rows), -1)
             picks = picks[rows]
             picks[:, s.col] = cols
-            conds = conds[rows]
-            conds[:, s.col] = cond[rows]
-            prob = prob[rows] * conds[:, s.col]
             pos += 1
 
-    m = len(plan.measuring)
-    yield from step(0, np.ones((1, 1), dtype=complex), np.ones(1),
-                    np.zeros((1, m), dtype=np.intp), np.zeros((1, m)))
+    yield from step(0, np.ones((1, 1), dtype=complex),
+                    np.zeros((1, len(plan.measuring)), dtype=np.intp))
 
 
 def _final_rows(program, rows):
@@ -581,17 +582,18 @@ def _final_rows(program, rows):
 
 
 def _transcripts(program, choose, every_outcome, disable_corrections):
-    """Walk the protocol and finish every followed branch with its
-    probability and fidelity, both read in the walk's axis order: per batch
+    """Walk the protocol and finish every followed branch with the plan's
+    probability and its fidelity, read in the walk's axis order: per batch
     one norm and one overlap per row with the conjugated target, which is
     permuted to that order once per walk, after which the rows are dropped.
     The branches of a batch share one record, which replays their final
     states when one is read."""
     log = _EventLog(program, disable_corrections)
+    probability = program._walk_plan.probability
     out: list[Transcript] = []
     target = None
-    for rows, prob, picks, conds in _walk(program, choose, every_outcome,
-                                          disable_corrections):
+    for rows, picks in _walk(program, choose, every_outcome,
+                             disable_corrections):
         if target is None:
             # made at the first finished batch, when no step's register
             # is held any more
@@ -602,33 +604,25 @@ def _transcripts(program, choose, every_outcome, disable_corrections):
             target = target.reshape(-1)
         fids = np.abs(rows @ target) / _final_norms(rows)
         del rows
-        out += Transcript._rows(_Batch(log, picks, conds), prob.tolist(),
+        out += Transcript._rows(_Batch(log, picks), probability,
                                 (fids * fids).tolist())
     return out
 
 
 class _EventLog:
-    """Event sequences of walked branches, rebuilt from their outcome
-    columns.  A correction, isometry or message event is one object shared
-    by every branch with the same outcome at its vertex; a measurement
-    event is shared by the branches that also agree on its probability."""
+    """Event sequences of walked branches, rebuilt from their outcome rows
+    and the plan.  Each event is made when the outcome that decides it is
+    first read, and then shared by every branch with that outcome: a
+    correction by its parent's outcome, a measuring vertex's measure and
+    message events by its own (the measure event's probability is the
+    plan's 1/K_v), and a leaf's isometry event by every branch."""
 
     def __init__(self, program, disable_corrections):
         self.program = program
         self.disable_corrections = disable_corrections
-        # per vertex: its entry of the walk's plan, its correction events by
-        # parent outcome or None when nothing is corrected, and its own
-        # step's events: the isometry event of a leaf, or a measuring
-        # vertex's events by (outcome, probability)
-        self.steps = []
-        for v, lab, pcol, place, col, *_ in program._walk_plan.steps:
-            corrects = lab is not None and lab not in disable_corrections
-            own = {}
-            if col is None:
-                own = (Event(kind="isometry", vertex=v, edge=lab),)
-            self.steps.append(
-                (v, lab, pcol, place, col, {} if corrects else None, own)
-            )
+        # each keyed by (plan position, deciding outcome)
+        self.correction = cache(self._correction)
+        self.own = cache(self._own)
         self.prefix = tuple(
             Event(kind="compress", edge=e.label,
                   info=f"rank {m} pair compressed to rank {r}")
@@ -636,59 +630,53 @@ class _EventLog:
             for m, r in [(program.resources[e.label], program.ranks[e.label])]
             if m > r
         )
-        self.messages: dict[tuple[int, int], tuple[Event, ...]] = {}
 
-    def branch(self, row: list[int], cond: list[float]) -> tuple[Event, ...]:
+    def branch(self, row: list[int]) -> tuple[Event, ...]:
         out = list(self.prefix)
-        for v, lab, pcol, place, col, corrections, own in self.steps:
-            if corrections is not None:
-                jp = row[pcol]
-                seg = corrections.get(jp)
-                if seg is None:
-                    seg = corrections[jp] = self._correction(v, lab, place, jp)
-                out += seg
-            if col is None:
-                out += own
-            else:
-                key = (row[col], cond[col])
-                seg = own.get(key)
-                if seg is None:
-                    seg = own[key] = self._measure(v, *key)
-                out += seg
+        for pos, s in enumerate(self.program._walk_plan.steps):
+            if s.edge is not None and s.edge not in self.disable_corrections:
+                out += self.correction(pos, row[s.pcol])
+            out += self.own(pos, None if s.col is None else row[s.col])
         return tuple(out)
 
-    def _correction(self, v, lab, place, j_parent):
+    def _correction(self, pos, j_parent):
         program = self.program
-        pair = program.outcome(program.tree.parent(v), j_parent)[place]
+        s = program._walk_plan.steps[pos]
+        parent = program.tree.parent(s.vertex)
+        pair = program.outcome(parent, j_parent)[s.place]
         if pair == (0, 0):
             return ()
         x, z = pair
         return (
             Event(
                 kind="correction",
-                vertex=v,
-                edge=lab,
+                vertex=s.vertex,
+                edge=s.edge,
                 outcome=pair,
-                info=f"shift -{x} phase -{z} on rank {program.ranks[lab]}",
+                info=f"shift -{x} phase -{z} on rank {program.ranks[s.edge]}",
             ),
         )
 
-    def _measure(self, v, j, p):
-        messages = self.messages.get((v, j))
-        if messages is None:
-            t = self.program.tree
-            messages = self.messages[v, j] = tuple(
-                Event(
-                    kind="message",
-                    vertex=v,
-                    edge=t.edge_above(c).label,
-                    outcome=pair,
-                    info=f"to vertex {c}",
-                )
-                for c, pair in zip(t.children(v), self.program.outcome(v, j))
+    def _own(self, pos, j):
+        """A leaf's isometry event (j None), or a measuring vertex's measure
+        and message events of its outcome j."""
+        s = self.program._walk_plan.steps[pos]
+        v = s.vertex
+        if j is None:
+            return (Event(kind="isometry", vertex=v, edge=s.edge),)
+        measure = Event(kind="measure", vertex=v, index=j,
+                        probability=1.0 / s.k)
+        return (measure,) + tuple(
+            Event(
+                kind="message",
+                vertex=v,
+                edge=lab,
+                outcome=_pair(stride, r, j),
+                info=f"to vertex {c}",
             )
-        measure = Event(kind="measure", vertex=v, index=j, probability=p)
-        return (measure,) + messages
+            for c, (lab, stride, r) in zip(self.program.tree.children(v),
+                                           s.children)
+        )
 
 
 def simulate(

@@ -40,7 +40,8 @@ class PureState:
                 f"{amps.size} amplitudes do not fill dimensions {dims}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > config.NORM_TOL:
+        # written so that a nan norm, which compares false, is refused
+        if not abs(norm - 1.0) <= config.NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
 
     @classmethod

@@ -11,7 +11,7 @@ from math import log2, sqrt
 
 import numpy as np
 
-from .approx import approx_state, construct_approx, union_bound_check
+from .approx import approx_state, construct_approx
 from .costs import (
     Spectrum,
     inverse_normal_cdf,
@@ -227,7 +227,7 @@ def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     def chk_union():
         s, t = _skewed_ghz()
         th = {1: 0.6, 2: 0.6}
-        rep = union_bound_check(s, t, 3, th)
+        rep = approx_state(s, t, 3, th).union_bound
         ok = rep.holds and rep.lhs > 0.0
         return ok, f"lhs {rep.lhs:.6f} <= rhs {rep.rhs:.6f}"
 

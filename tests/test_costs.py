@@ -208,12 +208,16 @@ def test_w4_bounds_at_n_1e8_finish_within_a_second():
     assert methods == ["gaussian", "type-class", "gaussian"]
 
 
-TABLE_ARRAYS = ("log_mu", "log_cnt", "cum_mass", "log_cum_cnt", "boundary")
+TABLE_ARRAYS = ("cum_mass", "log_cum_cnt", "boundary")
 
 
 def _assert_table_matches_the_loop_oracle(spectrum, n):
+    # the table keeps the level count and the three arrays a lookup reads;
+    # the oracle's log_mu and log_cnt are what they are built from
     table = costs_mod._SpectrumTable(spectrum, n)
-    for name, want in zip(TABLE_ARRAYS, loop_spectrum_table(spectrum, n)):
+    log_mu, _, *arrays = loop_spectrum_table(spectrum, n)
+    assert table.levels == log_mu.size
+    for name, want in zip(TABLE_ARRAYS, arrays):
         assert np.array_equal(getattr(table, name), want), name
 
 
@@ -280,7 +284,7 @@ def test_table_splits_chains_of_close_levels_like_the_loop(delta, n):
                      multiplicities=(1, 1, 1))
     _assert_table_matches_the_loop_oracle(chain, n)
     if n >= 30:
-        levels = costs_mod._SpectrumTable(chain, n).log_mu.size
+        levels = costs_mod._SpectrumTable(chain, n).levels
         assert levels > _gap_runs(chain, n)
 
 
@@ -311,8 +315,11 @@ def test_table_memory_per_type_class():
     costs_mod._SpectrumTable(spectrum, 3)
     table, peak = traced_peak(lambda: costs_mod._SpectrumTable(spectrum, 100))
     classes = comb(103, 3)
-    assert table.log_mu.size == classes
+    assert table.levels == classes
     assert peak / classes < 80
+    # a cached table keeps three float arrays per level and nothing else
+    kept = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in kept) == 24 * classes
 
 
 # 10, 45 and 84 classes, and 231: past a class cap of 100, so refused

@@ -354,6 +354,25 @@ def test_compress_allocates_nothing_of_full_size_but_the_bond():
     assert peak - bond.nbytes < mat.nbytes / 4
 
 
+@pytest.mark.parametrize("dims", [(64, 64), (16, 64), (1024, 16)])
+def test_no_factor_keeps_a_larger_buffer_alive(dims):
+    # a cut of rank 4 keeps 4 of its singular vectors; on every route (one
+    # gesdd either way round, the R-SVD) the factor holds those columns,
+    # not a view that keeps the SVD's whole singular-vector matrix alive
+    rng = np.random.default_rng(173)
+    m, n = dims
+    a = rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4))
+    b = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    t = line_tree(2, dims=dims)
+    dec = decompose(normalized_state(a @ b, dims), t)
+    assert dec.ranks == {1: 4}
+    for v, factor in dec.factors.items():
+        owner = factor
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.nbytes <= factor.nbytes, v
+
+
 _MEMORY_LINES = [("ghz", None), ("w", None), ("dicke", 2)]
 
 

@@ -410,6 +410,36 @@ def test_walk_order_fidelities_match_the_final_states(seed, cripple):
         assert abs(tr.fidelity - want) <= 1e-14
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_every_branch_has_the_product_of_uniform_outcome_probabilities(
+    seed, cripple
+):
+    # every outcome of v has probability 1/K_v, so every followed branch
+    # has the product of 1/K_v over the measuring vertices in label order,
+    # bit for bit, also on branches that disabled corrections keep from
+    # the target
+    rng = np.random.default_rng(seed)
+    t = random_tree(rng, int(rng.integers(2, 5)), dim_choices=(2, 3))
+    prog = _program(random_pure_state(rng, t.dims), t)
+    disabled = ()
+    if cripple:
+        disabled = tuple(
+            e.label for e in t.edges if rng.random() < 0.5
+        ) or (t.edges[0].label,)
+    want = 1.0
+    for v in sorted(prog.bases):
+        want *= 1.0 / prog.outcome_count(v)
+    branches = enumerate_branches(prog, disable_corrections=disabled)
+    assert len(branches) == prog.branch_count
+    for tr in branches:
+        assert tr.probability == want
+        measures = [ev for ev in tr.events if ev.kind == "measure"]
+        assert [ev.vertex for ev in measures] == sorted(prog.bases)
+        for ev in measures:
+            assert ev.probability == 1.0 / prog.outcome_count(ev.vertex)
+
+
 def test_sampling_makes_the_draw_of_a_uniform_choice():
     # one rng.choice(K_v, p=uniform) per measuring vertex in label order
     for prog in (w4_program(), w4_program(root=2), _mixed_program(227)):
@@ -596,9 +626,9 @@ def test_enumeration_derives_events_only_when_read(monkeypatch):
     calls = []
     branch = protocol_mod._EventLog.branch
 
-    def counted(self, row, cond):
+    def counted(self, row):
         calls.append(tuple(row))
-        return branch(self, row, cond)
+        return branch(self, row)
 
     monkeypatch.setattr(protocol_mod._EventLog, "branch", counted)
     prog = w4_program()
@@ -617,6 +647,21 @@ def test_enumeration_derives_events_only_when_read(monkeypatch):
     assert not any(
         "events" in vars(tr) for i, tr in enumerate(branches) if i not in (5, 40)
     )
+    # branch 21 has branch 5's outcomes at vertices 2 and 3, but not at 1:
+    # it shares their measure and message events, object for object
+    other = branches[21]
+    assert [other.outcomes[v] == read[0].outcomes[v] for v in (1, 2, 3)] == [
+        False, True, True
+    ]
+
+    def own(tr, v):
+        return [ev for ev in tr.events
+                if ev.vertex == v and ev.kind in ("measure", "message")]
+
+    for v in (2, 3):
+        mine, theirs = own(read[0], v), own(other, v)
+        assert len(mine) == len(theirs) > 0
+        assert all(a is b for a, b in zip(mine, theirs))
 
 
 def test_transcript_attributes_cannot_be_assigned():
@@ -663,6 +708,23 @@ def test_enumeration_transient_memory_stays_small():
     assert min(tr.fidelity for tr in branches) >= 1 - FIDELITY_TOL
     assert peak - retained < 2 * 2**20
     assert peak < 4 * 2**20
+
+
+def test_enumeration_keeps_under_200_bytes_per_branch():
+    # what an enumeration keeps is its transcripts and, per record, the
+    # outcome rows; per-branch arrays of probabilities and conditional
+    # probabilities would take the 20,736 branches of this qubit and
+    # qutrit line past 200 bytes each
+    t = line_tree(5, dims=(2, 3, 3, 3, 2))
+    prog = _program(random_pure_state(np.random.default_rng(7), t.dims), t)
+    tracemalloc.start()
+    try:
+        branches = enumerate_branches(prog)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(branches) == prog.branch_count == 20736
+    assert retained / len(branches) < 200
 
 
 def test_final_states_are_replayed_once_per_record(monkeypatch):
@@ -803,7 +865,7 @@ def test_a_final_norm_that_is_zero_or_not_finite_is_refused(fill):
 
     record = simulate(prog, mode="sample", seed=0)._batch
     with refused():
-        _Batch(_EventLog(broken, ()), record.picks, record.conds).amps
+        _Batch(_EventLog(broken, ()), record.picks).amps
 
 
 def _qutrit_star_program():

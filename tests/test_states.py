@@ -100,6 +100,20 @@ def test_normalized_state_scales_and_rejects_zero():
         normalized_state(np.zeros(4), (2, 2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("amps", [
+    np.full(4, np.nan), np.full(4, np.inf), np.array([1.0, 0.0, 0.0, np.nan]),
+])
+def test_a_norm_that_is_not_finite_is_refused(amps):
+    # a nan norm compares false with everything, so only a norm within the
+    # tolerance of 1 may pass, and a vector with nothing finite to
+    # normalize is refused by normalized_state too
+    with pytest.raises(ValueError, match=r"^state norm (nan|inf) is not 1$"):
+        PureState(amps.astype(complex), (2, 2))
+    with pytest.raises(ValueError, match=r"^state norm nan is not 1$"):
+        normalized_state(amps, (2, 2))
+
+
 def test_named_w_state_amplitudes():
     s = make_named_state("w", 4)
     # single excitation at each site, uniform weight
