@@ -270,17 +270,18 @@ class _KetInPlace(NamedTuple):
 def _masked(bra: _Env | None, ket: _Env | None, mask: np.ndarray):
     """Complements of a bond's bra-ket and ket-ket environments after its
     mask.  The mask takes E to E M_ket and F to M_bra F M_ket, so a
-    complement C goes to C M plus (1 - mask) on the diagonal.  An identity
-    or diagonal environment is one object for both, and stays so.
+    complement C goes to C M plus (1 - mask) on the diagonal.  A zero
+    complement (None: nothing below is masked) goes to the diagonal
+    complement 1 - mask, one object for both; any other is a full one
+    (_removed_transfer).
 
     The bond keeps one buffer: when one full complement is both, the
     ket-ket one is returned as a _KetInPlace on the bra-ket one's buffer,
     which the parent builds after its bra transfer."""
     n, r = mask.ndim, mask.shape[0]
     cut = (~mask).reshape(-1).astype(float)
-    if bra is None or not bra.paired:
-        legs = cut if bra is None else bra.legs * mask.reshape(-1) + cut
-        env = _Env(legs, False)
+    if bra is None:
+        env = _Env(cut, False)
         return env, env
     on_ket = mask.reshape((1, r) * n)
     on_bra = mask.reshape((r, 1) * n)

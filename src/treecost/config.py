@@ -19,9 +19,6 @@ NORM_TOL = 1e-9
 # Measurement-set completeness deviation allowed at any vertex.
 COMPLETENESS_TOL = 1e-10
 
-# Branches below this probability are pruned (or rejected in forced mode).
-BRANCH_PRUNE_TOL = 1e-12
-
 # Minimum acceptable branch fidelity for a successful construction.
 FIDELITY_TOL = 1e-9
 

@@ -54,7 +54,9 @@ class InsufficientResource(TreecostError):
 
 
 class ZeroProbabilityBranch(TreecostError):
-    """Forced outcome sequence has probability below the pruning threshold."""
+    """Forced outcome sequence has probability 0: at some measuring vertex
+    the base annihilates the branch's register (a norm that is zero or
+    nan)."""
 
 
 class MalformedProgram(TreecostError):

@@ -28,43 +28,48 @@ gather of levels plus a phase.  Every outcome has the norm of B psi, so
 each conditional probability is 1/K_v, and a measuring vertex makes one
 product B psi per batch of branches.
 
-Sampling, a forced branch and full enumeration are one walk that differs
-only in which outcomes it follows, so a branch records the same events in
-the same order in every mode.  The walk carries the live branches as the
-rows of one register, and what is fixed per program (the vertex order,
-outcome columns, each step's operator, axis permutation and size, each
-child's (edge, stride, rank), from which _pair alone decodes the child's
-digit of an outcome index, and the probability of every branch) is one
-plan, built once and read by every walk, replay and event log.  A child's
-correction Z^-z X^x undoes the D^T of its parent's outcome, so it is made
-in the parent's gather, not in a pass of its own: a measuring vertex
-builds gather and phase tables of just the (branch, outcome) pairs it
-follows, shape (followed, C) with C = prod r_c, from (r, r) tables of the
-composite cached by rank (of D^T alone for a child whose correction is
-disabled), and evaluates no exponential.
-The followed pairs, in depth-first order, form the next batch.  A batch
-whose next step would build more than _BATCH_AMPLITUDES (2^13) amplitudes
-is split depth first into contiguous chunks, which bounds the working
-memory of enumeration without changing the branch order.  Every branch ends
-in the same target state with the plan's probability, the product of 1/K_v
-over the measuring vertices (an outcome of conditional probability 0 is
-pruned or refused, never followed); branches differ only in the recorded
-outcome labels.
+A branch is its outcome row, its outcome index at each measuring vertex.
+Sampling, a forced branch, full enumeration and the replay of a record are
+one walk from given outcome rows: enumeration starts from one all-zero row
+and follows every outcome of each live row, and every other mode follows
+each row's own outcomes (a sampled run draws its row up front), so a
+branch records the same events in the same order in every mode.  A row is
+live while its register's norm is positive, and then each of v's outcomes
+has probability 1/K_v; enumeration prunes a dead row and any other walk
+refuses it (ZeroProbabilityBranch).  The walk carries the branches'
+registers as the rows of one array, and what is fixed per program (the
+vertex order, outcome columns, each step's operator, axis permutation and
+size, each child's (edge, stride, rank), from which _pair alone decodes
+the child's digit of an outcome index, and the probability of every
+branch) is one plan, built once and read by every walk and event log.  A
+child's correction Z^-z X^x undoes the D^T of its parent's outcome, so it
+is made in the parent's gather, not in a pass of its own: a measuring
+vertex builds gather and phase tables of just the (branch, outcome) pairs
+it follows, shape (followed, C) with C = prod r_c, from (r, r) tables of
+the composite cached by rank (of D^T alone for a child whose correction
+is disabled), and evaluates no exponential.  The followed pairs, in row
+order, form the next batch, so enumeration finishes its branches depth
+first.  A batch whose next step would build more than _BATCH_AMPLITUDES
+(2^13) amplitudes is split into contiguous chunks, which bounds the
+working memory of enumeration without changing the branch order.  Every
+branch ends in the same target state with the plan's probability, the
+product of 1/K_v over the measuring vertices; branches differ only in the
+recorded outcome labels.
 
 The walk computes each branch's fidelity and nothing else per branch, in
-its own axis order: one norm (a zero or non-finite one is
-refused) and one overlap per row with the conjugated target, permuted to
-that order once per walk.  Then the batch's rows are dropped.  A branch is
-its outcome row: a batch's branches share one record of their rows, and a
-transcript derives its events, outcomes and final state from that record
-and the plan the first time they are read.  The first final state read
-from a record replays the record: one walk that follows only its recorded
-outcome rows, whose rows _final_rows puts in party order and normalizes,
-and which the record keeps.  The walk is independent across rows, so a
-replayed row equals the enumerated one and a forced run of its outcomes
-bit for bit.  Enumeration therefore holds O(batch) amplitudes plus one
-outcome index per branch and measuring vertex, and amplitude rows only for
-the records whose final states were read.
+its own axis order: one norm (a zero or non-finite one is refused) and one
+overlap per row with the conjugated target, permuted to that order once
+per walk.  Then the batch's rows are dropped.  A batch's branches share
+one record of their outcome rows, and a transcript derives its events,
+outcomes and final state from that record and the plan the first time
+they are read.  The first final state read from a record replays the
+record: one walk from its outcome rows, whose rows _final_rows puts in
+party order and normalizes, and which the record keeps.  The walk is
+independent across rows, so a replayed row equals the enumerated one and
+a forced run of its outcomes bit for bit.  Enumeration therefore holds
+O(batch) amplitudes plus one outcome index per branch and measuring
+vertex, and amplitude rows only for the records whose final states were
+read.
 """
 
 from __future__ import annotations
@@ -161,8 +166,7 @@ class _Batch:
     which holds the program and the disabled corrections, and per branch
     (row) the outcome index at each measuring vertex (columns in the order
     of the measuring vertices).  A branch is its outcome row; what else a
-    transcript reads is the plan's.  The rows are distinct and in
-    depth-first order, as the walk finished them."""
+    transcript reads is the plan's."""
 
     log: "_EventLog"
     picks: np.ndarray
@@ -170,23 +174,10 @@ class _Batch:
     @cached_property
     def amps(self) -> np.ndarray:
         """The normalized amplitudes of every row's final register in party
-        order, rebuilt by one walk that follows only the recorded outcome
-        rows: at each measuring vertex, each live branch takes the distinct
-        outcomes recorded after its prefix, so the walk gathers no outcome
-        the record lacks.  A record of one row follows one outcome per
-        branch, as sampling and a forced branch did."""
-        recorded = self.picks
+        order, row by row, rebuilt by one walk from the recorded outcome
+        rows, each of which it follows as a forced branch."""
         program = self.log.program
-        measuring = program._walk_plan.measuring
-
-        def choose(v, cond, k, live):
-            c = measuring.index(v)
-            same = live[:, None, :c] == recorded[None, :, :c]
-            rows, match = np.nonzero(same.all(axis=2))
-            return np.divmod(np.unique(rows * k + recorded[match, c]), k)
-
-        walk = _walk(program, choose, len(recorded) > 1,
-                     self.log.disable_corrections)
+        walk = _walk(program, self.picks, self.log.disable_corrections)
         return np.concatenate([_final_rows(program, rows)
                                for rows, _ in walk])
 
@@ -232,8 +223,12 @@ class MeasurementProgram:
         return prod(self.outcome_count(v) for v in self.bases)
 
     def outcome(self, v: int, j: int) -> tuple[tuple[int, int], ...]:
-        """The displacement (x, z) outcome j of v announces to each child."""
+        """The displacement (x, z) outcome j of v announces to each child;
+        a measuring vertex refuses a j outside 0..K_v-1, and a leaf
+        announces nothing."""
         step = self._walk_plan.steps[self.tree.vertices.index(v)]
+        if step.col is not None and not 0 <= j < step.k:
+            raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
         return tuple(_pair(stride, r, j) for _, stride, r in step.children)
 
     @cached_property
@@ -479,27 +474,27 @@ def _final_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _walk(program, choose, every_outcome, disable_corrections):
-    """Walk the protocol in the order of the program's plan, carrying the
-    live branches as the rows of one (branches, amplitudes) register.
+def _walk(program, picks, disable_corrections, every_outcome=False):
+    """Walk the protocol in the order of the program's plan from the
+    outcome rows picks, carrying them as the rows of one (branches,
+    amplitudes) register.
 
-    choose(v, cond, k, picks) gets, per live branch at measuring vertex v,
-    the conditional probability of each of v's k outcomes (they are equally
-    likely: 1/k, or 0 when the base annihilates the branch's register) and
-    the branch's outcome columns so far, and returns the (branch rows,
-    outcome columns) to follow in row-major order, so the walk finishes the
-    followed branches in depth-first outcome order.  every_outcome says
-    whether it may follow every outcome of a branch (enumeration) or at
-    most one, which sets the largest array a step builds; the largest
-    measuring step is checked against the dimension cap once per walk.
+    A row holds a branch's outcome index at each measuring vertex.  With
+    every_outcome the walk follows every outcome of each live row, in
+    row-major (row, outcome) order, and writes it into the row's column
+    (enumeration, from one all-zero row: its branches finish depth first);
+    otherwise each row follows its own column (a sampled or forced branch,
+    or a record's replay).  A row is live while its register's norm is
+    positive, and then each of v's outcomes has probability 1/K_v: the
+    plan's probability is every finished branch's.  Enumeration prunes a
+    dead row and any other walk refuses it.  every_outcome also sets the
+    largest array a step builds; the largest measuring step is checked
+    against the dimension cap once per walk.
 
     A step takes its own edge axis to the front and applies its plan's
     operator; a measuring vertex then gathers and phases only the followed
     outcomes, each child's correction included (_child_tables), unless the
-    child's edge is in disable_corrections.  Besides its register a branch
-    is its outcome row, its outcome index at each measuring vertex so far:
-    the conditional probabilities are made per step for choose only, since
-    every followed branch has the plan's probability.
+    child's edge is in disable_corrections.
 
     Yields each finished batch as (rows, picks): its branches' final
     registers, unnormalized, with axes in the walk order plan.axes, which
@@ -545,11 +540,21 @@ def _walk(program, choose, every_outcome, disable_corrections):
                 pos += 1
                 continue
             norms = _row_norms(y.reshape(b, -1))
-            cond = np.where(norms > 0.0, 1.0 / s.k, 0.0)
-            rows, cols = choose(s.vertex, cond, s.k, picks)
-            if not len(rows):
-                return
-            src, phase = _outcome_gather(gathers[pos], cols)
+            live = norms > 0.0
+            if every_outcome:
+                rows = np.repeat(np.flatnonzero(live), s.k)
+                if not len(rows):
+                    return
+                picks = picks[rows]
+                picks[:, s.col] = np.tile(np.arange(s.k), len(rows) // s.k)
+            elif live.all():
+                rows = np.arange(b)
+            else:
+                raise ZeroProbabilityBranch(
+                    f"outcome {picks[~live, s.col][0]} at vertex {s.vertex}"
+                    " has probability 0.000e+00"
+                )
+            src, phase = _outcome_gather(gathers[pos], picks[:, s.col])
             c = src.shape[1]
             # y's rows are (branch, children's levels), each holding v's
             # level by the rest of the register
@@ -558,12 +563,9 @@ def _walk(program, choose, every_outcome, disable_corrections):
             tensor = tensor.reshape(len(rows), c, -1)
             tensor *= (phase / norms[rows, None])[:, :, None]
             tensor = tensor.reshape(len(rows), -1)
-            picks = picks[rows]
-            picks[:, s.col] = cols
             pos += 1
 
-    yield from step(0, np.ones((1, 1), dtype=complex),
-                    np.zeros((1, len(plan.measuring)), dtype=np.intp))
+    yield from step(0, np.ones((len(picks), 1), dtype=complex), picks)
 
 
 def _final_rows(program, rows):
@@ -581,19 +583,19 @@ def _final_rows(program, rows):
     return amps
 
 
-def _transcripts(program, choose, every_outcome, disable_corrections):
-    """Walk the protocol and finish every followed branch with the plan's
-    probability and its fidelity, read in the walk's axis order: per batch
-    one norm and one overlap per row with the conjugated target, which is
-    permuted to that order once per walk, after which the rows are dropped.
-    The branches of a batch share one record, which replays their final
-    states when one is read."""
+def _transcripts(program, start, disable_corrections, every_outcome=False):
+    """Walk the protocol from the outcome rows start (_walk) and finish
+    every followed branch with the plan's probability and its fidelity,
+    read in the walk's axis order: per batch one norm and one overlap per
+    row with the conjugated target, which is permuted to that order once
+    per walk, after which the rows are dropped.  The branches of a batch
+    share one record, which replays their final states when one is read."""
     log = _EventLog(program, disable_corrections)
     probability = program._walk_plan.probability
     out: list[Transcript] = []
     target = None
-    for rows, picks in _walk(program, choose, every_outcome,
-                             disable_corrections):
+    for rows, picks in _walk(program, start, disable_corrections,
+                             every_outcome):
         if target is None:
             # made at the first finished batch, when no step's register
             # is held any more
@@ -722,16 +724,8 @@ def simulate(
     for v, j in outcomes.items():
         if not 0 <= j < counts[v]:
             raise OutOfRangeIndex(f"outcome {j} at vertex {v}")
-
-    def choose(v, cond, k, picks):
-        j = outcomes[v]
-        if cond[0] < config.BRANCH_PRUNE_TOL:
-            raise ZeroProbabilityBranch(
-                f"outcome {j} at vertex {v} has probability {cond[0]:.3e}"
-            )
-        return np.zeros(1, dtype=np.intp), np.array([j])
-
-    (transcript,) = _transcripts(program, choose, False, disable_corrections)
+    row = np.array([[outcomes[v] for v in measuring]], dtype=np.intp)
+    (transcript,) = _transcripts(program, row, disable_corrections)
     return transcript
 
 
@@ -739,14 +733,12 @@ def enumerate_branches(
     program: MeasurementProgram,
     disable_corrections: tuple[int, ...] = (),
 ) -> list[Transcript]:
-    """Walk every measurement branch depth first, pruning branches whose
-    conditional probability at some step falls below the zero threshold."""
-
-    def choose(v, cond, k, picks):
-        live = np.flatnonzero(cond >= config.BRANCH_PRUNE_TOL)
-        return np.repeat(live, k), np.tile(np.arange(k), len(live))
-
-    return _transcripts(program, choose, True, disable_corrections)
+    """Walk every measurement branch depth first, pruning a branch once a
+    base annihilates its register (a norm that is zero or nan), which
+    gives each of its outcomes probability 0."""
+    start = np.zeros((1, len(program._walk_plan.measuring)), dtype=np.intp)
+    return _transcripts(program, start, disable_corrections,
+                        every_outcome=True)
 
 
 def check_completeness(program: MeasurementProgram) -> CompletenessReport:

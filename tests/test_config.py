@@ -1,5 +1,8 @@
 """The one dimension-cap check that every capped allocation makes."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from treecost import DimensionCapExceeded, config
@@ -58,3 +61,27 @@ def test_a_size_far_past_the_cap_is_refused_without_being_built():
     assert str(exc.value) == (
         f"block spans at least 2^{10**12} amplitudes, cap {config.dim_cap()}"
     )
+
+
+def test_every_config_constant_is_read_in_the_library():
+    # a module-level constant that no code of the library reads (its own
+    # assignment aside) is a knob that changes nothing
+    package = Path(config.__file__).parent
+    assigned = {
+        target.id
+        for node in ast.parse(Path(config.__file__).read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    assert assigned
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(assigned - read) == []

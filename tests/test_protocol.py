@@ -16,6 +16,7 @@ from treecost import (
     MalformedProgram,
     NotALine,
     OutOfRangeIndex,
+    PureState,
     ZeroProbabilityBranch,
     build_program,
     check_completeness,
@@ -162,6 +163,20 @@ def test_program_operator_shapes_and_outcome_order():
         assert prog.bases[v].shape == (t.dim_of(v), own, *child_ranks)
     assert prog.branch_count == 64
     assert set(prog.leaf_isometries) == {4}
+
+
+def test_an_outcome_index_outside_a_vertex_range_is_refused():
+    # K_1 = 4 on the W4 line: 4, 5, -3 and -1 would wrap onto a pair of
+    # outcomes 0..3, and simulate refuses them in the same words; a leaf
+    # announces nothing, whatever the index
+    prog = w4_program()
+    assert prog.outcome(1, 0) == ((0, 0),)
+    assert prog.outcome(1, 3) == ((1, 1),)
+    for j in (4, 5, -3, -1):
+        with pytest.raises(OutOfRangeIndex,
+                           match=f"^outcome {j} at vertex 1$"):
+            prog.outcome(1, j)
+    assert prog.outcome(4, 0) == prog.outcome(4, 5) == ()
 
 
 def test_program_resources_default_to_exact_ranks():
@@ -468,6 +483,21 @@ def test_a_sampled_run_is_the_forced_run_of_its_outcomes():
             assert forced.probability == tr.probability
             assert (forced.final_state.amplitudes.tobytes()
                     == tr.final_state.amplitudes.tobytes())
+
+
+def test_a_vertex_of_more_than_10_to_the_12_outcomes_is_walked():
+    # a one-dimensional root over four 32-level leaves that hold two
+    # maximally entangled pairs: 2^20 amplitudes, and K_1 = 32^8 = 2^40,
+    # so every branch has probability 2^-40 and no size of K_v refuses it
+    t = root_and_relabel([(0, 1), (0, 2), (0, 3), (0, 4)],
+                         {0: 1, 1: 32, 2: 32, 3: 32, 4: 32}, root=0)
+    phi = np.eye(32).reshape(-1) / np.sqrt(32)
+    prog = _program(PureState(np.kron(phi, phi), t.dims), t)
+    assert prog.outcome_count(1) == 2**40
+    for tr in (simulate(prog, mode="sample", seed=3),
+               simulate(prog, mode="branch", outcomes={1: 2**40 - 1})):
+        assert tr.probability == 2.0**-40
+        assert tr.fidelity >= 1 - FIDELITY_TOL
 
 
 @pytest.mark.parametrize("shape", ["line14", "tree12"])
@@ -780,6 +810,31 @@ def test_a_replay_gathers_only_the_outcomes_its_record_holds(monkeypatch):
         asked.clear()
         tr.final_state
         assert asked and max(asked) <= len(tr._batch.picks)
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_a_replay_is_the_forced_run_of_each_of_its_rows(disabled):
+    # a replay follows each outcome row it is given as a forced branch, so
+    # rows that repeat or leave depth-first order replay one by one, bit
+    # for bit as the forced runs of their outcomes
+    from treecost.protocol import _Batch, _EventLog
+
+    rng = np.random.default_rng(241)
+    cases = [(w4_program(), (2,)), (_mixed_program(233), (3,)),
+             (_qutrit_star_program(), (1,))]
+    for prog, off in cases:
+        off = off if disabled else ()
+        measuring = sorted(prog.bases)
+        counts = [prog.outcome_count(v) for v in measuring]
+        rows = rng.integers(0, counts, size=(9, len(measuring)))
+        rows = np.concatenate([rows, rows[[4, 0, 4]], rows[::-1]])
+        got = _Batch(_EventLog(prog, off), rows).amps
+        assert len(got) == len(rows)
+        for row, amps in zip(rows.tolist(), got):
+            forced = simulate(prog, mode="branch",
+                              outcomes=dict(zip(measuring, row)),
+                              disable_corrections=off)
+            assert amps.tobytes() == forced.final_state.amplitudes.tobytes()
 
 
 def test_the_walk_plan_is_built_once_per_program(monkeypatch):
